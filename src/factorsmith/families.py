@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from factorsmith.graphs import Graph, is_path_graph, is_tree
+from factorsmith.graphs import Graph, degree2_chains, is_path_graph, is_tree
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ def is_cubic_expansion(t: Graph) -> bool:
         return False
     if 3 not in deg:
         return False
-    for chain_a, interior, chain_b in _degree2_chains(t, deg):
+    for chain_a, interior, chain_b in degree2_chains([list(t.neighbors(v)) for v in range(t.n)]):
         kinds = (deg[chain_a], deg[chain_b])
         if kinds == (3, 3):
             if len(interior) != 1:
@@ -152,29 +152,6 @@ def is_cubic_expansion(t: Graph) -> bool:
         else:
             return False
     return True
-
-
-def _degree2_chains(t: Graph, deg: list[int]):
-    """Maximal paths whose interior vertices all have degree 2, between two
-    non-degree-2 endpoints.  Each chain yielded once; covers every degree-2
-    vertex of a tree exactly once.  Also yields bare edges between two
-    non-degree-2 vertices (empty interior)."""
-    seen: set[tuple[int, int]] = set()
-    for a in range(t.n):
-        if deg[a] == 2:
-            continue
-        for first in t.neighbors(a):
-            prev, cur = a, first
-            interior = []
-            while deg[cur] == 2:
-                interior.append(cur)
-                nxt = next(w for w in t.neighbors(cur) if w != prev)
-                prev, cur = cur, nxt
-            key = (min(a, cur), max(a, cur), tuple(sorted(interior)))
-            if key in seen:
-                continue
-            seen.add(key)
-            yield a, interior, cur
 
 
 # --- expansion bases for k >= 2 and their expansions --------------------------

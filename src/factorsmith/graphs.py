@@ -327,6 +327,32 @@ def _mask_to_list(mask: int) -> list[int]:
     return out
 
 
+def degree2_chains(nbrs: list[list[int]]) -> list[tuple[int, list[int], int]]:
+    """Maximal chains (a, interior, b) between two vertices of degree other
+    than 2, through interior vertices of degree 2, from ascending neighbour
+    lists.  Each chain is listed once, from the end found first in index
+    order; bare edges between two such vertices come with an empty interior.
+    Every degree-2 vertex outside a cycle component is interior to exactly
+    one chain, and a leaf-to-leaf chain is a whole path component."""
+    seen: set[tuple[int, int, tuple[int, ...]]] = set()
+    out = []
+    for a, first_nbrs in enumerate(nbrs):
+        if len(first_nbrs) == 2:
+            continue
+        for first in first_nbrs:
+            prev, cur = a, first
+            interior: list[int] = []
+            while len(nbrs[cur]) == 2:
+                interior.append(cur)
+                w0, w1 = nbrs[cur]
+                prev, cur = cur, w1 if w0 == prev else w0
+            key = (min(a, cur), max(a, cur), tuple(sorted(interior)))
+            if key not in seen:
+                seen.add(key)
+                out.append((a, interior, cur))
+    return out
+
+
 def is_tree(g: Graph) -> bool:
     if g.n == 0:
         return False

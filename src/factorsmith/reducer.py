@@ -8,17 +8,24 @@ does not is an implementation bug and raises loudly (with an exhaustive
 minimal-assignment recheck attached when the graph is small enough), never a
 silent skip.
 
-Rule scheduling is deterministic: catalogs are scanned in a fixed order and,
-within a rule, the candidate with the smallest sorted vertex tuple fires.
-Order is load-bearing in one place: the odd-cycle branch rule assumes no two
-branch vertices are adjacent, which holds because the branch-edge deletion
-rule precedes it in both catalogs.
+Both theorems run on one ordered rule table (`_RULES`).  A rule fires under
+its k = 1 name (R1-R8) or its k >= 2 name (S1-S7); the two catalogs share
+even cycle (R1/S1), branch edge (R2/S2), odd cycle through a branch vertex
+(R3/S3), odd-cycle cover (R4/S4) and branch-branch chain (R5/S5), and the
+rules with one name (S6, R6, R7/R8, S7) run only at their k.
+
+Rule scheduling is deterministic: rules are tried in table order and, within
+a rule, the candidate with the smallest sorted vertex tuple fires.  Order is
+load-bearing in one place: the odd-cycle branch rule assumes no two branch
+vertices are adjacent, which holds because the branch-edge deletion rule
+precedes it in the table.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from factorsmith.families import (
@@ -27,12 +34,9 @@ from factorsmith.families import (
     classify_component,
 )
 from factorsmith.factors import HalfIntegralAssignment, find_fractional_factor, verify_fractional
-from factorsmith.graphs import Graph, edge
+from factorsmith.graphs import Graph, connected_components, degree2_chains, edge
 
 logger = logging.getLogger("factorsmith.reducer")
-
-# every intermediate state is re-validated; cheap at desk scale
-VALIDATE_STEPS = True
 
 EXHAUSTIVE_RECHECK_EDGE_LIMIT = 16
 
@@ -149,7 +153,8 @@ def from_assignment(g: Graph, k: int, h: HalfIntegralAssignment) -> ColoredFacto
 
 
 class _State:
-    """Per-iteration view of the factor: adjacency, degrees, blocks, chains."""
+    """Per-iteration view of the factor: adjacency and degrees, plus the
+    block, cycle and chain scans, each computed at most once per state."""
 
     def __init__(self, f: ColoredFactor):
         self.f = f
@@ -172,121 +177,78 @@ class _State:
             total += 2 if self.is_red(v, w) else 1
         return total
 
-    # -- biconnected blocks (edge partitions) --
-
+    @cached_property
     def blocks(self) -> list[tuple[set[int], list[tuple[int, int]]]]:
-        import sys
-
-        n = self.n
-        if 2 * n + 100 > sys.getrecursionlimit():
-            sys.setrecursionlimit(2 * n + 1000)
+        """Biconnected blocks as (vertices, edges), by an iterative DFS."""
+        n, adj = self.n, self.adj
         disc = [-1] * n
         low = [0] * n
-        stack: list[tuple[int, int]] = []
+        edges: list[tuple[int, int]] = []
         out: list[tuple[set[int], list[tuple[int, int]]]] = []
-        timer = [0]
-
-        def dfs(u: int, parent: int) -> None:
-            disc[u] = low[u] = timer[0]
-            timer[0] += 1
-            for v in self.adj[u]:
-                if v == parent:
-                    continue
-                if disc[v] == -1:
-                    stack.append((u, v))
-                    dfs(v, u)
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                    if low[v] >= disc[u]:
+        timer = 0
+        for s in range(n):
+            if disc[s] != -1 or not adj[s]:
+                continue
+            disc[s] = low[s] = timer
+            timer += 1
+            stack = [(s, -1, iter(adj[s]))]
+            while stack:
+                u, parent, nbrs = stack[-1]
+                for v in nbrs:
+                    if v == parent:
+                        continue
+                    if disc[v] == -1:
+                        edges.append((u, v))
+                        disc[v] = low[v] = timer
+                        timer += 1
+                        stack.append((v, u, iter(adj[v])))
+                        break
+                    if disc[v] < disc[u]:
+                        edges.append((u, v))
+                        if disc[v] < low[u]:
+                            low[u] = disc[v]
+                else:
+                    stack.pop()
+                    if parent == -1:
+                        continue
+                    if low[u] < low[parent]:
+                        low[parent] = low[u]
+                    if low[u] >= disc[parent]:
                         comp: list[tuple[int, int]] = []
                         while True:
-                            e = stack.pop()
+                            e = edges.pop()
                             comp.append(e)
-                            if e == (u, v):
+                            if e == (parent, u):
                                 break
-                        verts = {x for ed in comp for x in ed}
-                        out.append((verts, comp))
-                elif disc[v] < disc[u]:
-                    stack.append((u, v))
-                    if disc[v] < low[u]:
-                        low[u] = disc[v]
-
-        for s in range(n):
-            if disc[s] == -1 and self.deg[s] > 0:
-                dfs(s, -1)
+                        out.append(({x for ed in comp for x in ed}, comp))
         return out
 
-    def cycle_blocks(self) -> list[list[int]]:
+    @cached_property
+    def cycles(self) -> list[list[int]]:
         """Blocks that are single cycles, as ordered vertex lists starting at
         the smallest vertex, moving toward its smaller cycle neighbour."""
-        cycles = []
-        for verts, comp_edges in self.blocks():
-            if len(comp_edges) == len(verts) and len(verts) >= 3:
-                cycles.append(_order_cycle(verts, comp_edges))
-        cycles.sort()
-        return cycles
+        return sorted(
+            _order_cycle(verts, comp_edges)
+            for verts, comp_edges in self.blocks
+            if len(comp_edges) == len(verts) >= 3
+        )
 
     def find_even_cycle(self) -> list[int] | None:
-        """Some even cycle of the factor, or None.  Blocks that are single even
-        cycles qualify directly; a block with extra edges always contains an
-        even cycle (an ear over any odd cycle closes one)."""
-        best: list[int] | None = None
-        for verts, comp_edges in sorted(self.blocks(), key=lambda b: min(b[0])):
-            if len(comp_edges) == len(verts) and len(verts) >= 3:
-                if len(verts) % 2 == 0:
-                    cyc = _order_cycle(verts, comp_edges)
-                    if best is None or cyc < best:
-                        best = cyc
-            elif len(comp_edges) > len(verts):
-                cyc = _even_cycle_in_block(verts, comp_edges)
-                if best is None or cyc < best:
-                    best = cyc
-        return best
+        """The smallest of one even cycle per block, or None.  Blocks that are
+        single even cycles qualify directly; a block with extra edges always
+        contains an even cycle (an ear over any odd cycle closes one)."""
+        found = []
+        for verts, comp_edges in self.blocks:
+            if len(comp_edges) > len(verts):
+                found.append(_even_cycle_in_block(verts, comp_edges))
+            elif len(comp_edges) == len(verts) >= 3 and len(verts) % 2 == 0:
+                found.append(_order_cycle(verts, comp_edges))
+        return min(found, default=None)
 
-    # -- degree-2 chains --
-
-    def chains(self):
-        """Maximal chains (a, interior, b) with interior all degree 2 and both
-        endpoints of degree != 2; every degree-2 vertex of a non-cycle part is
-        interior to exactly one chain.  Endpoints may coincide only through
-        distinct interiors (not possible in the tree-like parts we scan)."""
-        seen: set[tuple] = set()
-        out = []
-        for a in range(self.n):
-            if self.deg[a] == 2 or self.deg[a] == 0:
-                continue
-            for first in self.adj[a]:
-                prev, cur = a, first
-                interior: list[int] = []
-                while self.deg[cur] == 2:
-                    interior.append(cur)
-                    nxt = next(w for w in self.adj[cur] if w != prev)
-                    prev, cur = cur, nxt
-                key = (min(a, cur), max(a, cur), tuple(sorted(interior)))
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append((a, interior, cur))
-        return out
-
-    def components(self) -> list[list[int]]:
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = []
-            stack = [s]
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self.adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
+    @cached_property
+    def chains(self) -> list[tuple[int, list[int], int]]:
+        """Degree-2 chains ordered by their sorted vertex tuples."""
+        return sorted(degree2_chains(self.adj), key=lambda ch: sorted((ch[0], ch[2], *ch[1])))
 
 
 def _order_cycle(verts: set[int], comp_edges: list[tuple[int, int]]) -> list[int]:
@@ -439,17 +401,6 @@ def _apply(f: ColoredFactor, rw: _Rewrite) -> RuleStep:
     return RuleStep(rw.rule, rw.location, tuple(sorted(rw.remove)), tuple(recolored))
 
 
-def _cycle_matching_rewrite(rule: str, cycle: list[int]) -> _Rewrite:
-    """Even cycle: keep alternate edges as a red perfect matching, drop the rest."""
-    m = len(cycle)
-    keep = set()
-    drop = set()
-    for i in range(m):
-        e = edge(cycle[i], cycle[(i + 1) % m])
-        (keep if i % 2 == 0 else drop).add(e)
-    return _Rewrite(rule, tuple(cycle), frozenset(drop), frozenset(keep), frozenset())
-
-
 def _odd_cycle_branch_rewrite(rule: str, cycle: list[int], v: int) -> _Rewrite:
     """Odd cycle with a branch vertex v: perfectly match the path C - v in red,
     drop the unmatched path edges and the edge from v to its larger neighbour."""
@@ -468,228 +419,180 @@ def _odd_cycle_branch_rewrite(rule: str, cycle: list[int], v: int) -> _Rewrite:
     return _Rewrite(rule, (v,) + tuple(path), frozenset(drop), frozenset(keep), frozenset())
 
 
-def _path_cover_rewrite(rule: str, order: list[int], use_p5: bool) -> _Rewrite:
-    """Cover an ordered vertex run with either a leading P5 plus P2s (weights
-    1,1/2,1/2,1 on the P5) or a leading P3 plus P2s, everything else red."""
-    kept_red = set()
-    kept_blue = set()
-    if use_p5:
-        a, b, c, d, e5 = order[:5]
-        kept_red |= {edge(a, b), edge(d, e5)}
-        kept_blue |= {edge(b, c), edge(c, d)}
-        rest = order[5:]
-    else:
-        a, b, c = order[:3]
-        kept_red |= {edge(a, b), edge(b, c)}
-        rest = order[3:]
-    for i in range(0, len(rest), 2):
-        kept_red.add(edge(rest[i], rest[i + 1]))
-    return _Rewrite(rule, tuple(order), frozenset(), frozenset(kept_red), frozenset(kept_blue))
+def _path_cover_rewrite(rule: str, order: list[int], edges: set, lead: int) -> _Rewrite:
+    """Cover an ordered vertex run with a leading path on `lead` vertices and
+    then P2s, and drop every other edge of `edges`.  A leading P5 is weighted
+    1,1/2,1/2,1; every other kept edge is red."""
+    head = [edge(order[i], order[i + 1]) for i in range(lead - 1)]
+    blue = set(head[1:3]) if lead == 5 else set()
+    red = set(head) - blue
+    red |= {edge(order[i], order[i + 1]) for i in range(lead, len(order), 2)}
+    drop = edges - red - blue
+    return _Rewrite(rule, tuple(order), frozenset(drop), frozenset(red), frozenset(blue))
 
 
-def _finish_cover(f: ColoredFactor, rw: _Rewrite, all_edges: set) -> _Rewrite:
-    drop = frozenset(all_edges - set(rw.make_red) - set(rw.make_blue))
-    return _Rewrite(rw.rule, rw.location, drop, rw.make_red, rw.make_blue)
+def _cycle_edges(cyc: list[int]) -> set[tuple[int, int]]:
+    return {edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))}
 
 
-# --- rule catalogs ------------------------------------------------------------
+def _cut_chain_end(rule: str, path: list[int], first_blue: int) -> _Rewrite:
+    """Drop the last edge of `path`, make the edge before it red and the edges
+    from index `first_blue` up to that one blue."""
+    make_blue = {edge(path[i], path[i + 1]) for i in range(first_blue, len(path) - 3)}
+    return _Rewrite(
+        rule,
+        tuple(path),
+        frozenset({edge(path[-2], path[-1])}),
+        frozenset({edge(path[-3], path[-2])}),
+        frozenset(make_blue),
+    )
 
 
-def _find_rewrite_k1(st: _State) -> _Rewrite | None:
-    f = st.f
-    # R1: even cycle -> red perfect matching
+def _leaf_chain_rewrite(rule: str, st: _State, a: int, interior: list[int], b: int) -> _Rewrite:
+    """Chain from leaf z to branch vertex x: with one interior vertex, drop its
+    edge to x; with more, drop the last edge and recolour the run z..x as
+    red (the leaf edge, already red), blue, ..., blue, red."""
+    z, x = (a, b) if st.deg[a] == 1 else (b, a)
+    path = [z] + (interior if a == z else list(reversed(interior))) + [x]
+    if len(interior) == 1:
+        return _Rewrite(rule, tuple(path), frozenset({edge(path[1], x)}), frozenset(), frozenset())
+    return _cut_chain_end(rule, path, 1)
+
+
+# --- rule table ---------------------------------------------------------------
+#
+# Each rule takes the state and the name it fires under, and returns the
+# rewrite of its first candidate, or None.
+
+
+def _even_cycle(st: _State, rule: str) -> _Rewrite | None:
+    """Even cycle -> red perfect matching (a P2 cover), drop the rest."""
     cyc = st.find_even_cycle()
-    if cyc is not None:
-        return _cycle_matching_rewrite("R1", cyc)
-    # R2: adjacent branch vertices -> delete the joining edge
-    for u, v in sorted(f.red | f.blue):
+    return None if cyc is None else _path_cover_rewrite(rule, cyc, _cycle_edges(cyc), 2)
+
+
+def _branch_edge(st: _State, rule: str) -> _Rewrite | None:
+    """Adjacent branch vertices -> delete the joining edge."""
+    for u, v in sorted(st.f.red | st.f.blue):
         if st.deg[u] >= 3 and st.deg[v] >= 3:
-            return _Rewrite("R2", (u, v), frozenset({edge(u, v)}), frozenset(), frozenset())
-    cycles = st.cycle_blocks()
-    # R3: odd cycle through a branch vertex
-    for cyc_v in cycles:
-        branch = sorted(v for v in cyc_v if st.deg[v] >= 3)
-        if branch:
-            return _odd_cycle_branch_rewrite("R3", cyc_v, branch[0])
-    # R4: odd cycle component of length >= 5 -> spanning {P2, P5} cover
-    for cyc_v in cycles:
-        if len(cyc_v) >= 5 and all(st.deg[v] == 2 for v in cyc_v):
-            cyc_edges = {edge(cyc_v[i], cyc_v[(i + 1) % len(cyc_v)]) for i in range(len(cyc_v))}
-            rw = _path_cover_rewrite("R4", cyc_v, use_p5=True)
-            return _finish_cover(f, rw, cyc_edges)
-    chains = sorted(st.chains(), key=lambda ch: tuple(sorted((ch[0], ch[2], *ch[1]))))
-    # R5: branch..branch chain with >= 2 interior vertices
-    for a, interior, b in chains:
-        if st.deg[a] == 3 and st.deg[b] == 3 and len(interior) >= 2 and a != b:
-            x, y = (a, b) if a < b else (b, a)
-            path = [x] + (interior if a < b else list(reversed(interior))) + [y]
-            un, un1 = path[-2], path[-3]
-            drop = {edge(un, y)}
-            make_red = {edge(un1, un)}
-            make_blue = {edge(path[i], path[i + 1]) for i in range(len(path) - 3)}
-            return _Rewrite("R5", tuple(path), frozenset(drop), frozenset(make_red), frozenset(make_blue))
-    # R6: leaf..branch chain, interior length 1 or >= 3
-    for a, interior, b in chains:
-        ends = sorted((st.deg[a], st.deg[b]))
-        if ends != [1, 3]:
-            continue
-        z, x = (a, b) if st.deg[a] == 1 else (b, a)
-        path = [z] + (interior if a == z else list(reversed(interior))) + [x]
-        n = len(interior)
-        if n == 1:
-            return _Rewrite("R6", tuple(path), frozenset({edge(path[1], x)}), frozenset(), frozenset())
-        if n >= 3:
-            drop = {edge(path[-2], x)}
-            make_red = {edge(path[-3], path[-2])}
-            make_blue = {edge(path[i], path[i + 1]) for i in range(1, len(path) - 3)}
-            return _Rewrite("R6", tuple(path), frozenset(drop), frozenset(make_red), frozenset(make_blue))
-    # R7/R8: path components
-    for comp in st.components():
-        if any(st.deg[v] != 2 and st.deg[v] != 1 for v in comp):
-            continue
-        leaves = [v for v in comp if st.deg[v] == 1]
-        if len(leaves) != 2 or len(comp) < 4:
-            continue
-        order = _walk_path(st, min(leaves))
-        comp_edges = {edge(order[i], order[i + 1]) for i in range(len(order) - 1)}
-        if len(comp) % 2 == 0:
-            # P2-cover of an even path
-            keep = {edge(order[i], order[i + 1]) for i in range(0, len(order) - 1, 2)}
-            rw = _Rewrite("R7", tuple(order), frozenset(), frozenset(keep), frozenset())
-            return _finish_cover(f, rw, comp_edges)
-        if len(comp) >= 7:
-            rw = _path_cover_rewrite("R8", order, use_p5=True)
-            return _finish_cover(f, rw, comp_edges)
+            return _Rewrite(rule, (u, v), frozenset({edge(u, v)}), frozenset(), frozenset())
     return None
 
 
-def _find_rewrite_k2plus(st: _State) -> _Rewrite | None:
-    f = st.f
-    k = f.k
-    # S1: even cycle
-    cyc = st.find_even_cycle()
-    if cyc is not None:
-        return _cycle_matching_rewrite("S1", cyc)
-    # S2: adjacent branch vertices
-    for u, v in sorted(f.red | f.blue):
-        if st.deg[u] >= 3 and st.deg[v] >= 3:
-            return _Rewrite("S2", (u, v), frozenset({edge(u, v)}), frozenset(), frozenset())
-    cycles = st.cycle_blocks()
-    # S3: odd cycle through a branch vertex
-    for cyc_v in cycles:
-        branch = sorted(v for v in cyc_v if st.deg[v] >= 3)
+def _odd_cycle_branch(st: _State, rule: str) -> _Rewrite | None:
+    """Odd cycle through a branch vertex -> match the rest of the cycle."""
+    for cyc in st.cycles:
+        branch = [v for v in cyc if st.deg[v] >= 3]
         if branch:
-            return _odd_cycle_branch_rewrite("S3", cyc_v, branch[0])
-    # S4: odd cycle component -> spanning {P2, P3} cover, all red
-    for cyc_v in cycles:
-        if all(st.deg[v] == 2 for v in cyc_v):
-            cyc_edges = {edge(cyc_v[i], cyc_v[(i + 1) % len(cyc_v)]) for i in range(len(cyc_v))}
-            rw = _path_cover_rewrite("S4", cyc_v, use_p5=False)
-            return _finish_cover(f, rw, cyc_edges)
-    chains = sorted(st.chains(), key=lambda ch: tuple(sorted((ch[0], ch[2], *ch[1]))))
-    # S5: branch..branch chain with >= 2 interior vertices
-    for a, interior, b in chains:
+            return _odd_cycle_branch_rewrite(rule, cyc, min(branch))
+    return None
+
+
+def _odd_cycle_cover(st: _State, rule: str) -> _Rewrite | None:
+    """Odd cycle component -> spanning {P2, P5} cover at k = 1, where C3 is a
+    family member; spanning all-red {P2, P3} cover at k >= 2."""
+    lead = 5 if st.f.k == 1 else 3
+    for cyc in st.cycles:
+        if len(cyc) >= lead and all(st.deg[v] == 2 for v in cyc):
+            return _path_cover_rewrite(rule, cyc, _cycle_edges(cyc), lead)
+    return None
+
+
+def _branch_chain(st: _State, rule: str) -> _Rewrite | None:
+    """Branch..branch chain with >= 2 interior vertices -> drop its last edge,
+    recolour the rest blue, ..., blue, red.  At k = 1 every branch vertex
+    has degree exactly 3."""
+    for a, interior, b in st.chains:
         if st.deg[a] >= 3 and st.deg[b] >= 3 and len(interior) >= 2 and a != b:
             x, y = (a, b) if a < b else (b, a)
             path = [x] + (interior if a < b else list(reversed(interior))) + [y]
-            drop = {edge(path[-2], y)}
-            make_red = {edge(path[-3], path[-2])}
-            make_blue = {edge(path[i], path[i + 1]) for i in range(len(path) - 3)}
-            return _Rewrite("S5", tuple(path), frozenset(drop), frozenset(make_red), frozenset(make_blue))
-    # S6: branch-u-branch gap of length two
-    for a, interior, b in chains:
+            return _cut_chain_end(rule, path, 0)
+    return None
+
+
+def _branch_gap(st: _State, rule: str) -> _Rewrite | None:
+    """Branch-u-branch gap of length two -> cut u from one side."""
+    k = st.f.k
+    for a, interior, b in st.chains:
         if st.deg[a] >= 3 and st.deg[b] >= 3 and len(interior) == 1 and a != b:
             u1 = interior[0]
             for x, y in sorted(((a, b), (b, a))):
                 if st.half_units(x) < 2 * k + 1:
                     return _Rewrite(
-                        "S6",
-                        (x, u1, y),
-                        frozenset({edge(u1, y)}),
-                        frozenset({edge(x, u1)}),
-                        frozenset(),
+                        rule, (x, u1, y), frozenset({edge(u1, y)}), frozenset({edge(x, u1)}), frozenset()
                     )
                 if st.is_red(x, u1):
-                    return _Rewrite(
-                        "S6", (x, u1, y), frozenset({edge(u1, y)}), frozenset(), frozenset()
-                    )
-    # S7: leaf chains
-    s7: list[tuple[tuple, _Rewrite]] = []
-    for comp in st.components():
-        leaves = [v for v in comp if st.deg[v] == 1]
-        if len(leaves) == 2 and all(st.deg[v] <= 2 for v in comp) and len(comp) >= 4:
-            order = _walk_path(st, min(leaves))
-            nxt_red = edge(order[2], order[3])
-            rw = _Rewrite(
-                "S7",
-                tuple(order),
-                frozenset({edge(order[1], order[2])}),
-                frozenset({nxt_red}),
-                frozenset(),
-            )
-            s7.append((tuple(sorted(comp)), rw))
-    for a, interior, b in st.chains():
-        ends = sorted((st.deg[a], st.deg[b]))
-        if ends[0] != 1 or ends[1] < 3:
-            continue
-        z, x = (a, b) if st.deg[a] == 1 else (b, a)
-        path = [z] + (interior if a == z else list(reversed(interior))) + [x]
-        n = len(interior)
-        if n == 1:
-            rw = _Rewrite("S7", tuple(path), frozenset({edge(path[1], x)}), frozenset(), frozenset())
-            s7.append((tuple(sorted(path)), rw))
-        elif n >= 2:
-            drop = {edge(path[-2], x)}
-            make_red = {edge(path[-3], path[-2]), edge(z, path[1])}
-            make_blue = {edge(path[i], path[i + 1]) for i in range(1, len(path) - 3)}
-            rw = _Rewrite("S7", tuple(path), frozenset(drop), frozenset(make_red), frozenset(make_blue))
-            s7.append((tuple(sorted(path)), rw))
-    if s7:
-        s7.sort(key=lambda item: item[0])
-        return s7[0][1]
-    # S8: branch-mid edge with slack at the branch and a degree-2 continuation
-    for u in range(st.n):
-        if st.deg[u] < 3 or st.half_units(u) >= 2 * k + 1:
-            continue
-        for v in st.adj[u]:
-            if st.deg[v] != 2:
-                continue
-            z1 = next(w for w in st.adj[v] if w != u)
-            if st.deg[z1] == 2:
-                return _Rewrite(
-                    "S8",
-                    (u, v, z1),
-                    frozenset({edge(u, v)}),
-                    frozenset({edge(v, z1)}),
-                    frozenset(),
-                )
-    # S9: red edge with no leaf endpoint
-    for u, v in sorted(f.red):
-        du, dv = st.deg[u], st.deg[v]
-        if du == 1 or dv == 1:
-            continue
-        if du >= 3 and dv >= 3:
-            return _Rewrite("S9", (u, v), frozenset({edge(u, v)}), frozenset(), frozenset())
-        for x, y in ((u, v), (v, u)):
-            if st.deg[x] == 2:
-                z1 = next(w for w in st.adj[x] if w != y)
-                if st.deg[z1] >= 3:
-                    return _Rewrite(
-                        "S9", (x, y, z1), frozenset({edge(x, z1)}), frozenset(), frozenset()
-                    )
+                    return _Rewrite(rule, (x, u1, y), frozenset({edge(u1, y)}), frozenset(), frozenset())
     return None
 
 
-def _walk_path(st: _State, start: int) -> list[int]:
-    order = [start]
-    prev = -1
-    cur = start
-    while True:
-        nxts = [w for w in st.adj[cur] if w != prev]
-        if not nxts:
-            return order
-        prev, cur = cur, nxts[0]
-        order.append(cur)
+def _leaf_branch_chain(st: _State, rule: str) -> _Rewrite | None:
+    """Leaf..branch chain with 1 or >= 3 interior vertices."""
+    for a, interior, b in st.chains:
+        if sorted((st.deg[a], st.deg[b])) == [1, 3] and len(interior) not in (0, 2):
+            return _leaf_chain_rewrite(rule, st, a, interior, b)
+    return None
+
+
+def _path_component(st: _State, rule: str) -> _Rewrite | None:
+    """Path component with >= 4 vertices -> P2 cover when even; {P2, P5}
+    cover, fired as R8, when odd with >= 7 vertices (P5 is a member)."""
+    for a, interior, b in st.chains:
+        if st.deg[a] == st.deg[b] == 1 and len(interior) >= 2:
+            order = [a, *interior, b]
+            edges = {edge(order[i], order[i + 1]) for i in range(len(order) - 1)}
+            if len(order) % 2 == 0:
+                return _path_cover_rewrite(rule, order, edges, 2)
+            if len(order) >= 7:
+                return _path_cover_rewrite("R8", order, edges, 5)
+    return None
+
+
+def _leaf_chains(st: _State, rule: str) -> _Rewrite | None:
+    """The first, by sorted vertex tuple, of the path components with >= 4
+    vertices (cut the second edge) and the leaf..branch chains (as above,
+    any interior length)."""
+    for a, interior, b in st.chains:
+        ends = sorted((st.deg[a], st.deg[b]))
+        if ends[0] != 1 or not interior:
+            continue
+        if ends[1] == 1 and len(interior) >= 2:
+            order = (a, *interior, b)
+            return _Rewrite(
+                rule,
+                order,
+                frozenset({edge(order[1], order[2])}),
+                frozenset({edge(order[2], order[3])}),
+                frozenset(),
+            )
+        if ends[1] >= 3:
+            return _leaf_chain_rewrite(rule, st, a, interior, b)
+    return None
+
+
+# Firing order, with the name a rule fires under at k = 1 and at k >= 2; a
+# rule with one name runs only at that k.
+_RULES = (
+    ("R1", "S1", _even_cycle),
+    ("R2", "S2", _branch_edge),
+    ("R3", "S3", _odd_cycle_branch),
+    ("R4", "S4", _odd_cycle_cover),
+    ("R5", "S5", _branch_chain),
+    (None, "S6", _branch_gap),
+    ("R6", None, _leaf_branch_chain),
+    ("R7", None, _path_component),
+    (None, "S7", _leaf_chains),
+)
+
+
+def _find_rewrite(st: _State) -> _Rewrite | None:
+    for name_k1, name_k2, scan in _RULES:
+        rule = name_k1 if st.f.k == 1 else name_k2
+        if rule is not None:
+            rw = scan(st, rule)
+            if rw is not None:
+                return rw
+    return None
 
 
 # --- driver ---------------------------------------------------------------------
@@ -703,18 +606,15 @@ def minimize(factor: ColoredFactor) -> tuple[ColoredFactor, RuleTrace]:
     f.validate()
     trace = RuleTrace()
     budget = f.base.num_edges
-    find = _find_rewrite_k1 if f.k == 1 else _find_rewrite_k2plus
     while True:
-        st = _State(f)
-        rw = find(st)
+        rw = _find_rewrite(_State(f))
         if rw is None:
             break
         before = f.edge_count()
         step = _apply(f, rw)
         if f.edge_count() >= before:
             raise ReducerError(f"rule {rw.rule} did not remove an edge at {rw.location}")
-        if VALIDATE_STEPS:
-            f.validate()
+        f.validate()
         trace.steps.append(step)
         logger.debug("%s", step.to_line())
         if len(trace) > budget:
@@ -738,15 +638,7 @@ def extract_component_factor_detailed(
     f0 = from_assignment(g, k, h)
     f, trace = minimize(f0)
     family = Family.for_k(k)
-    entries = []
-    st = _State(f)
-    factor_edges = f.red | f.blue
-    for comp in st.components():
-        index = {v: i for i, v in enumerate(comp)}
-        comp_edges = sorted(e for e in factor_edges if e[0] in index and e[1] in index)
-        sub = Graph(len(comp), [(index[u], index[v]) for u, v in comp_edges])
-        cls = classify_component(sub, family)
-        entries.append(ComponentEntry(tuple(comp), tuple(comp_edges), cls))
+    entries = _component_entries(g.n, f.red | f.blue, family)
     bad = [e for e in entries if e.cls.kind == "other"]
     if bad:
         report = _exhaustive_recheck(g, k, family)
@@ -756,6 +648,33 @@ def extract_component_factor_detailed(
             report,
         )
     return FactorCertificate(family, tuple(entries)), h, trace
+
+
+def _classify(vertices: list[int], edges, family: Family) -> ComponentClass:
+    """Class of the subgraph on the sorted `vertices` with the given edges,
+    relabelled to 0..len-1."""
+    index = {v: i for i, v in enumerate(vertices)}
+    return classify_component(Graph(len(vertices), [(index[u], index[v]) for u, v in edges]), family)
+
+
+def _component_entries(n: int, edges, family: Family) -> list[ComponentEntry]:
+    """The components of the spanning subgraph with these edges, classified."""
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    comps = connected_components(n, adj)
+    comp_of = [0] * n
+    for i, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = i
+    comp_edges: list[list[tuple[int, int]]] = [[] for _ in comps]
+    for e in sorted(edges):
+        comp_edges[comp_of[e[0]]].append(e)
+    return [
+        ComponentEntry(tuple(comp), tuple(es), _classify(comp, es, family))
+        for comp, es in zip(comps, comp_edges)
+    ]
 
 
 def _exhaustive_recheck(g: Graph, k: int, family: Family) -> str:
@@ -778,25 +697,10 @@ def _exhaustive_recheck(g: Graph, k: int, family: Family) -> str:
             best = (support, vals)
     if best is None:
         return "no valid assignment exists at all (extraction should have returned None)"
-    vals = best[1]
-    keep = [e for e, hv in zip(edges, vals) if hv]
-    adj = [0] * g.n
-    for u, v in keep:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    from factorsmith.graphs import connected_components
-
-    ok = True
-    for comp in connected_components(g.n, adj):
-        index = {v: i for i, v in enumerate(comp)}
-        comp_edges = [(index[u], index[v]) for u, v in keep if u in index and v in index]
-        if classify_component(Graph(len(comp), comp_edges), family).kind == "other":
-            ok = False
-    return (
-        "a minimal-support assignment classifies cleanly (rule engine incomplete)"
-        if ok
-        else "even a minimal-support assignment has an unclassifiable component"
-    )
+    keep = [e for e, hv in zip(edges, best[1]) if hv]
+    if all(e.cls.kind != "other" for e in _component_entries(g.n, keep, family)):
+        return "a minimal-support assignment classifies cleanly (rule engine incomplete)"
+    return "even a minimal-support assignment has an unclassifiable component"
 
 
 def verify_certificate(g: Graph, cert: FactorCertificate) -> bool:
@@ -815,9 +719,7 @@ def verify_certificate(g: Graph, cert: FactorCertificate) -> bool:
         for u, v in entry.edges:
             if edge(u, v) not in base_edges or u not in vset or v not in vset:
                 return False
-        index = {v: i for i, v in enumerate(sorted(vset))}
-        sub = Graph(len(vset), [(index[u], index[v]) for u, v in entry.edges])
-        cls = classify_component(sub, cert.family)
+        cls = _classify(sorted(vset), entry.edges, cert.family)
         if cls.kind == "other" or cls != entry.cls:
             return False
     return True

@@ -8,16 +8,19 @@ shows up here.
 """
 
 import hashlib
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache
 
 from factorsmith.conditions import check_iso_condition
 from factorsmith.corpus import enumerate_exhaustive, free_trees_upto, random_gnp
-from factorsmith.graphs import encode_graph6
+from factorsmith.graphs import Graph, encode_graph6
 from factorsmith.reducer import (
+    ColoredFactor,
     extract_component_factor,
     extract_component_factor_detailed,
+    minimize,
     verify_certificate,
 )
 
@@ -90,3 +93,15 @@ class TestEquivalence:
     def test_extract_matches_detailed(self):
         g = random_gnp(16, Fraction(1, 4), 6)
         assert extract_component_factor(g, 1) == extract_component_factor_detailed(g, 1)[0]
+
+
+class TestMinimize:
+    def test_long_cycle_leaves_recursion_limit(self):
+        """The block scan is iterative: a 5000-cycle needs no deeper stack."""
+        n = 5000
+        g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        limit = sys.getrecursionlimit()
+        f, trace = minimize(ColoredFactor(g, 1, set(), set(g.edges)))
+        assert sys.getrecursionlimit() == limit
+        assert [s.rule for s in trace.steps] == ["R1"]
+        assert len(f.red) == n // 2 and not f.blue
