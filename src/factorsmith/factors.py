@@ -3,7 +3,7 @@
 Two independent (g,f)-factor engines back each other:
 
 * backtracking over edge-copy counts with per-vertex capacity pruning —
-  the trustworthy exhaustive route, default for small multigraphs;
+  the trustworthy exhaustive route, which `find_fractional_factor` uses;
 * reduction to perfect matching.  The bound range [g, f] is first made exact
   by the two-copy construction (duplicate the multigraph, join the copies of
   each vertex v by f(v)-g(v) parallel edges, require exact degree f(v)
@@ -23,8 +23,6 @@ from itertools import combinations
 
 from factorsmith.graphs import Graph, MultiGraph, double, edge
 from factorsmith.matching import max_matching
-
-BACKTRACK_COPY_LIMIT = 40
 
 
 @dataclass(frozen=True)
@@ -255,14 +253,6 @@ def find_gf_factor_via_matching(m: MultiGraph, b: DegreeBounds) -> SpanningSubgr
         if not b.lower[v] <= degs[v] <= b.upper[v]:
             raise AssertionError(f"gadget engine produced out-of-bounds degree at vertex {v}")
     return sub
-
-
-def find_gf_factor(m: MultiGraph, b: DegreeBounds) -> SpanningSubgraph | None:
-    """Dispatch: exhaustive backtracking for small copy counts, gadget route
-    beyond.  Both engines agree on the test corpus by construction."""
-    if m.edge_copy_count <= BACKTRACK_COPY_LIMIT:
-        return find_gf_factor_backtracking(m, b)
-    return find_gf_factor_via_matching(m, b)
 
 
 def find_fractional_factor(g: Graph, k: int) -> HalfIntegralAssignment | None:
