@@ -401,24 +401,6 @@ def _apply(f: ColoredFactor, rw: _Rewrite) -> RuleStep:
     return RuleStep(rw.rule, rw.location, tuple(sorted(rw.remove)), tuple(recolored))
 
 
-def _odd_cycle_branch_rewrite(rule: str, cycle: list[int], v: int) -> _Rewrite:
-    """Odd cycle with a branch vertex v: perfectly match the path C - v in red,
-    drop the unmatched path edges and the edge from v to its larger neighbour."""
-    m = len(cycle)
-    i = cycle.index(v)
-    path = cycle[i + 1 :] + cycle[:i]  # C - v in cycle order
-    n1, n2 = path[0], path[-1]
-    u1, u2 = (n1, n2) if n1 < n2 else (n2, n1)
-    if path[0] != u1:
-        path = list(reversed(path))
-    keep = set()
-    drop = {edge(v, u2)}
-    for j in range(len(path) - 1):
-        e = edge(path[j], path[j + 1])
-        (keep if j % 2 == 0 else drop).add(e)
-    return _Rewrite(rule, (v,) + tuple(path), frozenset(drop), frozenset(keep), frozenset())
-
-
 def _path_cover_rewrite(rule: str, order: list[int], edges: set, lead: int) -> _Rewrite:
     """Cover an ordered vertex run with a leading path on `lead` vertices and
     then P2s, and drop every other edge of `edges`.  A leading P5 is weighted
@@ -480,11 +462,19 @@ def _branch_edge(st: _State, rule: str) -> _Rewrite | None:
 
 
 def _odd_cycle_branch(st: _State, rule: str) -> _Rewrite | None:
-    """Odd cycle through a branch vertex -> match the rest of the cycle."""
+    """Odd cycle through a branch vertex v -> v keeps its edge to its smaller
+    cycle neighbour, the path C - v is matched in red from that neighbour,
+    and the other cycle edges are dropped."""
     for cyc in st.cycles:
         branch = [v for v in cyc if st.deg[v] >= 3]
         if branch:
-            return _odd_cycle_branch_rewrite(rule, cyc, min(branch))
+            v = min(branch)
+            i = cyc.index(v)
+            path = cyc[i + 1 :] + cyc[:i]
+            if path[-1] < path[0]:
+                path.reverse()
+            edges = _cycle_edges(cyc) - {edge(v, path[0])}
+            return _path_cover_rewrite(rule, [v] + path, edges, 1)
     return None
 
 
