@@ -336,10 +336,10 @@ def degree2_chains(nbrs: list[list[int]]) -> list[tuple[int, list[int], int]]:
     one chain, and a leaf-to-leaf chain is a whole path component."""
     seen: set[tuple[int, int, tuple[int, ...]]] = set()
     out = []
-    for a, first_nbrs in enumerate(nbrs):
-        if len(first_nbrs) == 2:
+    for a, nbrs_a in enumerate(nbrs):
+        if len(nbrs_a) == 2:
             continue
-        for first in first_nbrs:
+        for first in nbrs_a:
             prev, cur = a, first
             interior: list[int] = []
             while len(nbrs[cur]) == 2:
