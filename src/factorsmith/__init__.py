@@ -1,17 +1,16 @@
 """Exact small-graph factor toolkit.
 
-Computes half-integral [1, k+1/2] edge weightings, checks isolated-vertex
-removal conditions, and constructively extracts certified component factors
-whose pieces come from two parametrised tree families.  All arithmetic is
-exact (integers and fractions); nothing here uses floating point.
+Checks the isolated-vertex condition iso(G-S) <= c|S|, finds half-integral
+[1, k+1/2] edge weightings, and rewrites them into certified component
+factors whose pieces come from two parametrised tree families.  All
+arithmetic is exact (integers and fractions); nothing here uses floating
+point.
 """
 
-from factorsmith.graphs import Graph, MultiGraph, double, encode_graph6, parse_edge_list, parse_graph6
+from factorsmith.graphs import Graph, encode_graph6, parse_edge_list, parse_graph6
 
 __all__ = [
     "Graph",
-    "MultiGraph",
-    "double",
     "encode_graph6",
     "parse_edge_list",
     "parse_graph6",

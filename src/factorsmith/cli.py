@@ -18,10 +18,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from factorsmith.conditions import check_iso_condition, isolated_toughness, parse_ratio
 from factorsmith.corpus import CorpusSpec
-from factorsmith.families import Family
 from factorsmith.graphs import (
     Graph,
     GraphFormatError,
@@ -34,7 +34,6 @@ from factorsmith.graphs import (
 from factorsmith.reducer import (
     FixpointUnclassified,
     extract_component_factor_detailed,
-    from_assignment,
     verify_certificate,
 )
 
@@ -128,16 +127,15 @@ def _certificate_json(cert) -> dict:
 def cmd_factor(args) -> int:
     try:
         k = args.k
-        family = Family.for_k(k)
-        if args.family is not None and args.family != family.kind:
-            raise ValueError(f"family {args.family} does not match k={k}")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         graphs = read_graphs(_read_input(args.input), args.format)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     missing = False
     for label, g in graphs:
-        cert, h, trace = extract_component_factor_detailed(g, k)
+        cert, _h, trace = extract_component_factor_detailed(g, k)
         if cert is None:
             missing = True
             print(f"{label}: no factor (condition fails)")
@@ -145,8 +143,8 @@ def cmd_factor(args) -> int:
         if args.emit == "json":
             print(json.dumps({"graph": label, "certificate": _certificate_json(cert)}))
         elif args.emit == "dot":
-            colored = from_assignment(g, k, h)
-            sys.stdout.write(to_dot(g, highlight=colored))
+            factor_edges = {e for entry in cert.components for e in entry.edges}
+            sys.stdout.write(to_dot(g, highlight=SimpleNamespace(red=factor_edges, blue=())))
         else:  # trace
             print(f"# {label}: {len(trace.steps)} rewrite(s)")
             sys.stdout.write(trace.to_text())
@@ -384,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor", help="extract a certified component factor")
     _add_input_args(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--family", choices=["F1", "F2"], default=None)
     p.add_argument("--emit", choices=["json", "dot", "trace"], default="json")
     p.set_defaults(func=cmd_factor)
 

@@ -1,4 +1,4 @@
-"""Bitset-backed simple graphs, bounded multigraphs, and text formats.
+"""Bitset-backed simple graphs and their text formats.
 
 Vertex ids are dense integers 0..n-1.  Adjacency is one int bitmask per
 vertex, which keeps exhaustive corpus sweeps cheap.  Graphs are immutable
@@ -81,63 +81,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self._edges)})"
-
-
-class MultiGraph:
-    """Loopless multigraph with edge multiplicity at most 2."""
-
-    __slots__ = ("n", "_groups")
-
-    def __init__(self, n: int, groups: Iterable[tuple[int, int, int]] = ()):
-        if n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {n}")
-        norm: dict[tuple[int, int], int] = {}
-        for u, v, mult in groups:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
-            if mult not in (1, 2):
-                raise ValueError(f"multiplicity must be 1 or 2, got {mult}")
-            key = edge(u, v)
-            if key in norm:
-                raise ValueError(f"duplicate edge group {key}")
-            norm[key] = mult
-        self.n = n
-        self._groups = tuple(sorted((u, v, m) for (u, v), m in norm.items()))
-
-    @property
-    def groups(self) -> tuple[tuple[int, int, int], ...]:
-        """Sorted (u, v, multiplicity) triples, u < v."""
-        return self._groups
-
-    @property
-    def edge_copy_count(self) -> int:
-        return sum(m for _, _, m in self._groups)
-
-    def degree(self, v: int) -> int:
-        return sum(m for u, w, m in self._groups if u == v or w == v)
-
-    def degrees(self) -> list[int]:
-        out = [0] * self.n
-        for u, v, m in self._groups:
-            out[u] += m
-            out[v] += m
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MultiGraph) and self.n == other.n and self._groups == other._groups
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._groups))
-
-    def __repr__(self) -> str:
-        return f"MultiGraph(n={self.n}, groups={list(self._groups)})"
-
-
-def double(g: Graph) -> MultiGraph:
-    """Replace every edge by two parallel copies; degrees double vertex-wise."""
-    return MultiGraph(g.n, ((u, v, 2) for u, v in g.edges))
 
 
 # --- graph6 (short form) ---------------------------------------------------

@@ -4,9 +4,7 @@ A colored factor carries a half-integral edge weighting: red = weight 1,
 blue = weight 1/2.  Each rewrite deletes at least one edge and preserves the
 [1, k+1/2] vertex window, so the loop runs at most ||G|| steps.  At the
 fixpoint every component classifies into the target family; a component that
-does not is an implementation bug and raises loudly (with an exhaustive
-minimal-assignment recheck attached when the graph is small enough), never a
-silent skip.
+does not is an implementation bug and raises loudly, never a silent skip.
 
 Both theorems run on one ordered rule table (`_RULES`).  A rule fires under
 its k = 1 name (R1-R8) or its k >= 2 name (S1-S7); the two catalogs share
@@ -26,7 +24,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 
 from factorsmith.families import (
     ComponentClass,
@@ -37,8 +34,6 @@ from factorsmith.factors import HalfIntegralAssignment, find_fractional_factor, 
 from factorsmith.graphs import Graph, connected_components, degree2_chains, edge
 
 logger = logging.getLogger("factorsmith.reducer")
-
-EXHAUSTIVE_RECHECK_EDGE_LIMIT = 16
 
 
 class ReducerError(RuntimeError):
@@ -53,14 +48,13 @@ class FixpointUnclassified(ReducerError):
     """A fixpoint component fell outside the target family.
 
     The theorems guarantee this never happens; raising it means the rule
-    engine is wrong.  Carries the offending state and, for small graphs, the
-    verdict of an exhaustive minimal-assignment search for comparison.
+    engine is wrong.  Carries the fixpoint state; its base graph and k are
+    enough to replay the extraction.
     """
 
-    def __init__(self, message: str, factor: "ColoredFactor", exhaustive_report: str):
-        super().__init__(f"{message}; exhaustive recheck: {exhaustive_report}")
+    def __init__(self, message: str, factor: "ColoredFactor"):
+        super().__init__(message)
         self.factor = factor
-        self.exhaustive_report = exhaustive_report
 
 
 @dataclass
@@ -631,11 +625,8 @@ def extract_component_factor_detailed(
     entries = _component_entries(g.n, f.red | f.blue, family)
     bad = [e for e in entries if e.cls.kind == "other"]
     if bad:
-        report = _exhaustive_recheck(g, k, family)
         raise FixpointUnclassified(
-            f"fixpoint component {bad[0].vertices} is outside family {family.kind}(k={k})",
-            f,
-            report,
+            f"fixpoint component {bad[0].vertices} is outside family {family.kind}(k={k})", f
         )
     return FactorCertificate(family, tuple(entries)), h, trace
 
@@ -665,32 +656,6 @@ def _component_entries(n: int, edges, family: Family) -> list[ComponentEntry]:
         ComponentEntry(tuple(comp), tuple(es), _classify(comp, es, family))
         for comp, es in zip(comps, comp_edges)
     ]
-
-
-def _exhaustive_recheck(g: Graph, k: int, family: Family) -> str:
-    """Desk-scale fallback: scan all half-integral assignments for one of
-    minimal support whose components classify; reports the outcome so the
-    failure carries evidence of what a correct engine would have produced."""
-    if g.num_edges > EXHAUSTIVE_RECHECK_EDGE_LIMIT:
-        return f"skipped (||G||={g.num_edges} > {EXHAUSTIVE_RECHECK_EDGE_LIMIT})"
-    edges = g.edges
-    best: tuple[int, tuple[int, ...]] | None = None
-    for vals in product((0, 1, 2), repeat=len(edges)):
-        units = [0] * g.n
-        for (u, v), hv in zip(edges, vals):
-            units[u] += hv
-            units[v] += hv
-        if not all(2 <= s <= 2 * k + 1 for s in units):
-            continue
-        support = sum(1 for hv in vals if hv)
-        if best is None or support < best[0]:
-            best = (support, vals)
-    if best is None:
-        return "no valid assignment exists at all (extraction should have returned None)"
-    keep = [e for e, hv in zip(edges, best[1]) if hv]
-    if all(e.cls.kind != "other" for e in _component_entries(g.n, keep, family)):
-        return "a minimal-support assignment classifies cleanly (rule engine incomplete)"
-    return "even a minimal-support assignment has an unclassifiable component"
 
 
 def verify_certificate(g: Graph, cert: FactorCertificate) -> bool:

@@ -1,4 +1,4 @@
-"""Graph primitives, graph6 round trips, edge lists, doubling, DOT."""
+"""Graph primitives, graph6 round trips, edge lists, DOT."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +8,6 @@ from factorsmith.corpus import enumerate_exhaustive
 from factorsmith.graphs import (
     Graph,
     GraphFormatError,
-    double,
     encode_graph6,
     format_edge_list,
     parse_edge_list,
@@ -150,29 +149,6 @@ class TestEdgeList:
         for n in range(1, 5):
             for g in enumerate_exhaustive(n):
                 assert parse_edge_list(format_edge_list(g)) == g
-
-
-class TestDouble:
-    def test_k2(self):
-        m = double(K2)
-        assert m.groups == ((0, 1, 2),)
-        assert m.degrees() == [2, 2]
-
-    def test_c3(self):
-        m = double(C3)
-        assert m.edge_copy_count == 6
-        assert m.degrees() == [4, 4, 4]
-
-    def test_edgeless(self):
-        m = double(Graph(5))
-        assert m.n == 5 and m.edge_copy_count == 0
-
-    @settings(max_examples=100)
-    @given(graphs_strategy(max_n=10))
-    def test_degree_doubling_pointwise(self, g):
-        m = double(g)
-        assert m.edge_copy_count == 2 * g.num_edges
-        assert m.degrees() == [2 * g.degree(v) for v in range(g.n)]
 
 
 class TestDot:

@@ -9,17 +9,25 @@ shows up here.
 
 import hashlib
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import cache
 
+import pytest
+
+from factorsmith import reducer
 from factorsmith.conditions import check_iso_condition
 from factorsmith.corpus import enumerate_exhaustive, free_trees_upto, random_gnp
+from factorsmith.factors import find_fractional_factor
+from factorsmith.families import OTHER
 from factorsmith.graphs import Graph, encode_graph6
 from factorsmith.reducer import (
     ColoredFactor,
+    FixpointUnclassified,
     extract_component_factor,
     extract_component_factor_detailed,
+    from_assignment,
     minimize,
     verify_certificate,
 )
@@ -89,6 +97,22 @@ class TestEquivalence:
                     assert verify_certificate(g, cert)
                     assert len(trace) <= g.num_edges
                     assert not {s.rule for s in trace.steps} & {"S8", "S9"}
+
+    def test_unclassified_fixpoint_raises_with_state(self, monkeypatch):
+        """A fixpoint component outside the family raises at once and carries
+        the fixpoint state, whose base graph and k replay the extraction."""
+        g = random_gnp(16, Fraction(1, 4), 6)
+        assert g.num_edges > 16
+        expected, _ = minimize(from_assignment(g, 1, find_fractional_factor(g, 1)))
+        monkeypatch.setattr(reducer, "classify_component", lambda t, family: OTHER)
+        t0 = time.perf_counter()
+        with pytest.raises(FixpointUnclassified) as info:
+            extract_component_factor_detailed(g, 1)
+        assert time.perf_counter() - t0 < 5.0
+        assert "exhaustive" not in str(info.value)
+        f = info.value.factor
+        assert f.base is g and f.k == 1
+        assert (f.red, f.blue) == (expected.red, expected.blue)
 
     def test_extract_matches_detailed(self):
         g = random_gnp(16, Fraction(1, 4), 6)
