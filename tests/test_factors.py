@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factorsmith.conditions import check_iso_condition
 from factorsmith.corpus import enumerate_exhaustive, random_gnp
 from factorsmith.factors import HalfIntegralAssignment, find_fractional_factor, verify_fractional
 from factorsmith.graphs import Graph
@@ -27,6 +28,46 @@ def brute_fractional_exists(g: Graph, k: int) -> bool:
         if all(2 <= s <= 2 * k + 1 for s in units):
             return True
     return False
+
+
+class TestConditionWitness:
+    """The paper's condition iso(G-S) <= (k+1/2)|S| at k = 1 on the small
+    graphs whose half-unit degree windows [2, 3] are searched below."""
+
+    def test_doubled_p3_has_violator(self):
+        w = check_iso_condition(P3, Fraction(3, 2))
+        assert w is not None
+        # removing the middle vertex strands both ends
+        assert w.removed == frozenset({1})
+        assert w.isolated == frozenset({0, 2})
+
+    def test_doubled_k2_none(self):
+        assert check_iso_condition(K2, Fraction(3, 2)) is None
+
+    def test_doubled_c3_none(self):
+        assert check_iso_condition(C3, Fraction(3, 2)) is None
+
+    def test_single_vertex_empty_set_violates(self):
+        w = check_iso_condition(Graph(1), Fraction(3, 2))
+        assert w is not None and w.removed == frozenset()
+
+
+class TestFindGfFactor:
+    """Half-unit degrees of the search's answer are the degrees of a
+    [2, 2k+1]-factor of G with every edge doubled."""
+
+    def test_doubled_k2(self):
+        h = find_fractional_factor(K2, 1)
+        assert h is not None
+        assert [h.half_degree_units(v) for v in range(2)] == [2, 2]
+
+    def test_doubled_p3_none(self):
+        assert find_fractional_factor(P3, 1) is None
+
+    def test_doubled_p5_degrees(self):
+        h = find_fractional_factor(P5, 1)
+        assert h is not None
+        assert all(2 <= h.half_degree_units(v) <= 3 for v in range(5))
 
 
 class TestFractional:
