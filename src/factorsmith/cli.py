@@ -19,9 +19,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import Iterator
 
+from factorsmith import corpus
 from factorsmith.conditions import check_iso_condition, isolated_toughness, parse_ratio
-from factorsmith.corpus import CorpusSpec
 from factorsmith.graphs import (
     Graph,
     GraphFormatError,
@@ -156,15 +157,15 @@ def cmd_factor(args) -> int:
 def cmd_toughness(args) -> int:
     try:
         graphs = read_graphs(_read_input(args.input), args.format)
+        for label, g in graphs:
+            value = isolated_toughness(g)  # raises above TOUGHNESS_MAX_N
+            if value is None:
+                print(f"{label}: infinity")
+            else:
+                print(f"{label}: {value.numerator}/{value.denominator}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    for label, g in graphs:
-        value = isolated_toughness(g)
-        if value is None:
-            print(f"{label}: infinity")
-        else:
-            print(f"{label}: {value.numerator}/{value.denominator}")
     return EXIT_OK
 
 
@@ -225,7 +226,8 @@ def _verify_one(payload) -> dict:
     return {"graph": label, "records": records}
 
 
-def _corpus_from_args(args) -> CorpusSpec:
+def _corpus_from_args(args) -> tuple[str, Iterator[Graph]]:
+    """The chosen corpus source's name and its (lazy) graph stream."""
     chosen = [
         name
         for name in ("exhaustive", "gnp", "trees", "paths_cycles", "file")
@@ -235,11 +237,11 @@ def _corpus_from_args(args) -> CorpusSpec:
         raise ValueError("choose exactly one corpus source")
     name = chosen[0]
     if name == "exhaustive":
-        return CorpusSpec("exhaustive", n=args.exhaustive)
+        return name, corpus.enumerate_exhaustive(args.exhaustive)
     if name == "paths_cycles":
-        return CorpusSpec("paths_cycles", n=args.paths_cycles)
+        return name, corpus.paths_and_cycles(args.paths_cycles)
     if name == "file":
-        return CorpusSpec("file", path=args.file)
+        return name, corpus.read_graph6_file(args.file)
     parts = getattr(args, name).split(",")
     seed = args.seed
     fields = {}
@@ -256,28 +258,28 @@ def _corpus_from_args(args) -> CorpusSpec:
         n, p, count = int(positional[0]), parse_ratio(positional[1]), int(positional[2])
         if "seed" in fields:
             seed = int(fields["seed"])
-        return CorpusSpec("gnp", n=n, p=p, count=count, seed=seed)
+        return name, (corpus.random_gnp(n, p, seed + i) for i in range(count))
     if len(positional) < 2:
         raise ValueError("trees spec is n,count[,seed=S]")
     n, count = int(positional[0]), int(positional[1])
     if "seed" in fields:
         seed = int(fields["seed"])
-    return CorpusSpec("trees", n=n, count=count, seed=seed)
+    return name, (corpus.random_tree(n, seed + i) for i in range(count))
 
 
 def cmd_verify(args) -> int:
     try:
-        spec = _corpus_from_args(args)
+        kind, stream = _corpus_from_args(args)
         ks = [int(x) for x in args.k.split(",")]
         if any(k < 1 for k in ks):
             raise ValueError("k values must be >= 1")
-        graphs = list(spec.graphs())
+        graphs = list(stream)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     t0 = time.perf_counter()
     payloads = [
-        (f"{spec.kind}:{idx}", g.n, list(g.edges), ks) for idx, g in enumerate(graphs)
+        (f"{kind}:{idx}", g.n, list(g.edges), ks) for idx, g in enumerate(graphs)
     ]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -315,25 +317,21 @@ def cmd_verify(args) -> int:
 def cmd_gen(args) -> int:
     try:
         if args.cubic_tree is not None:
-            from factorsmith.corpus import random_cubic_tree
-
             m, seed = (int(x) for x in args.cubic_tree.split(","))
-            graphs = [random_cubic_tree(m, seed)]
+            graphs = [corpus.random_cubic_tree(m, seed)]
         elif args.expansion_base is not None:
-            from factorsmith.corpus import random_expansion_base
-
             k, size, seed = (int(x) for x in args.expansion_base.split(","))
-            graphs = [random_expansion_base(k, size, seed)]
+            graphs = [corpus.random_expansion_base(k, size, seed)]
         elif args.all_trees is not None:
-            spec = CorpusSpec("all_trees", n=args.all_trees)
-            graphs = spec.graphs()
+            graphs = corpus.free_trees_upto(args.all_trees)
         else:
-            graphs = _corpus_from_args(args).graphs()
+            _kind, graphs = _corpus_from_args(args)
+        # The generators are lazy, so a bad range surfaces while encoding.
+        for g in graphs:
+            print(encode_graph6(g))
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    for g in graphs:
-        print(encode_graph6(g))
     return EXIT_OK
 
 

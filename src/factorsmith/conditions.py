@@ -18,6 +18,8 @@ from factorsmith.graphs import Graph, _mask_to_list
 
 Ratio = Fraction
 
+TOUGHNESS_MAX_N = 20
+
 
 def parse_ratio(text: str) -> Fraction:
     """Strict 'p/q' integer form; no floats at the boundary."""
@@ -82,8 +84,11 @@ def check_iso_condition(g: Graph, c: Fraction) -> ConditionWitness | None:
 
 def isolated_toughness(g: Graph) -> Fraction | None:
     """min |S| / iso(G-S) over all S with iso(G-S) >= 2; None means infinite
-    (no removal set isolates two vertices, e.g. complete graphs)."""
+    (no removal set isolates two vertices, e.g. complete graphs).  Tries all
+    2^n sets, so n is capped at TOUGHNESS_MAX_N."""
     n = g.n
+    if n > TOUGHNESS_MAX_N:
+        raise ValueError(f"isolated toughness supports n <= {TOUGHNESS_MAX_N}, got n = {n}")
     adj = g.adj
     best: Fraction | None = None
     for smask in range(1 << n):

@@ -1,16 +1,16 @@
 """Graph corpora for theorem-scale verification runs.
 
 Streams are deterministic: the random generators run on SplitMix64, a fixed,
-documented 64-bit mixer, so a (spec, seed) pair reproduces the same graphs on
-any machine.  Exhaustive enumeration is labeled (no isomorphism reduction);
-the free-tree enumerator is the one exception, since the family recognizers
-need every tree shape exactly once.
+documented 64-bit mixer, so a (generator, seed) pair reproduces the same
+graphs on any machine.  Exhaustive enumeration is labeled (no isomorphism
+reduction); the free-tree enumerator is the one exception, since the family
+recognizers need every tree shape exactly once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 from typing import Iterator
 
@@ -50,37 +50,6 @@ class SplitMix64:
     def chance(self, p: Fraction) -> bool:
         """True with probability exactly p."""
         return self.next_u64() * p.denominator < p.numerator << 64
-
-
-@dataclass(frozen=True)
-class CorpusSpec:
-    """One corpus source.  kind selects the generator; unused fields are None.
-
-    kinds: exhaustive(n), gnp(n, p, count, seed), trees(n, count, seed),
-    paths_cycles(max_n), all_trees(max_n), file(path).
-    """
-
-    kind: str
-    n: int | None = None
-    p: Fraction | None = None
-    count: int | None = None
-    seed: int = 0
-    path: str | None = None
-
-    def graphs(self) -> Iterator[Graph]:
-        if self.kind == "exhaustive":
-            return enumerate_exhaustive(self.n)
-        if self.kind == "gnp":
-            return (random_gnp(self.n, self.p, self.seed + i) for i in range(self.count))
-        if self.kind == "trees":
-            return (random_tree(self.n, self.seed + i) for i in range(self.count))
-        if self.kind == "paths_cycles":
-            return paths_and_cycles(self.n)
-        if self.kind == "all_trees":
-            return free_trees_upto(self.n)
-        if self.kind == "file":
-            return read_graph6_file(self.path)
-        raise ValueError(f"unknown corpus kind {self.kind!r}")
 
 
 def enumerate_exhaustive(n: int) -> Iterator[Graph]:
@@ -232,24 +201,23 @@ def read_graph6_file(path: str) -> Iterator[Graph]:
 # Rooted shapes are canonical nested tuples (children sorted descending by
 # (size, shape)).  A free tree is counted once: rooted at its unique centroid,
 # or as an unordered pair of half-shapes joined at a bicentroid edge.
+#
+# A forest is a non-increasing run of positions in a universe of rooted shapes
+# ordered descending by size, listed in lexicographic order of those runs.  A
+# rooted shape on n vertices is a forest of n-1 vertices; rooted at its
+# centroid, a tree on n vertices is such a forest whose shapes have at most
+# (n-1)//2 vertices each, so free_trees takes the forests of a universe cut at
+# that size: nothing larger is built and nothing is filtered out.  The cut
+# drops only the universe's leading (largest) entries and shifts every other
+# position by the same amount, so the trees come out in the order, and with
+# the labels, of all rooted shapes on n vertices filtered for a centroid root.
 
 _Shape = tuple  # recursive tuple of child shapes
 
 
-def _shape_size(shape: _Shape) -> int:
-    return 1 + sum(_shape_size(c) for c in shape)
-
-
-def _rooted_shapes(n: int, cache: dict[int, list[_Shape]]) -> list[_Shape]:
-    if n in cache:
-        return cache[n]
-    if n == 1:
-        cache[1] = [()]
-        return cache[1]
-    # universe of smaller shapes, ordered descending by (size, shape)
-    universe: list[tuple[int, _Shape]] = []
-    for s in range(n - 1, 0, -1):
-        universe.extend((s, sh) for sh in _rooted_shapes(s, cache))
+def _forests(total: int, cap: int) -> list[_Shape]:
+    """Every forest of `total` vertices whose shapes have <= `cap` vertices."""
+    universe = [(s, sh) for s in range(cap, 0, -1) for sh in _rooted_shapes(s)]
     out: list[_Shape] = []
 
     def rec(start: int, remaining: int, acc: list[_Shape]) -> None:
@@ -264,9 +232,13 @@ def _rooted_shapes(n: int, cache: dict[int, list[_Shape]]) -> list[_Shape]:
             rec(i, remaining - s, acc)
             acc.pop()
 
-    rec(0, n - 1, [])
-    cache[n] = out
+    rec(0, total, [])
     return out
+
+
+@cache
+def _rooted_shapes(n: int) -> tuple[_Shape, ...]:
+    return tuple(_forests(n - 1, n - 1))
 
 
 def _shape_to_graph(shape: _Shape, extra_root: _Shape | None = None) -> Graph:
@@ -293,16 +265,10 @@ def free_trees(n: int) -> Iterator[Graph]:
     """All free (unlabeled) trees on n vertices, one per isomorphism class."""
     if n < 1:
         raise ValueError("need n >= 1")
-    cache: dict[int, list[_Shape]] = {}
-    if n == 1:
-        yield Graph(1)
-        return
-    half = (n - 1) // 2
-    for shape in _rooted_shapes(n, cache):
-        if all(_shape_size(c) <= half for c in shape):
-            yield _shape_to_graph(shape)
+    for shape in _forests(n - 1, (n - 1) // 2):
+        yield _shape_to_graph(shape)
     if n % 2 == 0:
-        halves = _rooted_shapes(n // 2, cache)
+        halves = _rooted_shapes(n // 2)
         for a, b in combinations_with_replacement(range(len(halves)), 2):
             yield _shape_to_graph(halves[a], extra_root=halves[b])
 

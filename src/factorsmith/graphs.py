@@ -98,10 +98,10 @@ def _g6_pairs(n: int) -> Iterator[tuple[int, int]]:
 
 def parse_graph6(text: str) -> Graph:
     s = text.strip()
-    if not s:
-        raise GraphFormatError("empty graph6 string")
     if s.startswith(">>graph6<<"):
         s = s[10:]
+    if not s:
+        raise GraphFormatError("empty graph6 string")
     if s.startswith(":") or s.startswith(";"):
         raise GraphFormatError("sparse6 input is not supported, only short-form graph6")
     if s.startswith("&"):

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 
 import pytest
 
@@ -110,6 +111,9 @@ def test_parse_error_exits_two(tmp_path, capsys):
     code, out, err = run(tmp_path, capsys, "@@@", "factor", "--k", "1", "--emit", "trace")
     assert code == EXIT_ERROR
     assert out == "" and err.startswith("error:")
+    code, out, err = run(tmp_path, capsys, ">>graph6<<", "check", "--c", "3/2")
+    assert code == EXIT_ERROR
+    assert out == "" and err.startswith("error:")
 
 
 def test_check_exit_codes(tmp_path, capsys):
@@ -121,3 +125,19 @@ def test_usage_error_exits_two(tmp_path, capsys):
     assert main(["factor"]) == EXIT_ERROR
     assert run(tmp_path, capsys, "Fh_GG", "factor", "--k", "0")[0] == EXIT_ERROR
     capsys.readouterr()
+    # The corpus generators are lazy: a bad range or a graph past graph6's
+    # 62 vertices surfaces mid-stream and must still exit 2, not crash.
+    for source in ("--exhaustive=8", "--paths-cycles=1", "--paths-cycles=70", "--trees=80,1"):
+        assert main(["gen", source]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_toughness_size_guard_exits_two(tmp_path, capsys):
+    """21 vertices is past TOUGHNESS_MAX_N: refused at once, not 2^21 subsets."""
+    text = "n 21\n" + "\n".join(f"{i} {i + 1}" for i in range(20))
+    t0 = time.perf_counter()
+    code, out, err = run(tmp_path, capsys, text, "toughness")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == EXIT_ERROR
+    assert out == "" and "n <= 20" in err and err.startswith("error:")
+    assert run(tmp_path, capsys, "Dhc", "toughness")[1] == "Dhc: 3/2\n"  # C5 is still answered

@@ -1,13 +1,14 @@
 """Corpus generators: determinism, counts, structural postconditions."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factorsmith.cli import main
 from factorsmith.corpus import (
-    CorpusSpec,
     SplitMix64,
     enumerate_exhaustive,
     free_trees,
@@ -17,13 +18,18 @@ from factorsmith.corpus import (
     random_expansion_base,
     random_gnp,
     random_tree,
+    read_graph6_file,
 )
 from factorsmith.families import is_cubic_tree, is_expansion_base
-from factorsmith.graphs import Graph, is_tree
+from factorsmith.graphs import Graph, encode_graph6, is_tree
 from treeutil import tree_canon
 
-# number of free trees on n vertices, n = 1..12 (classical enumeration)
-FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+# number of free trees on n vertices, n = 1..16 (OEIS A000055)
+FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
+
+# sha256 of the graph6 lines ("...\n") of free_trees_upto(16): pins the order
+# and the labels of all 32,508 trees
+FREE_TREES_16_DIGEST = "285f00e70cc4e68b811c4d6cff3b3a9245f01f63b0f4693706f1d85b6d8e2738"
 
 
 class TestExhaustive:
@@ -129,6 +135,12 @@ class TestFreeTrees:
         for t in free_trees_upto(9):
             assert is_tree(t)
 
+    def test_stream_digest_upto_16(self):
+        digest = hashlib.sha256()
+        for t in free_trees_upto(16):
+            digest.update((encode_graph6(t) + "\n").encode("ascii"))
+        assert digest.hexdigest() == FREE_TREES_16_DIGEST
+
 
 class TestPathsCycles:
     def test_stream(self):
@@ -140,19 +152,18 @@ class TestPathsCycles:
 
 
 class TestCorpusSpec:
-    def test_identical_spec_identical_stream(self):
-        spec = CorpusSpec("gnp", n=9, p=Fraction(1, 2), count=5, seed=11)
-        assert list(spec.graphs()) == list(spec.graphs())
+    """Corpus sources as the CLI names them."""
+
+    def test_identical_spec_identical_stream(self, capsys):
+        streams = []
+        for _ in range(2):
+            assert main(["gen", "--gnp", "9,1/2,5,seed=11"]) == 0
+            streams.append(capsys.readouterr().out)
+        assert len(streams[0].splitlines()) == 5
+        assert streams[0] == streams[1]
 
     def test_file_round_trip(self, tmp_path):
-        from factorsmith.graphs import encode_graph6
-
         graphs = [random_gnp(7, Fraction(1, 2), s) for s in range(4)]
         path = tmp_path / "corpus.g6"
         path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
-        spec = CorpusSpec("file", path=str(path))
-        assert list(spec.graphs()) == graphs
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            list(CorpusSpec("bogus").graphs())
+        assert list(read_graph6_file(str(path))) == graphs

@@ -107,6 +107,7 @@ class TestGraph6:
             "B",  # truncated body
             "Bw_",  # trailing data
             "B\x1f",  # out-of-range byte
+            ">>graph6<<",  # header with no graph
         ],
     )
     def test_malformed_rejected(self, bad):
