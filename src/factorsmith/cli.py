@@ -18,7 +18,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 from typing import Iterator
 
 from factorsmith import corpus
@@ -41,8 +40,6 @@ from factorsmith.reducer import (
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
-
-_G6_MIN, _G6_MAX = 63, 126
 
 
 def _looks_like_edge_list(text: str) -> bool:
@@ -69,7 +66,7 @@ def read_graphs(text: str, fmt: str = "auto") -> list[tuple[str, Graph]]:
     if fmt == "edges":
         return [("edges:0", parse_edge_list(text))]
     out = []
-    for idx, raw in enumerate(text.splitlines()):
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -113,7 +110,7 @@ def cmd_check(args) -> int:
 
 def _certificate_json(cert) -> dict:
     return {
-        "family": {"kind": cert.family.kind, "k": cert.family.k},
+        "family": {"kind": "F1" if cert.k == 1 else "F2", "k": cert.k},
         "components": [
             {
                 "vertices": list(e.vertices),
@@ -145,7 +142,7 @@ def cmd_factor(args) -> int:
             print(json.dumps({"graph": label, "certificate": _certificate_json(cert)}))
         elif args.emit == "dot":
             factor_edges = {e for entry in cert.components for e in entry.edges}
-            sys.stdout.write(to_dot(g, highlight=SimpleNamespace(red=factor_edges, blue=())))
+            sys.stdout.write(to_dot(g, highlight=factor_edges))
         else:  # trace
             print(f"# {label}: {len(trace.steps)} rewrite(s)")
             sys.stdout.write(trace.to_text())
@@ -242,29 +239,17 @@ def _corpus_from_args(args) -> tuple[str, Iterator[Graph]]:
         return name, corpus.paths_and_cycles(args.paths_cycles)
     if name == "file":
         return name, corpus.read_graph6_file(args.file)
-    parts = getattr(args, name).split(",")
-    seed = args.seed
-    fields = {}
-    positional = []
-    for part in parts:
-        if "=" in part:
-            key, val = part.split("=", 1)
-            fields[key.strip()] = val.strip()
-        else:
-            positional.append(part.strip())
+    spec = getattr(args, name)
+    parts = [part.strip() for part in spec.split(",")]
     if name == "gnp":
-        if len(positional) < 3:
-            raise ValueError("gnp spec is n,p,count[,seed=S]")
-        n, p, count = int(positional[0]), parse_ratio(positional[1]), int(positional[2])
-        if "seed" in fields:
-            seed = int(fields["seed"])
-        return name, (corpus.random_gnp(n, p, seed + i) for i in range(count))
-    if len(positional) < 2:
-        raise ValueError("trees spec is n,count[,seed=S]")
-    n, count = int(positional[0]), int(positional[1])
-    if "seed" in fields:
-        seed = int(fields["seed"])
-    return name, (corpus.random_tree(n, seed + i) for i in range(count))
+        if len(parts) != 3:
+            raise ValueError(f"gnp spec is n,p,count, got {spec!r}")
+        n, p, count = int(parts[0]), parse_ratio(parts[1]), int(parts[2])
+        return name, (corpus.random_gnp(n, p, args.seed + i) for i in range(count))
+    if len(parts) != 2:
+        raise ValueError(f"trees spec is n,count, got {spec!r}")
+    n, count = int(parts[0]), int(parts[1])
+    return name, (corpus.random_tree(n, args.seed + i) for i in range(count))
 
 
 def cmd_verify(args) -> int:
@@ -361,8 +346,8 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 
 def _add_corpus_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--exhaustive", type=int, default=None, metavar="N")
-    p.add_argument("--gnp", default=None, metavar="n,p,count[,seed=S]")
-    p.add_argument("--trees", default=None, metavar="n,count[,seed=S]")
+    p.add_argument("--gnp", default=None, metavar="n,p,count")
+    p.add_argument("--trees", default=None, metavar="n,count")
     p.add_argument("--paths-cycles", dest="paths_cycles", type=int, default=None, metavar="N")
     p.add_argument("--file", default=None, metavar="PATH", help="graph6, one per line")
     p.add_argument("--seed", type=int, default=0)

@@ -16,8 +16,6 @@ from itertools import combinations
 
 from factorsmith.graphs import Graph, _mask_to_list
 
-Ratio = Fraction
-
 TOUGHNESS_MAX_N = 20
 
 

@@ -1,20 +1,22 @@
-"""Tree families for component factors: generators and recognizers.
+"""The component families of the two theorems: generators, recognizers and
+the classifier.
 
-Two constructions produce the admissible non-star tree shapes:
+k alone fixes the target family, so the classifier takes k itself:
 
-* cubic expansion (parameter fixed at budget 3): take a tree whose degrees
-  are all 1 or 3, insert a degree-2 vertex into every edge, then hang a fresh
-  pendant edge on every original leaf;
-* base expansion for k >= 2: take a tree whose non-leaf core has odd degrees
+* k = 1: {P2, C3, P5} plus the cubic expansions.  A cubic expansion comes
+  from a tree whose degrees are all 1 or 3: insert a degree-2 vertex into
+  every edge, then hang a fresh pendant edge on every original leaf.
+* k >= 2: the stars K1,1 .. K1,k plus the tree expansions of budget 2k+1.
+  A tree expansion comes from a tree whose non-leaf core has odd degrees
   <= 2k+1 and whose core vertices each satisfy 2*(attached leaves) +
-  core-degree <= 2k+1, subdivide every core edge once, then pad each core
+  core-degree <= 2k+1: subdivide every core edge once, then pad each core
   vertex with pendant edges until its half-integral degree reaches k + 1/2.
 
 The recognizers are purely structural degree/path checks (isomorphism
-invariant by construction, no search).  Policy: the path P5 is excluded from
-the cubic-expansion family (it only arises from the degenerate single-edge
-base) and stars are excluded from the k >= 2 family; both are classified
-under their own tags, which leaves the family unions unchanged.
+invariant by construction, no search).  P5 is kept out of the cubic
+expansions (it only arises from the degenerate single-edge base) and stars
+out of the tree expansions; both are classified under their own tags, which
+leaves the family unions unchanged.
 """
 
 from __future__ import annotations
@@ -22,36 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from factorsmith.graphs import Graph, degree2_chains, is_path_graph, is_tree
-
-
-@dataclass(frozen=True)
-class Family:
-    """Which component family a factor targets: F1 (k = 1) or F2(k), k >= 2."""
-
-    kind: str
-    k: int
-
-    def __post_init__(self):
-        if self.kind == "F1":
-            if self.k != 1:
-                raise ValueError("family F1 is the k = 1 family")
-        elif self.kind == "F2":
-            if self.k < 2:
-                raise ValueError("family F2 needs k >= 2")
-        else:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-
-    @classmethod
-    def f1(cls) -> "Family":
-        return cls("F1", 1)
-
-    @classmethod
-    def f2(cls, k: int) -> "Family":
-        return cls("F2", k)
-
-    @classmethod
-    def for_k(cls, k: int) -> "Family":
-        return cls.f1() if k == 1 else cls.f2(k)
 
 
 @dataclass(frozen=True)
@@ -250,12 +222,16 @@ def is_tree_expansion(t: Graph, k: int) -> bool:
 # --- classification -----------------------------------------------------------
 
 
-def classify_component(t: Graph, family: Family) -> ComponentClass:
-    """Structural class of a connected graph within the given family; no
-    isomorphism search, only degree and path tests."""
+def classify_component(t: Graph, k: int) -> ComponentClass:
+    """Structural class of a connected graph within the family k fixes:
+    {P2, C3, P5, cubic expansions} for k = 1, stars up to K_{1,k} and
+    tree expansions for k >= 2.  No isomorphism search, only degree and
+    path tests."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if t.n == 0:
         return OTHER
-    if family.kind == "F1":
+    if k == 1:
         if t.n == 2 and t.num_edges == 1:
             return P2
         if t.n == 3 and t.num_edges == 3:
@@ -265,13 +241,12 @@ def classify_component(t: Graph, family: Family) -> ComponentClass:
         if is_cubic_expansion(t):
             return cubic_expansion()
         return OTHER
-    # F2(k): stars up to K_{1,k}, plus tree expansions
     if is_tree(t) and t.n >= 2:
         j = t.n - 1
         if max(t.degree(v) for v in range(t.n)) == j:
-            return star(j) if j <= family.k else OTHER
-    if is_tree_expansion(t, family.k):
-        return tree_expansion(family.k)
+            return star(j) if j <= k else OTHER
+    if is_tree_expansion(t, k):
+        return tree_expansion(k)
     return OTHER
 
 

@@ -7,9 +7,9 @@ after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import re
+from math import isqrt
 from typing import Iterable, Iterator
-
-GRAPH6_MAX = 62
 
 
 class GraphFormatError(ValueError):
@@ -83,17 +83,31 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self._edges)})"
 
 
-# --- graph6 (short form) ---------------------------------------------------
+# --- graph6 -------------------------------------------------------------------
 #
-# Header byte n+63 for n <= 62, then the upper triangle of the adjacency
-# matrix in column-major order (columns 1..n-1, rows 0..j-1), packed into
-# 6-bit groups, each +63, zero-padded to a multiple of 6 bits.
+# McKay's graph6 (formats.txt).  Every byte is a 6-bit group plus 63.  The
+# vertex count comes first: one group for n <= 62, "~" and three groups for
+# n <= 258047, "~~" and six groups above that.  Only the shortest header is
+# accepted, so encode(parse(s)) == s.  The body is the upper triangle of the
+# adjacency matrix column by column: pair (i, j), i < j, is bit
+# j(j-1)/2 + i, packed six bits a byte from the most significant bit and
+# zero-padded.  A byte "?" holds no edge, so decoding visits only the others.
+
+_G6_INVALID = re.compile(r"[^?-~]")
+_G6_NONZERO = re.compile(rb"[^?]")
+_G6_PLUS_63 = bytes((b + 63) & 255 for b in range(256))
 
 
-def _g6_pairs(n: int) -> Iterator[tuple[int, int]]:
-    for j in range(1, n):
-        for i in range(j):
-            yield i, j
+def _graph6_size(n: int) -> bytes:
+    if n <= 62:
+        return bytes([n + 63])
+    if n <= 258047:
+        prefix, groups = b"~", 3
+    elif n < 1 << 36:
+        prefix, groups = b"~~", 6
+    else:
+        raise ValueError(f"graph6 supports n < 2^36, got {n}")
+    return prefix + bytes(63 + (n >> 6 * i & 63) for i in reversed(range(groups)))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -102,56 +116,51 @@ def parse_graph6(text: str) -> Graph:
         s = s[10:]
     if not s:
         raise GraphFormatError("empty graph6 string")
-    if s.startswith(":") or s.startswith(";"):
-        raise GraphFormatError("sparse6 input is not supported, only short-form graph6")
-    if s.startswith("&"):
-        raise GraphFormatError("digraph6 input is not supported, only short-form graph6")
-    header = ord(s[0])
-    if header == 126:
-        raise GraphFormatError("long-form graph6 (n > 62) is not supported")
-    if not (63 <= header <= 63 + GRAPH6_MAX):
-        raise GraphFormatError(f"invalid graph6 header byte {s[0]!r} at position 0")
-    n = header - 63
+    if s[0] in ":;":
+        raise GraphFormatError("sparse6 input is not supported, only graph6")
+    if s[0] == "&":
+        raise GraphFormatError("digraph6 input is not supported, only graph6")
+    bad = _G6_INVALID.search(s)
+    if bad:
+        raise GraphFormatError(f"invalid graph6 byte {bad.group()!r} at position {bad.start()}")
+    raw = s.encode("ascii")
+    prefix = 2 if raw.startswith(b"~~") else 1 if raw[0] == 126 else 0
+    start = prefix + (1, 3, 6)[prefix]
+    if len(raw) < start:
+        raise GraphFormatError(f"truncated graph6 header: need {start} bytes, got {len(raw)}")
+    n = 0
+    for byte in raw[prefix:start]:
+        n = n << 6 | byte - 63
+    if raw[:start] != _graph6_size(n):
+        raise GraphFormatError(f"graph6 header for n={n} is not the shortest one")
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    body = s[1:]
-    if len(body) < nbytes:
+    if len(raw) - start < nbytes:
         raise GraphFormatError(
-            f"truncated graph6 body: need {nbytes} bytes for n={n}, got {len(body)}"
+            f"truncated graph6 body: need {nbytes} bytes for n={n}, got {len(raw) - start}"
         )
-    if len(body) > nbytes:
-        raise GraphFormatError(
-            f"trailing data in graph6 string at position {1 + nbytes}"
-        )
-    bits: list[int] = []
-    for pos, ch in enumerate(body):
-        val = ord(ch) - 63
-        if not (0 <= val < 64):
-            raise GraphFormatError(f"invalid graph6 byte {ch!r} at position {pos + 1}")
-        for shift in range(5, -1, -1):
-            bits.append(val >> shift & 1)
-    if any(bits[nbits:]):
-        raise GraphFormatError("nonzero padding bits in graph6 body")
-    edges = [(i, j) for (i, j), b in zip(_g6_pairs(n), bits) if b]
+    if len(raw) - start > nbytes:
+        raise GraphFormatError(f"trailing data in graph6 string at position {start + nbytes}")
+    edges = []
+    for m in _G6_NONZERO.finditer(raw, start):
+        pos = m.start()
+        val, base = raw[pos] - 63, 6 * (pos - start)
+        for t in range(6):
+            if val & 32 >> t:
+                b = base + t
+                if b >= nbits:
+                    raise GraphFormatError("nonzero padding bits in graph6 body")
+                j = (1 + isqrt(8 * b + 1)) // 2
+                edges.append((b - j * (j - 1) // 2, j))
     return Graph(n, edges)
 
 
 def encode_graph6(g: Graph) -> str:
-    if g.n > GRAPH6_MAX:
-        raise ValueError(f"short-form graph6 supports n <= {GRAPH6_MAX}, got {g.n}")
-    out = [chr(g.n + 63)]
-    acc = 0
-    filled = 0
-    for i, j in _g6_pairs(g.n):
-        acc = acc << 1 | (1 if g.has_edge(i, j) else 0)
-        filled += 1
-        if filled == 6:
-            out.append(chr(acc + 63))
-            acc = 0
-            filled = 0
-    if filled:
-        out.append(chr((acc << (6 - filled)) + 63))
-    return "".join(out)
+    body = bytearray((g.n * (g.n - 1) // 2 + 5) // 6)
+    for i, j in g.edges:
+        b = j * (j - 1) // 2 + i
+        body[b // 6] |= 32 >> b % 6
+    return (_graph6_size(g.n) + body.translate(_G6_PLUS_63)).decode("ascii")
 
 
 # --- plain edge-list text ---------------------------------------------------
@@ -206,27 +215,21 @@ def format_edge_list(g: Graph) -> str:
 # --- DOT output -------------------------------------------------------------
 
 
-def to_dot(g: Graph, highlight=None) -> str:
-    """Render to DOT.  `highlight` may carry .red / .blue edge sets (a colored
-    factor); highlighted edges are drawn red/blue, the rest dashed gray."""
-    red: frozenset = frozenset()
-    blue: frozenset = frozenset()
+def to_dot(g: Graph, highlight: Iterable[tuple[int, int]] | None = None) -> str:
+    """Render to DOT.  With `highlight` (edges of g, e.g. a factor), those
+    edges are drawn red and the rest dashed gray."""
+    marked: set[tuple[int, int]] = set()
     if highlight is not None:
-        red = frozenset(edge(u, v) for u, v in highlight.red)
-        blue = frozenset(edge(u, v) for u, v in highlight.blue)
-        all_edges = set(g.edges)
-        for e in red | blue:
-            if e not in all_edges:
-                raise ValueError(f"highlighted edge {e} is not an edge of the graph")
+        marked = {edge(u, v) for u, v in highlight}
+        foreign = marked - set(g.edges)
+        if foreign:
+            raise ValueError(f"highlighted edge {min(foreign)} is not an edge of the graph")
     lines = ["graph G {", "  node [shape=circle];"]
     for v in range(g.n):
         lines.append(f"  {v};")
     for u, v in g.edges:
-        e = (u, v)
-        if e in red:
+        if (u, v) in marked:
             lines.append(f"  {u} -- {v} [color=red, penwidth=2];")
-        elif e in blue:
-            lines.append(f"  {u} -- {v} [color=blue];")
         elif highlight is not None:
             lines.append(f"  {u} -- {v} [style=dashed, color=gray];")
         else:

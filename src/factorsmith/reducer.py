@@ -25,11 +25,7 @@ import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from factorsmith.families import (
-    ComponentClass,
-    Family,
-    classify_component,
-)
+from factorsmith.families import ComponentClass, classify_component
 from factorsmith.factors import HalfIntegralAssignment, find_fractional_factor, verify_fractional
 from factorsmith.graphs import Graph, connected_components, degree2_chains, edge
 
@@ -130,7 +126,7 @@ class ComponentEntry:
 
 @dataclass(frozen=True)
 class FactorCertificate:
-    family: Family
+    k: int
     components: tuple[ComponentEntry, ...]
 
 
@@ -606,39 +602,34 @@ def minimize(factor: ColoredFactor) -> tuple[ColoredFactor, RuleTrace]:
     return f, trace
 
 
-def extract_component_factor(g: Graph, k: int) -> FactorCertificate | None:
-    """None iff no half-integral [1, k+1/2] assignment exists; otherwise a
-    certificate whose components all lie in the target family."""
-    cert, _, _ = extract_component_factor_detailed(g, k)
-    return cert
-
-
 def extract_component_factor_detailed(
     g: Graph, k: int
 ) -> tuple[FactorCertificate | None, HalfIntegralAssignment | None, RuleTrace | None]:
+    """(certificate, assignment, trace), all None iff no half-integral
+    [1, k+1/2] assignment exists; otherwise every certificate component lies
+    in the family k fixes."""
     h = find_fractional_factor(g, k)
     if h is None:
         return None, None, None
     f0 = from_assignment(g, k, h)
     f, trace = minimize(f0)
-    family = Family.for_k(k)
-    entries = _component_entries(g.n, f.red | f.blue, family)
+    entries = _component_entries(g.n, f.red | f.blue, k)
     bad = [e for e in entries if e.cls.kind == "other"]
     if bad:
         raise FixpointUnclassified(
-            f"fixpoint component {bad[0].vertices} is outside family {family.kind}(k={k})", f
+            f"fixpoint component {bad[0].vertices} is outside the k = {k} family", f
         )
-    return FactorCertificate(family, tuple(entries)), h, trace
+    return FactorCertificate(k, tuple(entries)), h, trace
 
 
-def _classify(vertices: list[int], edges, family: Family) -> ComponentClass:
+def _classify(vertices: list[int], edges, k: int) -> ComponentClass:
     """Class of the subgraph on the sorted `vertices` with the given edges,
     relabelled to 0..len-1."""
     index = {v: i for i, v in enumerate(vertices)}
-    return classify_component(Graph(len(vertices), [(index[u], index[v]) for u, v in edges]), family)
+    return classify_component(Graph(len(vertices), [(index[u], index[v]) for u, v in edges]), k)
 
 
-def _component_entries(n: int, edges, family: Family) -> list[ComponentEntry]:
+def _component_entries(n: int, edges, k: int) -> list[ComponentEntry]:
     """The components of the spanning subgraph with these edges, classified."""
     adj = [0] * n
     for u, v in edges:
@@ -653,7 +644,7 @@ def _component_entries(n: int, edges, family: Family) -> list[ComponentEntry]:
     for e in sorted(edges):
         comp_edges[comp_of[e[0]]].append(e)
     return [
-        ComponentEntry(tuple(comp), tuple(es), _classify(comp, es, family))
+        ComponentEntry(tuple(comp), tuple(es), _classify(comp, es, k))
         for comp, es in zip(comps, comp_edges)
     ]
 
@@ -674,7 +665,7 @@ def verify_certificate(g: Graph, cert: FactorCertificate) -> bool:
         for u, v in entry.edges:
             if edge(u, v) not in base_edges or u not in vset or v not in vset:
                 return False
-        cls = _classify(sorted(vset), entry.edges, cert.family)
+        cls = _classify(sorted(vset), entry.edges, cert.k)
         if cls.kind == "other" or cls != entry.cls:
             return False
     return True

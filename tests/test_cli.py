@@ -6,10 +6,16 @@ import time
 
 import pytest
 
+from factorsmith import cli
 from factorsmith.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
-from factorsmith.families import Family, classify_component
-from factorsmith.graphs import Graph
-from factorsmith.reducer import ComponentEntry, FactorCertificate, verify_certificate
+from factorsmith.families import classify_component
+from factorsmith.graphs import Graph, is_tree, parse_graph6
+from factorsmith.reducer import (
+    ComponentEntry,
+    FactorCertificate,
+    FixpointUnclassified,
+    verify_certificate,
+)
 
 
 def run(tmp_path, capsys, text: str, *args: str) -> tuple[int, str, str]:
@@ -72,16 +78,15 @@ def test_factor_dot_draws_certified_factor(tmp_path, capsys):
 
 
 def _certificate_from_json(g: Graph, k: int, record: dict) -> FactorCertificate:
-    family = Family.for_k(k)
     entries = []
     for comp in record["components"]:
         vertices = comp["vertices"]
         index = {v: i for i, v in enumerate(vertices)}
         edges = tuple(tuple(e) for e in comp["edges"])
-        cls = classify_component(Graph(len(vertices), [(index[u], index[v]) for u, v in edges]), family)
+        cls = classify_component(Graph(len(vertices), [(index[u], index[v]) for u, v in edges]), k)
         assert cls.label == comp["class"]
         entries.append(ComponentEntry(tuple(vertices), edges, cls))
-    return FactorCertificate(family, tuple(entries))
+    return FactorCertificate(k, tuple(entries))
 
 
 @pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
@@ -125,11 +130,27 @@ def test_usage_error_exits_two(tmp_path, capsys):
     assert main(["factor"]) == EXIT_ERROR
     assert run(tmp_path, capsys, "Fh_GG", "factor", "--k", "0")[0] == EXIT_ERROR
     capsys.readouterr()
-    # The corpus generators are lazy: a bad range or a graph past graph6's
-    # 62 vertices surfaces mid-stream and must still exit 2, not crash.
-    for source in ("--exhaustive=8", "--paths-cycles=1", "--paths-cycles=70", "--trees=80,1"):
+    # The corpus generators are lazy: a bad range surfaces mid-stream and
+    # must still exit 2, not crash.  A spec with a stray field is refused.
+    for source in ("--exhaustive=8", "--paths-cycles=1", "--gnp=9,1/2,2,sede=11", "--trees=5,2,99"):
         assert main(["gen", source]) == EXIT_ERROR
-        assert capsys.readouterr().err.startswith("error:")
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+
+
+def test_gen_past_62_vertices(capsys):
+    """Long-form graph6 carries graphs with more than 62 vertices."""
+    assert main(["gen", "--paths-cycles=70"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 137  # P2..P70, C3..C70
+    graphs = [parse_graph6(line) for line in lines]
+    assert [g.n for g in graphs] == [*range(2, 71), *range(3, 71)]
+    assert all(g.num_edges == g.n - 1 for g in graphs[:69])
+    assert all(g.num_edges == g.n and all(g.degree(v) == 2 for v in range(g.n)) for g in graphs[69:])
+    assert main(["gen", "--trees=80,1"]) == EXIT_OK
+    (line,) = capsys.readouterr().out.splitlines()
+    tree = parse_graph6(line)
+    assert line.startswith("~?@O") and tree.n == 80 and is_tree(tree)
 
 
 def test_toughness_size_guard_exits_two(tmp_path, capsys):
@@ -141,3 +162,62 @@ def test_toughness_size_guard_exits_two(tmp_path, capsys):
     assert code == EXIT_ERROR
     assert out == "" and "n <= 20" in err and err.startswith("error:")
     assert run(tmp_path, capsys, "Dhc", "toughness")[1] == "Dhc: 3/2\n"  # C5 is still answered
+
+
+FAMILY_JSON = {1: {"kind": "F1", "k": 1}, 2: {"kind": "F2", "k": 2}}
+
+
+@pytest.mark.parametrize("g6, k", [("Fh_GG", 1), ("Gi_GGG", 2)])
+def test_factor_json_family(tmp_path, capsys, g6, k):
+    code, out, _ = run(tmp_path, capsys, g6, "factor", "--k", str(k))
+    assert code == EXIT_OK
+    record = json.loads(out)
+    assert record["graph"] == g6
+    assert record["certificate"]["family"] == FAMILY_JSON[k]
+
+
+def _verify_json(capsys, *args: str) -> tuple[int, dict]:
+    code = main(["verify", *args, "--emit", "json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_verify_exhaustive_small(capsys):
+    assert main(["verify", "--exhaustive", "4", "--k", "1,2"]) == EXIT_OK
+    assert capsys.readouterr().out == "64 graphs, 128 checks, 0 disagreements, 0 failures\n"
+    code, report = _verify_json(capsys, "--exhaustive", "4", "--k", "1,2")
+    assert code == EXIT_OK
+    summary = report["summary"]
+    del summary["elapsed_ms"]
+    assert summary == {"graphs": 64, "checked": 128, "agreements": 128, "disagreements": 0, "failures": 0}
+    certified = [r for r in report["graphs"] if r["certificate"] is not None]
+    assert {r["k"] for r in certified} == {1, 2}
+    assert all(r["certificate"]["family"] == FAMILY_JSON[r["k"]] for r in certified)
+
+
+def test_verify_jobs_same_records(capsys):
+    def records(jobs: str) -> list[dict]:
+        code, report = _verify_json(capsys, "--exhaustive", "4", "--k", "1,2", "--jobs", jobs)
+        assert code == EXIT_OK
+        for r in report["graphs"]:
+            del r["ms"]
+        return report["graphs"]
+
+    assert records("2") == records("1")
+
+
+def test_verify_unclassified_exits_one(capsys, monkeypatch):
+    def unclassified(g, k):
+        raise FixpointUnclassified("fixpoint component (0,) is outside the k = 1 family", None)
+
+    monkeypatch.setattr(cli, "extract_component_factor_detailed", unclassified)
+    assert main(["verify", "--exhaustive", "3", "--k", "1"]) == EXIT_NEGATIVE
+    out = capsys.readouterr().out
+    assert out.startswith("8 graphs, 8 checks, 8 disagreements, 8 failures\n")
+    assert "FIXPOINT_UNCLASSIFIED" in out
+
+
+def test_verify_usage_exits_two(capsys):
+    assert main(["verify", "--exhaustive", "3", "--trees", "5,2"]) == EXIT_ERROR
+    assert main(["verify", "--exhaustive", "3", "--k", "0"]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error:") == 2

@@ -157,7 +157,7 @@ class TestCorpusSpec:
     def test_identical_spec_identical_stream(self, capsys):
         streams = []
         for _ in range(2):
-            assert main(["gen", "--gnp", "9,1/2,5,seed=11"]) == 0
+            assert main(["gen", "--gnp", "9,1/2,5", "--seed", "11"]) == 0
             streams.append(capsys.readouterr().out)
         assert len(streams[0].splitlines()) == 5
         assert streams[0] == streams[1]

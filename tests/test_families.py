@@ -1,4 +1,4 @@
-"""Family generators and recognizers: forward/backward exactness."""
+"""Component-family generators and recognizers: forward/backward exactness."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from factorsmith.corpus import free_trees_upto
 from factorsmith.factors import verify_fractional
 from factorsmith.families import (
     C3,
-    Family,
     OTHER,
     P2,
     P5,
@@ -200,32 +199,28 @@ class TestTreeExpansionRecognizer:
 
 class TestClassify:
     def test_f1_members(self):
-        fam = Family.f1()
-        assert classify_component(Graph(2, [(0, 1)]), fam) == P2
-        assert classify_component(Graph(3, [(0, 1), (1, 2), (0, 2)]), fam) == C3
-        assert classify_component(path(5), fam) == P5
-        assert classify_component(expand_cubic_tree(K13), fam) == cubic_expansion()
+        assert classify_component(Graph(2, [(0, 1)]), 1) == P2
+        assert classify_component(Graph(3, [(0, 1), (1, 2), (0, 2)]), 1) == C3
+        assert classify_component(path(5), 1) == P5
+        assert classify_component(expand_cubic_tree(K13), 1) == cubic_expansion()
 
     def test_f1_rejects(self):
-        fam = Family.f1()
-        assert classify_component(path(3), fam) == OTHER
-        assert classify_component(K13, fam) == OTHER
+        assert classify_component(path(3), 1) == OTHER
+        assert classify_component(K13, 1) == OTHER
 
     def test_f2_members(self):
-        fam = Family.f2(2)
-        assert classify_component(Graph(2, [(0, 1)]), fam) == star(1)
-        assert classify_component(Graph(3, [(0, 1), (0, 2)]), fam) == star(2)
+        assert classify_component(Graph(2, [(0, 1)]), 2) == star(1)
+        assert classify_component(Graph(3, [(0, 1), (0, 2)]), 2) == star(2)
         base = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
-        assert classify_component(expand_base_tree(base, 2), fam) == tree_expansion(2)
+        assert classify_component(expand_base_tree(base, 2), 2) == tree_expansion(2)
 
     def test_f2_rejects(self):
-        fam = Family.f2(2)
-        assert classify_component(Graph(3, [(0, 1), (1, 2), (0, 2)]), fam) == OTHER
-        assert classify_component(Graph(5, [(0, i) for i in range(1, 5)]), fam) == OTHER
-        assert classify_component(path(5), fam) == OTHER
+        assert classify_component(Graph(3, [(0, 1), (1, 2), (0, 2)]), 2) == OTHER
+        assert classify_component(Graph(5, [(0, i) for i in range(1, 5)]), 2) == OTHER
+        assert classify_component(path(5), 2) == OTHER
 
     def test_family_validation(self):
-        with pytest.raises(ValueError):
-            Family.f2(1)
-        with pytest.raises(ValueError):
-            Family("F1", 2)
+        """k alone fixes the family, and k < 1 fixes none."""
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                classify_component(Graph(2, [(0, 1)]), k)

@@ -1,10 +1,14 @@
 """Graph primitives, graph6 round trips, edge lists, DOT."""
 
+import time
+import tracemalloc
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorsmith.corpus import enumerate_exhaustive
+from factorsmith.corpus import enumerate_exhaustive, random_gnp
 from factorsmith.graphs import (
     Graph,
     GraphFormatError,
@@ -24,7 +28,12 @@ def reference_encode_graph6(g: Graph) -> str:
             bits += "1" if g.has_edge(i, j) else "0"
     while len(bits) % 6:
         bits += "0"
-    out = chr(g.n + 63)
+    if g.n <= 62:
+        out = chr(g.n + 63)
+    elif g.n <= 258047:
+        out = "~" + "".join(chr((g.n >> shift & 63) + 63) for shift in (12, 6, 0))
+    else:
+        out = "~~" + "".join(chr((g.n >> shift & 63) + 63) for shift in (30, 24, 18, 12, 6, 0))
     for i in range(0, len(bits), 6):
         out += chr(int(bits[i : i + 6], 2) + 63)
     return out
@@ -103,7 +112,8 @@ class TestGraph6:
             "",  # empty
             ":Bw",  # sparse6
             "&A_",  # digraph6
-            "~~~",  # long form
+            "~~~",  # truncated long-form header
+            "~??_?",  # n = 32 in a long-form header: not the shortest one
             "B",  # truncated body
             "Bw_",  # trailing data
             "B\x1f",  # out-of-range byte
@@ -119,9 +129,49 @@ class TestGraph6:
         with pytest.raises(GraphFormatError):
             parse_graph6("A" + chr(63 + 0b111111))
 
-    def test_encode_rejects_large(self):
-        with pytest.raises(ValueError):
-            encode_graph6(Graph(63))
+    def test_long_header_round_trip(self):
+        text = "~??~" + "?" * 326  # 63 vertices, 1953 bits
+        assert encode_graph6(Graph(63)) == text
+        assert parse_graph6(text) == Graph(63)
+
+    @pytest.mark.parametrize("n", [63, 64, 100, 130])
+    def test_long_form_matches_reference(self, n):
+        g = random_gnp(n, Fraction(1, 2), n)
+        assert encode_graph6(g) == reference_encode_graph6(g)
+        assert parse_graph6(encode_graph6(g)) == g
+
+    @pytest.mark.parametrize("header", ["~}~~", "~~???~??"], ids=["n=258047", "n=258048"])
+    def test_header_only_is_truncated(self, header):
+        """The body size is checked before anything is built: the largest
+        three-group and the smallest six-group size, with no body."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphFormatError, match="truncated"):
+                parse_graph6(header)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_long_cycle_round_trip_fast(self):
+        n = 5000
+        g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        t0 = time.perf_counter()
+        text = encode_graph6(g)
+        assert parse_graph6(text) == g
+        assert time.perf_counter() - t0 < 1.0
+        assert text.startswith("~@MG")
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet="?@AB_o~}:&\x1f", max_size=12))
+    def test_fuzz_only_format_errors(self, text):
+        """Any input either parses to a graph that re-encodes to it, or
+        raises GraphFormatError."""
+        try:
+            g = parse_graph6(text)
+        except GraphFormatError:
+            return
+        assert encode_graph6(g) == text.strip()
 
 
 class TestEdgeList:
@@ -158,28 +208,18 @@ class TestDot:
         assert "0 -- 1" in out and out.startswith("graph G {")
 
     def test_colored_p5(self):
-        from factorsmith.factors import HalfIntegralAssignment
-        from factorsmith.reducer import from_assignment
-
+        """Highlighted edges, given in either orientation, are drawn red and
+        the rest dashed gray; an empty highlight marks every edge gray."""
         p5 = Graph(5, [(i, i + 1) for i in range(4)])
-        h = HalfIntegralAssignment(p5, {(0, 1): 2, (1, 2): 1, (2, 3): 1, (3, 4): 2})
-        colored = from_assignment(p5, 1, h)
-        out = to_dot(p5, highlight=colored)
-        assert out.count("color=red") == 2
-        assert out.count("color=blue") == 2
-
-    def test_all_blue_c3(self):
-        from factorsmith.factors import HalfIntegralAssignment
-        from factorsmith.reducer import from_assignment
-
-        h = HalfIntegralAssignment(C3, {e: 1 for e in C3.edges})
-        out = to_dot(C3, highlight=from_assignment(C3, 1, h))
-        assert out.count("color=blue") == 3
+        lines = to_dot(p5, highlight={(1, 0), (3, 4)}).splitlines()
+        assert [line for line in lines if "--" in line] == [
+            "  0 -- 1 [color=red, penwidth=2];",
+            "  1 -- 2 [style=dashed, color=gray];",
+            "  2 -- 3 [style=dashed, color=gray];",
+            "  3 -- 4 [color=red, penwidth=2];",
+        ]
+        assert to_dot(p5, highlight=()).count("style=dashed, color=gray") == 4
 
     def test_highlight_foreign_edge_rejected(self):
-        class Fake:
-            red = {(0, 2)}
-            blue = set()
-
         with pytest.raises(ValueError):
-            to_dot(P3, highlight=Fake())
+            to_dot(P3, highlight={(0, 2)})

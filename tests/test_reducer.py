@@ -25,7 +25,6 @@ from factorsmith.graphs import Graph, encode_graph6
 from factorsmith.reducer import (
     ColoredFactor,
     FixpointUnclassified,
-    extract_component_factor,
     extract_component_factor_detailed,
     from_assignment,
     minimize,
@@ -104,7 +103,7 @@ class TestEquivalence:
         g = random_gnp(16, Fraction(1, 4), 6)
         assert g.num_edges > 16
         expected, _ = minimize(from_assignment(g, 1, find_fractional_factor(g, 1)))
-        monkeypatch.setattr(reducer, "classify_component", lambda t, family: OTHER)
+        monkeypatch.setattr(reducer, "classify_component", lambda t, k: OTHER)
         t0 = time.perf_counter()
         with pytest.raises(FixpointUnclassified) as info:
             extract_component_factor_detailed(g, 1)
@@ -113,10 +112,6 @@ class TestEquivalence:
         f = info.value.factor
         assert f.base is g and f.k == 1
         assert (f.red, f.blue) == (expected.red, expected.blue)
-
-    def test_extract_matches_detailed(self):
-        g = random_gnp(16, Fraction(1, 4), 6)
-        assert extract_component_factor(g, 1) == extract_component_factor_detailed(g, 1)[0]
 
 
 class TestMinimize:
