@@ -205,6 +205,15 @@ def test_verify_jobs_same_records(capsys):
     assert records("2") == records("1")
 
 
+def test_verify_gnp_mid_seed_92(capsys):
+    """gnp(16, 1/4) seed 92 has a factor at k = 1 that the search without
+    the completion oracle took more than 8 s to find."""
+    t0 = time.perf_counter()
+    assert main(["verify", "--gnp", "16,1/4,1", "--seed", "92", "--k", "1,2"]) == EXIT_OK
+    assert time.perf_counter() - t0 < 5.0
+    assert capsys.readouterr().out == "1 graphs, 2 checks, 0 disagreements, 0 failures\n"
+
+
 def test_verify_unclassified_exits_one(capsys, monkeypatch):
     def unclassified(g, k):
         raise FixpointUnclassified("fixpoint component (0,) is outside the k = 1 family", None)

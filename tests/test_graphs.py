@@ -201,6 +201,18 @@ class TestEdgeList:
             for g in enumerate_exhaustive(n):
                 assert parse_edge_list(format_edge_list(g)) == g
 
+    @settings(max_examples=300)
+    @given(st.lists(st.text(alphabet="n 0129#-x\t\r", max_size=6), max_size=5).map("\n".join))
+    def test_fuzz_only_format_errors(self, text):
+        """Any input either raises GraphFormatError or parses to a graph
+        that format_edge_list round-trips.  Lines of at most 6 characters
+        keep every vertex id and count below 10^4."""
+        try:
+            g = parse_edge_list(text)
+        except GraphFormatError:
+            return
+        assert parse_edge_list(format_edge_list(g)) == g
+
 
 class TestDot:
     def test_plain(self):
