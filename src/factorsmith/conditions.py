@@ -2,17 +2,28 @@
 
 check_iso_condition decides whether iso(G-S) <= c*|S| for every S, where
 iso counts vertices outside S whose whole neighbourhood lies inside S.
-A violating S must satisfy c*|S| < iso(G-S) <= n - |S|, so only subsets
-with |S| < n/(1+c) can violate; the search enumerates exactly those, in
-increasing size then lexicographic order, which also fixes the tie-break
-(smallest violating S of minimum size).  Comparisons are exact rationals.
+A violating S must satisfy c*|S| < iso(G-S) <= n - |S|, so only sizes s
+with s*(p+q) < n*q can violate, for c = p/q.  For each such s in turn, an
+explicit-stack depth-first walk of the combination tree visits the s-sets:
+a node holds S as an increasing stack, its children append one vertex
+greater than the top, and a branch stops once fewer vertices remain than
+it still needs.  Children are taken in increasing order, so the leaves come
+out in lexicographic order, the order of itertools.combinations; the first
+violating leaf is therefore the lexicographically smallest violating S of
+minimum size.
+
+The walk keeps need[v], the number of v's neighbours not in S, and the
+number of vertices outside S with need 0.  Putting a vertex into S or
+taking it out touches only its neighbours, so a step costs O(deg) instead
+of a rescan of all n vertices.  isolated_toughness walks every subset once
+in pre-order with the same counters.  All comparisons are integer
+cross-multiplications, exact like rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from factorsmith.graphs import Graph, _mask_to_list
 
@@ -51,51 +62,101 @@ def iso_after_removal(g: Graph, removed) -> frozenset[int]:
     return frozenset(v for v in range(g.n) if not smask >> v & 1 and g.adj[v] & ~smask == 0)
 
 
+def _counters(g: Graph) -> tuple[list[list[int]], list[int], list[bool], int]:
+    """Neighbour lists, need[v] = deg(v) and in_s for S = empty set, and
+    iso(G), the starting state of a walk."""
+    nbrs = [_mask_to_list(m) for m in g.adj]
+    need = [len(ns) for ns in nbrs]
+    return nbrs, need, [False] * g.n, need.count(0)
+
+
 def check_iso_condition(g: Graph, c: Fraction) -> ConditionWitness | None:
     """None iff iso(G-S) <= c*|S| for all S (including S = empty set);
-    otherwise the lexicographically smallest violating S of minimum size."""
+    otherwise the lexicographically smallest violating S of minimum size.
+
+    One walk per size s = 0..max_size over the s-subsets in lexicographic
+    order (see the module docstring).  Entering v into S drops iso by one if
+    v was isolated, decrements need[w] for each neighbour w and counts w as
+    isolated when its need reaches 0 outside S; leaving undoes exactly that.
+    A leaf at depth s violates iff iso*q > p*s for c = p/q."""
     c = Fraction(c)
     if c <= 0:
         raise ValueError(f"condition ratio must be positive, got {c}")
     n = g.n
     if n == 0:
         return None
-    adj = g.adj
-    num, den = c.numerator, c.denominator
-    # |S|*(1+c) < n is necessary for a violation
-    max_size = 0
-    while Fraction(max_size + 1) * (1 + c) < n:
-        max_size += 1
-    for size in range(max_size + 1):
-        for subset in combinations(range(n), size):
-            smask = 0
-            for v in subset:
-                smask |= 1 << v
-            iso_mask = 0
-            for v in range(n):
-                if not smask >> v & 1 and adj[v] & ~smask == 0:
-                    iso_mask |= 1 << v
-            if iso_mask.bit_count() * den > num * size:
-                return ConditionWitness(frozenset(subset), frozenset(_mask_to_list(iso_mask)))
+    p, q = c.numerator, c.denominator
+    nbrs, need, in_s, iso = _counters(g)
+    # the largest s with s*(1+c) < n, i.e. s*(p+q) < n*q
+    for size in range((n * q - 1) // (p + q) + 1):
+        stack: list[int] = []
+        v = 0
+        while True:
+            depth = len(stack)
+            if depth == size:
+                if iso * q > p * size:
+                    return ConditionWitness(frozenset(stack), iso_after_removal(g, stack))
+            elif n - v >= size - depth:
+                if need[v] == 0:
+                    iso -= 1
+                in_s[v] = True
+                for w in nbrs[v]:
+                    need[w] -= 1
+                    if need[w] == 0 and not in_s[w]:
+                        iso += 1
+                stack.append(v)
+                v += 1
+                continue
+            if not stack:
+                break
+            u = stack.pop()
+            for w in nbrs[u]:
+                if need[w] == 0 and not in_s[w]:
+                    iso -= 1
+                need[w] += 1
+            in_s[u] = False
+            if need[u] == 0:
+                iso += 1
+            v = u + 1
     return None
 
 
 def isolated_toughness(g: Graph) -> Fraction | None:
     """min |S| / iso(G-S) over all S with iso(G-S) >= 2; None means infinite
-    (no removal set isolates two vertices, e.g. complete graphs).  Tries all
-    2^n sets, so n is capped at TOUGHNESS_MAX_N."""
+    (no removal set isolates two vertices, e.g. complete graphs).  Visits
+    all 2^n sets, so n is capped at TOUGHNESS_MAX_N.
+
+    One pre-order walk of the subset tree (children append a vertex greater
+    than the top of the stack) with the counters of check_iso_condition;
+    |S|/iso is compared by cross-multiplying against the best pair so far."""
     n = g.n
     if n > TOUGHNESS_MAX_N:
         raise ValueError(f"isolated toughness supports n <= {TOUGHNESS_MAX_N}, got n = {n}")
-    adj = g.adj
-    best: Fraction | None = None
-    for smask in range(1 << n):
-        iso = 0
-        for v in range(n):
-            if not smask >> v & 1 and adj[v] & ~smask == 0:
+    nbrs, need, in_s, iso = _counters(g)
+    best_size, best_iso = 0, 0  # best_iso == 0: no S with iso >= 2 yet
+    stack: list[int] = []
+    v = 0
+    while True:
+        if iso >= 2 and (best_iso == 0 or len(stack) * best_iso < iso * best_size):
+            best_size, best_iso = len(stack), iso
+        while v == n:
+            if not stack:
+                return Fraction(best_size, best_iso) if best_iso else None
+            u = stack.pop()
+            for w in nbrs[u]:
+                if need[w] == 0 and not in_s[w]:
+                    iso -= 1
+                need[w] += 1
+            in_s[u] = False
+            if need[u] == 0:
                 iso += 1
-        if iso >= 2:
-            value = Fraction(smask.bit_count(), iso)
-            if best is None or value < best:
-                best = value
-    return best
+            v = u + 1
+        if need[v] == 0:
+            iso -= 1
+        in_s[v] = True
+        for w in nbrs[v]:
+            need[w] -= 1
+            if need[w] == 0 and not in_s[w]:
+                iso += 1
+        stack.append(v)
+        v += 1

@@ -203,7 +203,12 @@ def parse_edge_list(text: str) -> Graph:
     for u, v in pairs:
         if u >= n or v >= n:
             raise GraphFormatError(f"vertex id {max(u, v)} out of range for n={n}")
-    return Graph(n, pairs)
+    # A header may name far more vertices than the text holds, and Graph
+    # stores an entry per vertex.
+    try:
+        return Graph(n, pairs)
+    except (MemoryError, OverflowError):
+        raise GraphFormatError(f"graph too large: n={n} vertices do not fit in memory") from None
 
 
 def format_edge_list(g: Graph) -> str:

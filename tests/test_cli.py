@@ -1,8 +1,12 @@
 """Command-line contract: ``factor`` output and the 0/1/2 exit codes."""
 
 import json
+import os
+import resource
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +166,40 @@ def test_toughness_size_guard_exits_two(tmp_path, capsys):
     assert code == EXIT_ERROR
     assert out == "" and "n <= 20" in err and err.startswith("error:")
     assert run(tmp_path, capsys, "Dhc", "toughness")[1] == "Dhc: 3/2\n"  # C5 is still answered
+
+
+def _cap_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "n, args",
+    [
+        (10**10, ["check", "--c", "3/2"]),
+        (10**10, ["factor", "--k", "1"]),
+        (10**10, ["toughness"]),
+        (10**10, ["convert", "--to", "g6"]),
+        (10**20, ["check", "--c", "3/2"]),
+    ],
+)
+def test_huge_edge_list_header_exits_two(n, args):
+    """An 'n' header far past memory is refused with exit 2, not a traceback.
+    Runs in a child capped at 1 GB of address space, so the allocation that
+    fails there is never tried in the test process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "factorsmith.cli", *args],
+        input=f"n {n}\n0 1\n",
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_cap_address_space,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_ERROR, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: graph too large: n={n}")
 
 
 FAMILY_JSON = {1: {"kind": "F1", "k": 1}, 2: {"kind": "F2", "k": 2}}

@@ -1,4 +1,4 @@
-"""Isolated-vertex condition checker and isolated toughness vs. 2^n oracles."""
+"""Isolated-vertex condition checker and isolated toughness vs. brute-force oracles."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -8,18 +8,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorsmith.conditions import (
+    ConditionWitness,
     check_iso_condition,
     iso_after_removal,
     isolated_toughness,
     parse_ratio,
 )
 from factorsmith.corpus import enumerate_exhaustive, random_gnp
-from factorsmith.graphs import Graph
+from factorsmith.graphs import Graph, _mask_to_list
 
 K13 = Graph(4, [(0, 1), (0, 2), (0, 3)])
 C5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 K5 = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+
+
+RATIOS = [Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(5, 2), Fraction(7, 2)]
+
+
+def reference_witness(g: Graph, c: Fraction) -> ConditionWitness | None:
+    """The combinations scan check_iso_condition replaced: each subset of
+    each size in itertools.combinations order, with a fresh mask and a
+    rescan of all n vertices per subset."""
+    c = Fraction(c)
+    if c <= 0:
+        raise ValueError(f"condition ratio must be positive, got {c}")
+    n = g.n
+    if n == 0:
+        return None
+    adj = g.adj
+    num, den = c.numerator, c.denominator
+    # |S|*(1+c) < n is necessary for a violation
+    max_size = 0
+    while Fraction(max_size + 1) * (1 + c) < n:
+        max_size += 1
+    for size in range(max_size + 1):
+        for subset in combinations(range(n), size):
+            smask = 0
+            for v in subset:
+                smask |= 1 << v
+            iso_mask = 0
+            for v in range(n):
+                if not smask >> v & 1 and adj[v] & ~smask == 0:
+                    iso_mask |= 1 << v
+            if iso_mask.bit_count() * den > num * size:
+                return ConditionWitness(frozenset(subset), frozenset(_mask_to_list(iso_mask)))
+    return None
 
 
 def unpruned_has_witness(g: Graph, c: Fraction) -> bool:
@@ -105,6 +139,24 @@ class TestCheckCondition:
     def test_random_agreement_with_unpruned(self, n, seed, c):
         g = random_gnp(n, Fraction(2, 5), seed)
         assert (check_iso_condition(g, c) is not None) == unpruned_has_witness(g, c)
+
+    def test_exhaustive_witness_identity(self):
+        # same S and isolated set as the combinations scan, not just the verdict
+        for n in range(1, 6):
+            for g in enumerate_exhaustive(n):
+                for c in RATIOS:
+                    assert check_iso_condition(g, c) == reference_witness(g, c), (g, c)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from([Fraction(1, 4), Fraction(2, 5)]),
+        st.integers(min_value=0, max_value=5000),
+        st.sampled_from(RATIOS),
+    )
+    def test_random_witness_identity(self, n, p, seed, c):
+        g = random_gnp(n, p, seed)
+        assert check_iso_condition(g, c) == reference_witness(g, c)
 
     def test_witness_is_actually_violating(self):
         for seed in range(50):
