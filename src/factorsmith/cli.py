@@ -258,6 +258,8 @@ def cmd_verify(args) -> int:
         ks = [int(x) for x in args.k.split(",")]
         if any(k < 1 for k in ks):
             raise ValueError("k values must be >= 1")
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         graphs = list(stream)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -266,8 +268,11 @@ def cmd_verify(args) -> int:
     payloads = [
         (f"{kind}:{idx}", g.n, list(g.edges), ks) for idx, g in enumerate(graphs)
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool starts all its workers on the first submit, so never ask for
+    # more than there are graphs or CPUs.
+    jobs = min(args.jobs, len(payloads), os.cpu_count() or 1)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_verify_one, payloads, chunksize=16))
     else:
         results = [_verify_one(p) for p in payloads]

@@ -46,10 +46,6 @@ class HalfIntegralAssignment:
         self.graph = graph
         self.units = norm
 
-    def half_degree_units(self, v: int) -> int:
-        """2 * deg^h(v): the h-degree in half-units."""
-        return sum(h for (a, b), h in self.units.items() if v in (a, b))
-
     def support_edges(self) -> list[tuple[int, int]]:
         return sorted(e for e, h in self.units.items() if h > 0)
 

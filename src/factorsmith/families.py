@@ -248,15 +248,3 @@ def classify_component(t: Graph, k: int) -> ComponentClass:
     if is_tree_expansion(t, k):
         return tree_expansion(k)
     return OTHER
-
-
-def pendant_half_assignment(t: Graph):
-    """Weight 1 on pendant edges, 1/2 elsewhere: the canonical assignment
-    carried by every generated family tree."""
-    from factorsmith.factors import HalfIntegralAssignment
-
-    units = {}
-    for u, v in t.edges:
-        pendant = t.degree(u) == 1 or t.degree(v) == 1
-        units[(u, v)] = 2 if pendant else 1
-    return HalfIntegralAssignment(t, units)

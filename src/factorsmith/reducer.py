@@ -1,10 +1,13 @@
-"""Terminating rewrite engine that shrinks a red/blue factor to family form.
+"""Terminating rewrite engine that shrinks a half-integral factor to family form.
 
-A colored factor carries a half-integral edge weighting: red = weight 1,
-blue = weight 1/2.  Each rewrite deletes at least one edge and preserves the
-[1, k+1/2] vertex window, so the loop runs at most ||G|| steps.  At the
-fixpoint every component classifies into the target family; a component that
-does not is an implementation bug and raises loudly, never a silent skip.
+The engine edits a `HalfIntegralAssignment` in place: 2 half-units (weight 1)
+on an edge is called red and 1 half-unit (weight 1/2) blue, names that appear
+only in trace text.  Each rewrite deletes at least one edge of the support,
+recolours only support edges, and keeps every vertex in the [1, k+1/2]
+window, which `verify_fractional` re-checks after each step; so the loop runs
+at most ||G|| steps.  At the fixpoint every component of the support
+classifies into the target family; a component that does not is an
+implementation bug and raises loudly, never a silent skip.
 
 Both theorems run on one ordered rule table (`_RULES`).  A rule fires under
 its k = 1 name (R1-R8) or its k >= 2 name (S1-S7); the two catalogs share
@@ -37,59 +40,22 @@ class ReducerError(RuntimeError):
 
 
 class InvalidColoredFactor(ReducerError):
-    """A rewrite produced a state violating the vertex half-degree window."""
+    """A rewrite touched an edge outside the support or left a vertex outside
+    the [1, k+1/2] window."""
 
 
 class FixpointUnclassified(ReducerError):
     """A fixpoint component fell outside the target family.
 
     The theorems guarantee this never happens; raising it means the rule
-    engine is wrong.  Carries the fixpoint state; its base graph and k are
-    enough to replay the extraction.
+    engine is wrong.  Carries the fixpoint assignment and k: its graph and k
+    are enough to replay the extraction.
     """
 
-    def __init__(self, message: str, factor: "ColoredFactor"):
+    def __init__(self, message: str, factor: HalfIntegralAssignment | None, k: int):
         super().__init__(message)
         self.factor = factor
-
-
-@dataclass
-class ColoredFactor:
-    """Spanning subgraph with red (weight 1) and blue (weight 1/2) edges."""
-
-    base: Graph
-    k: int
-    red: set[tuple[int, int]]
-    blue: set[tuple[int, int]]
-
-    def copy(self) -> "ColoredFactor":
-        return ColoredFactor(self.base, self.k, set(self.red), set(self.blue))
-
-    def edge_count(self) -> int:
-        return len(self.red) + len(self.blue)
-
-    def half_units(self) -> list[int]:
-        units = [0] * self.base.n
-        for u, v in self.red:
-            units[u] += 2
-            units[v] += 2
-        for u, v in self.blue:
-            units[u] += 1
-            units[v] += 1
-        return units
-
-    def validate(self) -> None:
-        if self.red & self.blue:
-            raise InvalidColoredFactor(f"edges both red and blue: {sorted(self.red & self.blue)}")
-        base_edges = set(self.base.edges)
-        for e in self.red | self.blue:
-            if e not in base_edges:
-                raise InvalidColoredFactor(f"factor edge {e} not in base graph")
-        for v, units in enumerate(self.half_units()):
-            if not 2 <= units <= 2 * self.k + 1:
-                raise InvalidColoredFactor(
-                    f"vertex {v} has h-degree {units}/2, outside [1, {2 * self.k + 1}/2]"
-                )
+        self.k = k
 
 
 @dataclass(frozen=True)
@@ -130,42 +96,34 @@ class FactorCertificate:
     components: tuple[ComponentEntry, ...]
 
 
-def from_assignment(g: Graph, k: int, h: HalfIntegralAssignment) -> ColoredFactor:
-    """Split a verified assignment into red (weight 1) / blue (weight 1/2)."""
+def from_assignment(g: Graph, k: int, h: HalfIntegralAssignment) -> HalfIntegralAssignment:
+    """A copy of the verified assignment h, for `minimize` to edit."""
     if not verify_fractional(g, k, h):
         raise ValueError("assignment does not verify at this parameter")
-    red = {e for e, units in h.units.items() if units == 2}
-    blue = {e for e, units in h.units.items() if units == 1}
-    return ColoredFactor(g, k, red, blue)
+    return HalfIntegralAssignment(g, h.units)
 
 
 # --- structural scans ---------------------------------------------------------
 
 
 class _State:
-    """Per-iteration view of the factor: adjacency and degrees, plus the
-    block, cycle and chain scans, each computed at most once per state."""
+    """Per-iteration view of the assignment's support: adjacency and degrees,
+    plus the block, cycle and chain scans, each computed at most once per
+    state."""
 
-    def __init__(self, f: ColoredFactor):
-        self.f = f
-        n = f.base.n
+    def __init__(self, h: HalfIntegralAssignment, k: int):
+        self.k = k
+        self.units = h.units
+        n = h.graph.n
         self.n = n
         self.adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in f.red | f.blue:
-            self.adj[u].append(v)
-            self.adj[v].append(u)
+        for (u, v), x in h.units.items():
+            if x:
+                self.adj[u].append(v)
+                self.adj[v].append(u)
         for lst in self.adj:
             lst.sort()
         self.deg = [len(a) for a in self.adj]
-
-    def is_red(self, u: int, v: int) -> bool:
-        return edge(u, v) in self.f.red
-
-    def half_units(self, v: int) -> int:
-        total = 0
-        for w in self.adj[v]:
-            total += 2 if self.is_red(v, w) else 1
-        return total
 
     @cached_property
     def blocks(self) -> list[tuple[set[int], list[tuple[int, int]]]]:
@@ -373,21 +331,20 @@ class _Rewrite:
     make_blue: frozenset[tuple[int, int]]
 
 
-def _apply(f: ColoredFactor, rw: _Rewrite) -> RuleStep:
+def _apply(units: dict[tuple[int, int], int], rw: _Rewrite) -> RuleStep:
+    """Write 0 half-units on the removed edges, then 2 (red) and 1 (blue) on
+    the recoloured ones; the step lists the edges whose value changed."""
+    for e in (*rw.remove, *rw.make_red, *rw.make_blue):
+        if not units.get(e):
+            raise InvalidColoredFactor(f"rule {rw.rule} at {rw.location} touches {e}, outside the support")
+    for e in rw.remove:
+        units[e] = 0
     recolored = []
-    for e in sorted(rw.remove):
-        f.red.discard(e)
-        f.blue.discard(e)
-    for e in sorted(rw.make_red):
-        if e not in f.red:
-            recolored.append((e, "red"))
-        f.blue.discard(e)
-        f.red.add(e)
-    for e in sorted(rw.make_blue):
-        if e not in f.blue:
-            recolored.append((e, "blue"))
-        f.red.discard(e)
-        f.blue.add(e)
+    for value, color, es in ((2, "red", rw.make_red), (1, "blue", rw.make_blue)):
+        for e in sorted(es):
+            if units[e] != value:
+                units[e] = value
+                recolored.append((e, color))
     return RuleStep(rw.rule, rw.location, tuple(sorted(rw.remove)), tuple(recolored))
 
 
@@ -445,9 +402,11 @@ def _even_cycle(st: _State, rule: str) -> _Rewrite | None:
 
 def _branch_edge(st: _State, rule: str) -> _Rewrite | None:
     """Adjacent branch vertices -> delete the joining edge."""
-    for u, v in sorted(st.f.red | st.f.blue):
-        if st.deg[u] >= 3 and st.deg[v] >= 3:
-            return _Rewrite(rule, (u, v), frozenset({edge(u, v)}), frozenset(), frozenset())
+    for u in range(st.n):
+        if st.deg[u] >= 3:
+            for v in st.adj[u]:
+                if v > u and st.deg[v] >= 3:
+                    return _Rewrite(rule, (u, v), frozenset({edge(u, v)}), frozenset(), frozenset())
     return None
 
 
@@ -471,7 +430,7 @@ def _odd_cycle_branch(st: _State, rule: str) -> _Rewrite | None:
 def _odd_cycle_cover(st: _State, rule: str) -> _Rewrite | None:
     """Odd cycle component -> spanning {P2, P5} cover at k = 1, where C3 is a
     family member; spanning all-red {P2, P3} cover at k >= 2."""
-    lead = 5 if st.f.k == 1 else 3
+    lead = 5 if st.k == 1 else 3
     for cyc in st.cycles:
         if len(cyc) >= lead and all(st.deg[v] == 2 for v in cyc):
             return _path_cover_rewrite(rule, cyc, _cycle_edges(cyc), lead)
@@ -492,16 +451,15 @@ def _branch_chain(st: _State, rule: str) -> _Rewrite | None:
 
 def _branch_gap(st: _State, rule: str) -> _Rewrite | None:
     """Branch-u-branch gap of length two -> cut u from one side."""
-    k = st.f.k
     for a, interior, b in st.chains:
         if st.deg[a] >= 3 and st.deg[b] >= 3 and len(interior) == 1 and a != b:
             u1 = interior[0]
             for x, y in sorted(((a, b), (b, a))):
-                if st.half_units(x) < 2 * k + 1:
+                if sum(st.units[edge(x, w)] for w in st.adj[x]) < 2 * st.k + 1:
                     return _Rewrite(
                         rule, (x, u1, y), frozenset({edge(u1, y)}), frozenset({edge(x, u1)}), frozenset()
                     )
-                if st.is_red(x, u1):
+                if st.units[edge(x, u1)] == 2:
                     return _Rewrite(rule, (x, u1, y), frozenset({edge(u1, y)}), frozenset(), frozenset())
     return None
 
@@ -567,7 +525,7 @@ _RULES = (
 
 def _find_rewrite(st: _State) -> _Rewrite | None:
     for name_k1, name_k2, scan in _RULES:
-        rule = name_k1 if st.f.k == 1 else name_k2
+        rule = name_k1 if st.k == 1 else name_k2
         if rule is not None:
             rw = scan(st, rule)
             if rw is not None:
@@ -578,28 +536,26 @@ def _find_rewrite(st: _State) -> _Rewrite | None:
 # --- driver ---------------------------------------------------------------------
 
 
-def minimize(factor: ColoredFactor) -> tuple[ColoredFactor, RuleTrace]:
-    """Rewrite to a fixpoint.  Each step removes at least one edge, so at most
-    ||G|| steps run; every intermediate state is validated and a violation
-    aborts loudly (it would mean a rule fired outside its guard)."""
-    f = factor.copy()
-    f.validate()
+def minimize(h: HalfIntegralAssignment, k: int) -> tuple[HalfIntegralAssignment, RuleTrace]:
+    """Rewrite h in place to a fixpoint and return it.  Each step removes at
+    least one edge, so at most ||G|| steps run; every state is checked with
+    `verify_fractional` and a violation aborts loudly (it would mean a rule
+    fired outside its guard)."""
+    g = h.graph
+    if not verify_fractional(g, k, h):
+        raise InvalidColoredFactor(f"starting assignment is outside the [1, {2 * k + 1}/2] window")
     trace = RuleTrace()
-    budget = f.base.num_edges
-    while True:
-        rw = _find_rewrite(_State(f))
-        if rw is None:
-            break
-        before = f.edge_count()
-        step = _apply(f, rw)
-        if f.edge_count() >= before:
+    while (rw := _find_rewrite(_State(h, k))) is not None:
+        step = _apply(h.units, rw)
+        if all(h.units[e] for e in rw.remove):
             raise ReducerError(f"rule {rw.rule} did not remove an edge at {rw.location}")
-        f.validate()
+        if not verify_fractional(g, k, h):
+            raise InvalidColoredFactor(f"{step.to_line()} left the [1, {2 * k + 1}/2] window")
         trace.steps.append(step)
         logger.debug("%s", step.to_line())
-        if len(trace) > budget:
+        if len(trace) > g.num_edges:
             raise ReducerError("rewrite count exceeded the edge budget; non-termination bug")
-    return f, trace
+    return h, trace
 
 
 def extract_component_factor_detailed(
@@ -607,17 +563,16 @@ def extract_component_factor_detailed(
 ) -> tuple[FactorCertificate | None, HalfIntegralAssignment | None, RuleTrace | None]:
     """(certificate, assignment, trace), all None iff no half-integral
     [1, k+1/2] assignment exists; otherwise every certificate component lies
-    in the family k fixes."""
+    in the family k fixes.  The assignment is the search's, unrewritten."""
     h = find_fractional_factor(g, k)
     if h is None:
         return None, None, None
-    f0 = from_assignment(g, k, h)
-    f, trace = minimize(f0)
-    entries = _component_entries(g.n, f.red | f.blue, k)
+    f, trace = minimize(from_assignment(g, k, h), k)
+    entries = _component_entries(g.n, f.support_edges(), k)
     bad = [e for e in entries if e.cls.kind == "other"]
     if bad:
         raise FixpointUnclassified(
-            f"fixpoint component {bad[0].vertices} is outside the k = {k} family", f
+            f"fixpoint component {bad[0].vertices} is outside the k = {k} family", f, k
         )
     return FactorCertificate(k, tuple(entries)), h, trace
 

@@ -13,7 +13,7 @@ import pytest
 from factorsmith import cli
 from factorsmith.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
 from factorsmith.families import classify_component
-from factorsmith.graphs import Graph, is_tree, parse_graph6
+from factorsmith.graphs import Graph, encode_graph6, is_tree, parse_graph6
 from factorsmith.reducer import (
     ComponentEntry,
     FactorCertificate,
@@ -254,7 +254,7 @@ def test_verify_gnp_mid_seed_92(capsys):
 
 def test_verify_unclassified_exits_one(capsys, monkeypatch):
     def unclassified(g, k):
-        raise FixpointUnclassified("fixpoint component (0,) is outside the k = 1 family", None)
+        raise FixpointUnclassified("fixpoint component (0,) is outside the k = 1 family", None, k)
 
     monkeypatch.setattr(cli, "extract_component_factor_detailed", unclassified)
     assert main(["verify", "--exhaustive", "3", "--k", "1"]) == EXIT_NEGATIVE
@@ -268,3 +268,68 @@ def test_verify_usage_exits_two(capsys):
     assert main(["verify", "--exhaustive", "3", "--k", "0"]) == EXIT_ERROR
     out, err = capsys.readouterr()
     assert out == "" and err.count("error:") == 2
+
+
+def test_verify_jobs_bounded(capsys, monkeypatch):
+    """The pool gets min(--jobs, graphs, CPUs) workers.  A stand-in pool
+    records that size and maps in-process, so no worker is started."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    for exhaustive, jobs, graphs in (("3", "100000", 8), ("2", "100000", 2), ("3", "3", 8), ("1", "100000", 1)):
+        assert main(["verify", "--exhaustive", exhaustive, "--jobs", jobs]) == EXIT_OK
+        assert capsys.readouterr().out == f"{graphs} graphs, {graphs} checks, 0 disagreements, 0 failures\n"
+    assert sizes == [4, 2, 3]  # one graph runs in-process
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert main(["verify", "--exhaustive", "3", "--jobs", "100000"]) == EXIT_OK
+    assert sizes == [4, 2, 3]  # an unknown CPU count means one worker
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_jobs_below_one_exits_two(capsys, monkeypatch, jobs):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+    assert main(["verify", "--exhaustive", "3", "--jobs", jobs]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --jobs must be >= 1, got {jobs}\n"
+
+
+P47 = Graph(47, [(i, i + 1) for i in range(46)])
+
+
+@pytest.mark.parametrize(
+    "text, fmt, graph",
+    [
+        ("# a comment\n0 1\n1 2", "edges", Graph(3, [(0, 1), (1, 2)])),
+        ("# a comment\nBw", "g6", Graph(3, [(0, 1), (0, 2), (1, 2)])),
+        ("n 4\n0 1", "edges", Graph(4, [(0, 1)])),
+        (encode_graph6(P47), "g6", P47),
+    ],
+    ids=["comment-edges", "comment-graph6", "n-header", "graph6-47-vertices"],
+)
+def test_auto_detection(text, fmt, graph):
+    """A comment line is skipped, an "n <count>" header means an edge list,
+    and a graph6 line whose size byte is "n" (47 + 63) stays graph6."""
+    assert encode_graph6(P47)[0] == "n"
+    assert cli._looks_like_edge_list(text) == (fmt == "edges")
+    assert [g for _label, g in cli.read_graphs(text)] == [graph]
+
+
+@pytest.mark.parametrize("text", ["n", ""], ids=["bare-n", "empty"])
+def test_undetectable_input_exits_two(tmp_path, capsys, text):
+    code, out, err = run(tmp_path, capsys, text, "check", "--c", "3/2")
+    assert code == EXIT_ERROR
+    assert out == "" and err.startswith("error:")

@@ -19,6 +19,7 @@ from factorsmith.factors import (
     verify_fractional,
 )
 from factorsmith.graphs import Graph
+from treeutil import half_degree_units
 
 K2 = Graph(2, [(0, 1)])
 P3 = Graph(3, [(0, 1), (1, 2)])
@@ -133,7 +134,7 @@ class TestFindGfFactor:
     def test_doubled_k2(self):
         h = find_fractional_factor(K2, 1)
         assert h is not None
-        assert [h.half_degree_units(v) for v in range(2)] == [2, 2]
+        assert [half_degree_units(h, v) for v in range(2)] == [2, 2]
 
     def test_doubled_p3_none(self):
         assert find_fractional_factor(P3, 1) is None
@@ -141,7 +142,7 @@ class TestFindGfFactor:
     def test_doubled_p5_degrees(self):
         h = find_fractional_factor(P5, 1)
         assert h is not None
-        assert all(2 <= h.half_degree_units(v) <= 3 for v in range(5))
+        assert all(2 <= half_degree_units(h, v) <= 3 for v in range(5))
 
 
 class TestFractional:
@@ -216,7 +217,7 @@ class TestVerifyFractional:
                 h = find_fractional_factor(g, k)
                 if h is None:
                     continue
-                units = [h.half_degree_units(v) for v in range(g.n)]
+                units = [half_degree_units(h, v) for v in range(g.n)]
                 for size in range(g.n + 1):
                     for subset in combinations(range(g.n), size):
                         smask = sum(1 << v for v in subset)

@@ -17,12 +17,11 @@ from factorsmith.families import (
     is_cubic_tree,
     is_expansion_base,
     is_tree_expansion,
-    pendant_half_assignment,
     star,
     tree_expansion,
 )
 from factorsmith.graphs import Graph
-from treeutil import tree_canon
+from treeutil import half_degree_units, pendant_half_assignment, tree_canon
 
 K13 = Graph(4, [(0, 1), (0, 2), (0, 3)])
 CUBIC6 = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
@@ -160,7 +159,7 @@ class TestExpandBaseTree:
                 # core vertices sit exactly at the ceiling k + 1/2
                 for v in range(t.n):
                     if t.degree(v) >= 3:
-                        assert h.half_degree_units(v) == 2 * k + 1
+                        assert half_degree_units(h, v) == 2 * k + 1
 
     def test_invalid_base_rejected(self):
         with pytest.raises(ValueError):

@@ -19,11 +19,10 @@ import pytest
 from factorsmith import reducer
 from factorsmith.conditions import check_iso_condition
 from factorsmith.corpus import enumerate_exhaustive, free_trees_upto, random_gnp
-from factorsmith.factors import find_fractional_factor
+from factorsmith.factors import HalfIntegralAssignment, find_fractional_factor
 from factorsmith.families import OTHER
 from factorsmith.graphs import Graph, encode_graph6
 from factorsmith.reducer import (
-    ColoredFactor,
     FixpointUnclassified,
     extract_component_factor_detailed,
     from_assignment,
@@ -99,10 +98,10 @@ class TestEquivalence:
 
     def test_unclassified_fixpoint_raises_with_state(self, monkeypatch):
         """A fixpoint component outside the family raises at once and carries
-        the fixpoint state, whose base graph and k replay the extraction."""
+        the fixpoint assignment, whose graph and k replay the extraction."""
         g = random_gnp(16, Fraction(1, 4), 6)
         assert g.num_edges > 16
-        expected, _ = minimize(from_assignment(g, 1, find_fractional_factor(g, 1)))
+        expected, _ = minimize(from_assignment(g, 1, find_fractional_factor(g, 1)), 1)
         monkeypatch.setattr(reducer, "classify_component", lambda t, k: OTHER)
         t0 = time.perf_counter()
         with pytest.raises(FixpointUnclassified) as info:
@@ -110,8 +109,8 @@ class TestEquivalence:
         assert time.perf_counter() - t0 < 5.0
         assert "exhaustive" not in str(info.value)
         f = info.value.factor
-        assert f.base is g and f.k == 1
-        assert (f.red, f.blue) == (expected.red, expected.blue)
+        assert f.graph is g and info.value.k == 1
+        assert f.units == expected.units
 
 
 class TestMinimize:
@@ -120,7 +119,41 @@ class TestMinimize:
         n = 5000
         g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
         limit = sys.getrecursionlimit()
-        f, trace = minimize(ColoredFactor(g, 1, set(), set(g.edges)))
+        f, trace = minimize(HalfIntegralAssignment(g, dict.fromkeys(g.edges, 1)), 1)
         assert sys.getrecursionlimit() == limit
         assert [s.rule for s in trace.steps] == ["R1"]
-        assert len(f.red) == n // 2 and not f.blue
+        assert sorted(f.units.values()) == [0] * (n // 2) + [2] * (n // 2)
+
+
+C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+def _c4_matching():
+    """C4 with the perfect matching 0-1, 2-3 red and the other edges at 0."""
+    return HalfIntegralAssignment(C4, {(0, 1): 2, (2, 3): 2, (1, 2): 0, (0, 3): 0})
+
+
+class TestGuards:
+    """Each guard in `minimize` fires on a rule that breaks its contract."""
+
+    @staticmethod
+    def _only_rule(monkeypatch, remove, make_red=(), make_blue=()):
+        rw = reducer._Rewrite("X", (0,), frozenset(remove), frozenset(make_red), frozenset(make_blue))
+        monkeypatch.setattr(reducer, "_RULES", (("X", "X", lambda st, rule: rw),))
+
+    def test_recolor_outside_support(self, monkeypatch):
+        self._only_rule(monkeypatch, remove={(0, 1)}, make_red={(1, 2)})
+        with pytest.raises(reducer.InvalidColoredFactor, match=r"touches \(1, 2\), outside the support"):
+            minimize(_c4_matching(), 1)
+
+    def test_leaving_window_names_step(self, monkeypatch):
+        self._only_rule(monkeypatch, remove={(0, 1)})
+        with pytest.raises(reducer.InvalidColoredFactor) as info:
+            minimize(_c4_matching(), 1)
+        assert str(info.value).startswith("X loc=(0) removed=[0-1] recolored=[] left the")
+
+    def test_rewrite_must_remove_an_edge(self, monkeypatch):
+        self._only_rule(monkeypatch, remove=(), make_blue={(0, 1)})
+        with pytest.raises(reducer.ReducerError, match="did not remove an edge") as info:
+            minimize(_c4_matching(), 1)
+        assert type(info.value) is reducer.ReducerError

@@ -1,8 +1,23 @@
-"""Tree isomorphism helpers for tests: AHU canonical forms rooted at centroids."""
+"""Test helpers: AHU canonical forms of trees rooted at centroids, and the
+half-unit weightings the family tests check."""
 
 from __future__ import annotations
 
+from factorsmith.factors import HalfIntegralAssignment
 from factorsmith.graphs import Graph
+
+
+def half_degree_units(h: HalfIntegralAssignment, v: int) -> int:
+    """2 * deg^h(v): the h-degree of v in half-units."""
+    return sum(x for (a, b), x in h.units.items() if v in (a, b))
+
+
+def pendant_half_assignment(t: Graph) -> HalfIntegralAssignment:
+    """Weight 1 on pendant edges, 1/2 elsewhere: the canonical assignment
+    carried by every generated family tree."""
+    return HalfIntegralAssignment(
+        t, {(u, v): 2 if t.degree(u) == 1 or t.degree(v) == 1 else 1 for u, v in t.edges}
+    )
 
 
 def _rooted_canon(g: Graph, root: int, parent: int) -> tuple:
