@@ -14,6 +14,7 @@ from functools import cache
 from itertools import combinations, combinations_with_replacement
 from typing import Iterator
 
+from factorsmith.families import is_expansion_base
 from factorsmith.graphs import Graph, parse_graph6
 
 EXHAUSTIVE_MAX_N = 7
@@ -119,28 +120,24 @@ def random_cubic_tree(internal: int, seed: int) -> Graph:
     return Graph(nxt, edges)
 
 
-def random_expansion_base(k: int, size: int, seed: int, max_attempts: int = 200) -> Graph:
+def random_expansion_base(k: int, size: int, seed: int) -> Graph:
     """Random tree valid as an expansion base for parameter k: the non-leaf
     core keeps odd degrees <= 2k+1 and every core vertex v obeys
     2*(attached leaves) + core-degree(v) <= 2k+1.
 
     `size` is the target vertex count (approximate; >= 4 required).
     """
-    from factorsmith.families import is_expansion_base
-
     if k < 2:
         raise ValueError("expansion bases are defined for k >= 2")
     if size < 4:
         raise ValueError("smallest valid base has 4 vertices (2 core + 2 leaves)")
-    rng = SplitMix64(seed)
-    for _ in range(max_attempts):
-        g = _grow_expansion_base(k, size, rng)
-        if g is not None and is_expansion_base(g, k):
-            return g
-    raise RuntimeError(f"no valid expansion base found in {max_attempts} attempts")
+    g = _grow_expansion_base(k, size, SplitMix64(seed))
+    if not is_expansion_base(g, k):
+        raise AssertionError("grown tree is not an expansion base")
+    return g
 
 
-def _grow_expansion_base(k: int, size: int, rng: SplitMix64) -> Graph | None:
+def _grow_expansion_base(k: int, size: int, rng: SplitMix64) -> Graph:
     # Core grown by leaf pairs keeps all core degrees odd.
     core_edges = [(0, 1)]
     core_deg = {0: 1, 1: 1}
@@ -165,10 +162,9 @@ def _grow_expansion_base(k: int, size: int, rng: SplitMix64) -> Graph | None:
     total = nxt
     budget = size - nxt
     for v in range(nxt):
+        # a core leaf needs one pendant leaf and has room for k of them
         cap = (2 * k + 1 - core_deg[v]) // 2
         need = 1 if core_deg[v] == 1 else 0
-        if cap < need:
-            return None
         extra = min(cap - need, max(budget - need, 0))
         count = need + (rng.randrange(extra + 1) if extra > 0 else 0)
         budget -= count

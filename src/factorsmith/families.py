@@ -1,29 +1,34 @@
-"""The component families of the two theorems: generators, recognizers and
-the classifier.
+"""The component families of the two theorems: one recognizer, two
+generators and the classifier.
 
 k alone fixes the target family, so the classifier takes k itself:
+{P2, C3, P5} plus T(3) for k = 1, and the stars K1,1 .. K1,k plus T(2k+1)
+for k >= 2.  The tag of a T(2k+1) member stays `cubic_expansion` at k = 1
+and `tree_expansion` at k >= 2.
 
-* k = 1: {P2, C3, P5} plus the cubic expansions.  A cubic expansion comes
-  from a tree whose degrees are all 1 or 3: insert a degree-2 vertex into
-  every edge, then hang a fresh pendant edge on every original leaf.
-* k >= 2: the stars K1,1 .. K1,k plus the tree expansions of budget 2k+1.
-  A tree expansion comes from a tree whose non-leaf core has odd degrees
-  <= 2k+1 and whose core vertices each satisfy 2*(attached leaves) +
-  core-degree <= 2k+1: subdivide every core edge once, then pad each core
-  vertex with pendant edges until its half-integral degree reaches k + 1/2.
+`is_tree_expansion(t, k)` recognizes T(2k+1) at every k >= 1 with degree
+and adjacency tests alone (isomorphism invariant, no search).  The two
+generators build members the way the paper does:
 
-The recognizers are purely structural degree/path checks (isomorphism
-invariant by construction, no search).  P5 is kept out of the cubic
-expansions (it only arises from the degenerate single-edge base) and stars
-out of the tree expansions; both are classified under their own tags, which
-leaves the family unions unchanged.
+* `expand_cubic_tree` (T(3)): take a tree whose degrees are all 1 or 3,
+  insert a degree-2 vertex into every edge, then hang a fresh pendant edge
+  on every original leaf.
+* `expand_base_tree` (T(2k+1), k >= 2): take a tree whose non-leaf core has
+  odd degrees <= 2k+1 and whose core vertices each satisfy 2*(attached
+  leaves) + core-degree <= 2k+1, subdivide every core edge once, then pad
+  each core vertex with pendant edges until its half-integral degree
+  reaches k + 1/2.
+
+P5 (from the single-edge cubic base) and the stars are not members of
+T(2k+1); they are classified under their own tags, which leaves the family
+unions unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from factorsmith.graphs import Graph, degree2_chains, is_path_graph, is_tree
+from factorsmith.graphs import Graph, is_path_graph, is_tree
 
 
 @dataclass(frozen=True)
@@ -100,32 +105,6 @@ def expand_cubic_tree(base: Graph) -> Graph:
     return Graph(nxt, edges)
 
 
-def is_cubic_expansion(t: Graph) -> bool:
-    """Recognize expanded cubic trees structurally: a tree with degrees in
-    {1,2,3}, at least one branch vertex, every branch-branch gap bridged by
-    exactly one degree-2 vertex, and every leaf exactly three steps from its
-    branch vertex through two degree-2 vertices."""
-    if not is_tree(t):
-        return False
-    deg = [t.degree(v) for v in range(t.n)]
-    if any(d > 3 or d == 0 for d in deg):
-        return False
-    if 3 not in deg:
-        return False
-    for chain_a, interior, chain_b in degree2_chains([list(t.neighbors(v)) for v in range(t.n)]):
-        kinds = (deg[chain_a], deg[chain_b])
-        if kinds == (3, 3):
-            if len(interior) != 1:
-                return False
-        elif 1 in kinds:
-            # leaf-anchored chain must be leaf,2,2,branch
-            if len(interior) != 2 or (deg[chain_a] == 1 and deg[chain_b] == 1):
-                return False
-        else:
-            return False
-    return True
-
-
 # --- expansion bases for k >= 2 and their expansions --------------------------
 
 
@@ -182,39 +161,34 @@ def expand_base_tree(base: Graph, k: int) -> Graph:
     return Graph(nxt, edges)
 
 
+# --- the recognizer of T(2k+1), k >= 1 ---------------------------------------
+
+
 def is_tree_expansion(t: Graph, k: int) -> bool:
-    """Recognize expanded base trees: a tree with >= 2 branch vertices where
-    no two branch vertices are adjacent, every leaf hangs on a branch vertex,
-    every degree-2 vertex joins two branch vertices, and each branch vertex b
-    saturates its budget: 2*(leaf neighbours) + (degree-2 neighbours) = 2k+1."""
-    if k < 2:
-        raise ValueError("tree expansions are defined for k >= 2")
+    """Recognize the trees T(2k+1), for any k >= 1.  The core is every vertex
+    of degree >= 3 or next to a leaf.  A member is a tree with >= 2 core
+    vertices, at least one of degree >= 3, where no two core vertices are
+    adjacent, every other non-leaf vertex has degree 2 and two core
+    neighbours, and each core vertex b has leaves(b) + deg(b) = 2k+1.  At
+    k = 1 a core vertex next to a leaf has degree 2, which is why the core is
+    not simply the vertices of degree >= 3."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if not is_tree(t):
         return False
-    deg = [t.degree(v) for v in range(t.n)]
-    branches = [v for v in range(t.n) if deg[v] >= 3]
-    if len(branches) < 2:
+    adj = t.adj
+    deg = [m.bit_count() for m in adj]
+    if max(deg) < 3:
         return False
-    branch_set = set(branches)
-    for v in range(t.n):
-        if deg[v] == 1:
-            nb = next(t.neighbors(v))
-            if nb not in branch_set:
+    leaf_mask = sum(1 << v for v, d in enumerate(deg) if d == 1)
+    core_mask = sum(1 << v for v, m in enumerate(adj) if deg[v] >= 3 or m & leaf_mask)
+    if core_mask.bit_count() < 2:
+        return False
+    for v, m in enumerate(adj):
+        if core_mask >> v & 1:
+            if m & core_mask or (m & leaf_mask).bit_count() + deg[v] != 2 * k + 1:
                 return False
-        elif deg[v] == 2:
-            if any(w not in branch_set for w in t.neighbors(v)):
-                return False
-    for b in branches:
-        pendant = 0
-        mid = 0
-        for w in t.neighbors(b):
-            if deg[w] == 1:
-                pendant += 1
-            elif deg[w] == 2:
-                mid += 1
-            else:
-                return False  # adjacent branch vertices never occur
-        if 2 * pendant + mid != 2 * k + 1:
+        elif deg[v] != 1 and (deg[v] != 2 or m & ~core_mask):
             return False
     return True
 
@@ -224,9 +198,8 @@ def is_tree_expansion(t: Graph, k: int) -> bool:
 
 def classify_component(t: Graph, k: int) -> ComponentClass:
     """Structural class of a connected graph within the family k fixes:
-    {P2, C3, P5, cubic expansions} for k = 1, stars up to K_{1,k} and
-    tree expansions for k >= 2.  No isomorphism search, only degree and
-    path tests."""
+    {P2, C3, P5} and T(3) for k = 1, stars up to K_{1,k} and T(2k+1) for
+    k >= 2.  No isomorphism search, only degree and path tests."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if t.n == 0:
@@ -238,13 +211,10 @@ def classify_component(t: Graph, k: int) -> ComponentClass:
             return C3
         if t.n == 5 and is_path_graph(t):
             return P5
-        if is_cubic_expansion(t):
-            return cubic_expansion()
-        return OTHER
-    if is_tree(t) and t.n >= 2:
+    elif is_tree(t) and t.n >= 2:
         j = t.n - 1
         if max(t.degree(v) for v in range(t.n)) == j:
             return star(j) if j <= k else OTHER
     if is_tree_expansion(t, k):
-        return tree_expansion(k)
+        return cubic_expansion() if k == 1 else tree_expansion(k)
     return OTHER

@@ -12,12 +12,15 @@ import pytest
 
 from factorsmith import cli
 from factorsmith.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
+from factorsmith.conditions import ConditionWitness
+from factorsmith.factors import HalfIntegralAssignment
 from factorsmith.families import classify_component
 from factorsmith.graphs import Graph, encode_graph6, is_tree, parse_graph6
 from factorsmith.reducer import (
     ComponentEntry,
     FactorCertificate,
     FixpointUnclassified,
+    extract_component_factor_detailed,
     verify_certificate,
 )
 
@@ -261,6 +264,36 @@ def test_verify_unclassified_exits_one(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.startswith("8 graphs, 8 checks, 8 disagreements, 8 failures\n")
     assert "FIXPOINT_UNCLASSIFIED" in out
+
+
+def test_verify_rechecks_the_witness(capsys, monkeypatch):
+    """S = {} is reported for every graph: on the edgeless graph it leaves
+    the wrong isolated set, and on P2 it isolates nothing."""
+    monkeypatch.setattr(cli, "check_iso_condition", lambda g, c: ConditionWitness(frozenset(), frozenset()))
+    code, report = _verify_json(capsys, "--exhaustive", "2", "--k", "1", "--jobs", "1")
+    assert code == EXIT_NEGATIVE
+    assert [(r["graph_id"], r["error"]) for r in report["graphs"]] == [
+        ("exhaustive:0", "witness isolates a different vertex set"),
+        ("exhaustive:1", "witness does not violate the condition"),
+    ]
+    assert report["summary"]["failures"] == 2
+
+
+def test_verify_rechecks_the_assignment(capsys, monkeypatch):
+    """An all-zero assignment next to a valid certificate is caught."""
+
+    def zero_assignment(g, k):
+        cert, h, trace = extract_component_factor_detailed(g, k)
+        if cert is None:
+            return cert, h, trace
+        return cert, HalfIntegralAssignment(g, {e: 0 for e in g.edges}), trace
+
+    monkeypatch.setattr(cli, "extract_component_factor_detailed", zero_assignment)
+    code, report = _verify_json(capsys, "--exhaustive", "3", "--k", "1", "--jobs", "1")
+    assert code == EXIT_NEGATIVE
+    errors = {r["error"] for r in report["graphs"] if r["has_factor"]}
+    assert errors == {"assignment failed re-validation"}
+    assert all(r["error"] is None for r in report["graphs"] if not r["has_factor"])
 
 
 def test_verify_usage_exits_two(capsys):

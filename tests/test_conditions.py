@@ -1,5 +1,6 @@
 """Isolated-vertex condition checker and isolated toughness vs. brute-force oracles."""
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,7 +15,7 @@ from factorsmith.conditions import (
     isolated_toughness,
     parse_ratio,
 )
-from factorsmith.corpus import enumerate_exhaustive, random_gnp
+from factorsmith.corpus import enumerate_exhaustive, random_gnp, random_tree
 from factorsmith.graphs import Graph, _mask_to_list
 
 K13 = Graph(4, [(0, 1), (0, 2), (0, 3)])
@@ -77,6 +78,56 @@ def brute_toughness(g: Graph) -> Fraction | None:
                 if best is None or val < best:
                     best = val
     return best
+
+
+def _max_flow(cap: dict[int, dict[int, int]], s: int, t: int) -> int:
+    """Shortest augmenting paths on a residual capacity map; every arc u->v
+    needs a (possibly zero) reverse entry cap[v][u]."""
+    flow = 0
+    while True:
+        parent = {s: s}
+        queue = deque([s])
+        while queue and t not in parent:
+            u = queue.popleft()
+            for v, room in cap[u].items():
+                if room > 0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if t not in parent:
+            return flow
+        path = []
+        v = t
+        while v != s:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(cap[u][v] for u, v in path)
+        for u, v in path:
+            cap[u][v] -= push
+            cap[v][u] += push
+        flow += push
+
+
+def cut_verdict(g: Graph, c: Fraction) -> bool:
+    """True iff iso(G-S) <= c*|S| for every S, for c = p/q >= 1: the network
+    s -> L_x of capacity q, L_x -> R_y unbounded for each edge xy and
+    R_y -> t of capacity p carries q*n.  A cut that keeps X on the source
+    side costs q*(n - |X|) + p*|N(X)|, so the flow is q*n iff
+    q*|X| <= p*|N(X)| for every vertex set X."""
+    p, q, n = c.numerator, c.denominator, g.n
+    s, t = 2 * n, 2 * n + 1
+    cap: dict[int, dict[int, int]] = {v: {} for v in range(2 * n + 2)}
+
+    def arc(u: int, v: int, room: int) -> None:
+        cap[u][v] = room
+        cap[v][u] = 0
+
+    for x in range(n):
+        arc(s, x, q)
+        arc(n + x, t, p)
+    for x, y in g.edges:
+        arc(x, n + y, q * n)
+        arc(y, n + x, q * n)
+    return _max_flow(cap, s, t) == q * n
 
 
 class TestIsoAfterRemoval:
@@ -157,6 +208,16 @@ class TestCheckCondition:
     def test_random_witness_identity(self, n, p, seed, c):
         g = random_gnp(n, p, seed)
         assert check_iso_condition(g, c) == reference_witness(g, c)
+
+    def test_cut_verdict_agrees(self):
+        for n in range(1, 6):
+            for g in enumerate_exhaustive(n):
+                for c in (Fraction(1), Fraction(3, 2), Fraction(5, 2), Fraction(7, 2)):
+                    assert (check_iso_condition(g, c) is None) == cut_verdict(g, c), (g, c)
+        for seed in range(20):
+            for g in (random_tree(18, seed), random_gnp(16, Fraction(1, 4), seed)):
+                for c in (Fraction(3, 2), Fraction(5, 2)):
+                    assert (check_iso_condition(g, c) is None) == cut_verdict(g, c), (g, c)
 
     def test_witness_is_actually_violating(self):
         for seed in range(50):

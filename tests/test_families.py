@@ -13,7 +13,6 @@ from factorsmith.families import (
     cubic_expansion,
     expand_base_tree,
     expand_cubic_tree,
-    is_cubic_expansion,
     is_cubic_tree,
     is_expansion_base,
     is_tree_expansion,
@@ -41,7 +40,7 @@ class TestCubicExpansion:
         t = expand_cubic_tree(K13)
         assert t.n == 10
         assert t.degree_sequence() == (3, 2, 2, 2, 2, 2, 2, 1, 1, 1)
-        assert is_cubic_expansion(t)
+        assert is_tree_expansion(t, 1)
 
     def test_single_edge_base_rejected(self):
         with pytest.raises(ValueError):
@@ -54,7 +53,7 @@ class TestCubicExpansion:
     def test_six_vertex_base_gives_fifteen(self):
         t = expand_cubic_tree(CUBIC6)
         assert t.n == 15
-        assert is_cubic_expansion(t)
+        assert is_tree_expansion(t, 1)
 
     def test_leaf_count_preserved(self):
         for base in (K13, CUBIC6, CUBIC8):
@@ -70,16 +69,16 @@ class TestCubicExpansion:
         # the 20-vertex member lies outside the scan in test_forward_backward_small
         t = expand_cubic_tree(CUBIC8)
         assert t.n == 5 * CUBIC8.n // 2 == 20
-        assert is_cubic_expansion(t)
+        assert is_tree_expansion(t, 1)
 
     @pytest.mark.parametrize("g", [path(5), path(7), K13, Graph(3, [(0, 1), (1, 2), (0, 2)])])
     def test_recognizer_rejects(self, g):
-        assert not is_cubic_expansion(g)
+        assert not is_tree_expansion(g, 1)
 
     def test_recognizer_rejects_wrong_gaps(self):
         # two branch vertices joined by a length-3 chain of degree-2 vertices
         g = Graph(10, [(0, 1), (1, 2), (2, 3), (0, 4), (0, 5), (3, 6), (3, 7), (4, 8), (5, 9)])
-        assert not is_cubic_expansion(g)
+        assert not is_tree_expansion(g, 1)
 
     def test_forward_backward_small(self):
         # |T| = |R| + ||R|| + leaves(R) = 5|R|/2 for a cubic base R, so the
@@ -98,7 +97,7 @@ class TestCubicExpansion:
         # bases with 4 and 6 vertices; guards against both sides being empty
         assert {t.n for t in expansions} == {10, 15}
         generated = {tree_canon(t) for t in expansions}
-        accepted = {tree_canon(t) for t in trees if is_cubic_expansion(t)}
+        accepted = {tree_canon(t) for t in trees if is_tree_expansion(t, 1)}
         assert accepted == generated
 
 
@@ -192,8 +191,23 @@ class TestTreeExpansionRecognizer:
         assert not is_tree_expansion(g, 2)
 
     def test_k_guard(self):
+        assert not is_tree_expansion(K13, 1)
         with pytest.raises(ValueError):
-            is_tree_expansion(K13, 1)
+            is_tree_expansion(K13, 0)
+
+    def test_members_belong_to_their_own_k_only(self):
+        from factorsmith.corpus import random_expansion_base
+
+        members = {1: [expand_cubic_tree(base) for base in (K13, CUBIC6, CUBIC8)]}
+        for k in (2, 3):
+            members[k] = [
+                expand_base_tree(random_expansion_base(k, size, seed), k)
+                for size in (4, 9, 20)
+                for seed in range(5)
+            ]
+        for k, trees in members.items():
+            for t in trees:
+                assert [j for j in range(1, 5) if is_tree_expansion(t, j)] == [k]
 
 
 class TestClassify:

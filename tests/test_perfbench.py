@@ -8,21 +8,23 @@ from pathlib import Path
 
 from factorsmith.corpus import enumerate_exhaustive, random_gnp
 from factorsmith.factors import find_fractional_factor
+from factorsmith.families import classify_component, expand_base_tree, expand_cubic_tree
+from factorsmith.graphs import Graph
 from factorsmith.reducer import extract_component_factor_detailed
 
 RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
-def _traced() -> tuple[tuple[str, str, str], ...]:
-    """The TRACED table of perfbench/run.py, read without importing it."""
+def _table(name: str):
+    """A literal table of perfbench/run.py, read without importing it."""
     for node in ast.parse(RUN_PY.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"]:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == [name]:
             return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/run.py defines no TRACED table")
+    raise AssertionError(f"perfbench/run.py defines no {name} table")
 
 
 def test_traced_names_resolve():
-    traced = _traced()
+    traced = _table("TRACED")
     assert "reducer.from_assignment" in {layer for layer, _module, _attr in traced}
     for layer, module, attr in traced:
         owner = importlib.import_module(f"factorsmith.{module}")
@@ -38,3 +40,17 @@ def test_digested_assignment_is_the_search_answer():
             assert (h is None) == (expected is None)
             if h is not None:
                 assert h.units == expected.units
+
+
+def test_class_names_are_the_classifier_tags():
+    k13 = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    base = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+    members = [
+        (Graph(2, [(0, 1)]), 1),
+        (Graph(3, [(0, 1), (1, 2), (0, 2)]), 1),
+        (Graph(5, [(i, i + 1) for i in range(4)]), 1),
+        (Graph(3, [(0, 1), (0, 2)]), 2),
+        (expand_cubic_tree(k13), 1),
+        (expand_base_tree(base, 2), 2),
+    ]
+    assert [classify_component(t, k).kind for t, k in members] == list(_table("CLASSES"))
