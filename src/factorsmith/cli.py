@@ -1,7 +1,8 @@
 """Command-line surface: check, factor, toughness, verify, gen, convert.
 
 Exit codes are a stable contract: 0 = condition holds / factor found / run
-clean, 1 = violated / no factor / disagreement, 2 = usage or parse error.
+clean, 1 = violated / no factor / disagreement / engine error, 2 = usage or
+parse error.
 Input auto-detection: a line whose first token is an integer (or an "n"
 header) is an edge list; otherwise a line of graph6 charset bytes is graph6.
 Set FACTORSMITH_LOG=debug for rule-by-rule rewrite logging.
@@ -38,6 +39,7 @@ from factorsmith.graphs import (
 )
 from factorsmith.reducer import (
     FixpointUnclassified,
+    ReducerError,
     extract_component_factor_detailed,
     verify_certificate,
 )
@@ -136,11 +138,16 @@ def cmd_factor(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    missing = False
+    negative = False
     for label, g in graphs:
-        cert, _h, trace = extract_component_factor_detailed(g, k)
+        try:
+            cert, _h, trace = extract_component_factor_detailed(g, k)
+        except ReducerError as exc:
+            negative = True
+            print(f"error: {label}: {exc}", file=sys.stderr)
+            continue
         if cert is None:
-            missing = True
+            negative = True
             print(f"{label}: no factor (condition fails)")
             continue
         if args.emit == "json":
@@ -153,7 +160,7 @@ def cmd_factor(args) -> int:
             sys.stdout.write(trace.to_text())
             classes = ", ".join(e.cls.label for e in cert.components)
             print(f"# components: {classes}")
-    return EXIT_NEGATIVE if missing else EXIT_OK
+    return EXIT_NEGATIVE if negative else EXIT_OK
 
 
 def cmd_toughness(args) -> int:
@@ -174,7 +181,7 @@ def cmd_toughness(args) -> int:
 def _verify_one(payload) -> dict:
     """Verify records for one graph.  Every answer is re-checked: the
     witness is re-evaluated, the assignment and the certificate are
-    re-validated, and a failed re-check is the record's error."""
+    re-validated; a failed re-check or an engine error is the record's error."""
     label, n, edges, ks = payload
     g = Graph(n, edges)
     records = []
@@ -205,6 +212,8 @@ def _verify_one(payload) -> dict:
                 cert = _certificate_json(cert_obj)
         except FixpointUnclassified as exc:
             error = f"FIXPOINT_UNCLASSIFIED: {exc}"
+        except ReducerError as exc:
+            error = f"REDUCER_ERROR: {exc}"
         records.append(
             {
                 "graph_id": label,
@@ -227,7 +236,7 @@ def _corpus_from_args(args) -> tuple[str, Iterator[Graph]]:
     """The chosen corpus source's name and its (lazy) graph stream."""
     chosen = [
         name
-        for name in ("exhaustive", "gnp", "trees", "paths_cycles", "file")
+        for name in ("exhaustive", "gnp", "trees", "paths_cycles", "file", "all_trees", "expansion_base")
         if getattr(args, name, None) is not None
     ]
     if len(chosen) != 1:
@@ -239,17 +248,21 @@ def _corpus_from_args(args) -> tuple[str, Iterator[Graph]]:
         return name, corpus.paths_and_cycles(args.paths_cycles)
     if name == "file":
         return name, corpus.read_graph6_file(args.file)
+    if name == "all_trees":
+        return name, corpus.free_trees_upto(args.all_trees)
     spec = getattr(args, name)
+    form = {"gnp": "n,p,count", "trees": "n,count", "expansion_base": "k,size,seed"}[name]
     parts = [part.strip() for part in spec.split(",")]
+    if len(parts) != form.count(",") + 1:
+        raise ValueError(f"{name.replace('_', '-')} spec is {form}, got {spec!r}")
     if name == "gnp":
-        if len(parts) != 3:
-            raise ValueError(f"gnp spec is n,p,count, got {spec!r}")
         n, p, count = int(parts[0]), parse_ratio(parts[1]), int(parts[2])
         return name, (corpus.random_gnp(n, p, args.seed + i) for i in range(count))
-    if len(parts) != 2:
-        raise ValueError(f"trees spec is n,count, got {spec!r}")
-    n, count = int(parts[0]), int(parts[1])
-    return name, (corpus.random_tree(n, args.seed + i) for i in range(count))
+    if name == "trees":
+        n, count = map(int, parts)
+        return name, (corpus.random_tree(n, args.seed + i) for i in range(count))
+    k, size, seed = map(int, parts)
+    return name, iter([corpus.random_expansion_base(k, size, seed)])
 
 
 def cmd_verify(args) -> int:
@@ -293,11 +306,8 @@ def cmd_verify(args) -> int:
     if args.emit == "json":
         print(json.dumps(report, indent=2))
     else:
-        s = report["summary"]
-        print(
-            f"{s['graphs']} graphs, {s['checked']} checks, "
-            f"{s['disagreements']} disagreements, {s['failures']} failures"
-        )
+        print(f"{len(graphs)} graphs, {len(records)} checks, "
+              f"{disagreements} disagreements, {failures} failures")
         for r in records:
             if not r["agree"]:
                 print(f"  DISAGREE {r['graph_id']} k={r['k']}: {r['error'] or 'condition vs factor'}")
@@ -306,16 +316,7 @@ def cmd_verify(args) -> int:
 
 def cmd_gen(args) -> int:
     try:
-        if args.cubic_tree is not None:
-            m, seed = (int(x) for x in args.cubic_tree.split(","))
-            graphs = [corpus.random_cubic_tree(m, seed)]
-        elif args.expansion_base is not None:
-            k, size, seed = (int(x) for x in args.expansion_base.split(","))
-            graphs = [corpus.random_expansion_base(k, size, seed)]
-        elif args.all_trees is not None:
-            graphs = corpus.free_trees_upto(args.all_trees)
-        else:
-            _kind, graphs = _corpus_from_args(args)
+        _kind, graphs = _corpus_from_args(args)
         # The generators are lazy, so a bad range surfaces while encoding.
         for g in graphs:
             print(encode_graph6(g))
@@ -386,10 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit corpus graphs as graph6")
     _add_corpus_args(p)
-    p.add_argument("--all-trees", dest="all_trees", type=int, default=None, metavar="N",
-                   help="all free trees with <= N vertices")
-    p.add_argument("--cubic-tree", dest="cubic_tree", default=None, metavar="m,seed")
-    p.add_argument("--expansion-base", dest="expansion_base", default=None, metavar="k,size,seed")
+    p.add_argument("--all-trees", type=int, metavar="N", help="all free trees with <= N vertices")
+    p.add_argument("--expansion-base", metavar="k,size,seed", help="random base of T(2k+1), k >= 1")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("convert", help="convert between graph formats")

@@ -3,8 +3,10 @@
 Streams are deterministic: the random generators run on SplitMix64, a fixed,
 documented 64-bit mixer, so a (generator, seed) pair reproduces the same
 graphs on any machine.  Exhaustive enumeration is labeled (no isomorphism
-reduction); the free-tree enumerator is the one exception, since the family
-recognizers need every tree shape exactly once.
+reduction); the free-tree enumerator is the one exception, since the tests
+of the family recognizer need every tree shape exactly once.
+`random_expansion_base` draws bases for the one construction of T(2k+1) at
+every k >= 1.
 """
 
 from __future__ import annotations
@@ -101,34 +103,16 @@ def random_tree(n: int, seed: int) -> Graph:
     return Graph(n, edges)
 
 
-def random_cubic_tree(internal: int, seed: int) -> Graph:
-    """Random tree with all degrees in {1, 3}: grow from an edge by attaching
-    two fresh leaves to a random leaf, `internal` times."""
-    if internal < 0:
-        raise ValueError("internal vertex count must be non-negative")
-    rng = SplitMix64(seed)
-    edges = [(0, 1)]
-    leaves = [0, 1]
-    nxt = 2
-    for _ in range(internal):
-        idx = rng.randrange(len(leaves))
-        v = leaves.pop(idx)
-        edges.append((v, nxt))
-        edges.append((v, nxt + 1))
-        leaves.extend((nxt, nxt + 1))
-        nxt += 2
-    return Graph(nxt, edges)
-
-
 def random_expansion_base(k: int, size: int, seed: int) -> Graph:
-    """Random tree valid as an expansion base for parameter k: the non-leaf
-    core keeps odd degrees <= 2k+1 and every core vertex v obeys
-    2*(attached leaves) + core-degree(v) <= 2k+1.
+    """Random tree valid as an expansion base for parameter k >= 1: the
+    non-leaf core keeps odd degrees <= 2k+1 and every core vertex v obeys
+    2*(attached leaves) + core-degree(v) <= 2k+1.  At k = 1 it is a random
+    cubic tree with one pendant edge on each leaf.
 
     `size` is the target vertex count (approximate; >= 4 required).
     """
-    if k < 2:
-        raise ValueError("expansion bases are defined for k >= 2")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if size < 4:
         raise ValueError("smallest valid base has 4 vertices (2 core + 2 leaves)")
     g = _grow_expansion_base(k, size, SplitMix64(seed))

@@ -1,5 +1,5 @@
-"""The component families of the two theorems: one recognizer, two
-generators and the classifier.
+"""The component families of the two theorems: one recognizer, one
+generator and the classifier.
 
 k alone fixes the target family, so the classifier takes k itself:
 {P2, C3, P5} plus T(3) for k = 1, and the stars K1,1 .. K1,k plus T(2k+1)
@@ -7,17 +7,13 @@ for k >= 2.  The tag of a T(2k+1) member stays `cubic_expansion` at k = 1
 and `tree_expansion` at k >= 2.
 
 `is_tree_expansion(t, k)` recognizes T(2k+1) at every k >= 1 with degree
-and adjacency tests alone (isomorphism invariant, no search).  The two
-generators build members the way the paper does:
-
-* `expand_cubic_tree` (T(3)): take a tree whose degrees are all 1 or 3,
-  insert a degree-2 vertex into every edge, then hang a fresh pendant edge
-  on every original leaf.
-* `expand_base_tree` (T(2k+1), k >= 2): take a tree whose non-leaf core has
-  odd degrees <= 2k+1 and whose core vertices each satisfy 2*(attached
-  leaves) + core-degree <= 2k+1, subdivide every core edge once, then pad
-  each core vertex with pendant edges until its half-integral degree
-  reaches k + 1/2.
+and adjacency tests alone (isomorphism invariant, no search).
+`expand_base_tree(base, k)` builds the members the way the paper does, at
+every k >= 1: take a tree whose non-leaf core has odd degrees <= 2k+1 and
+whose core vertices each satisfy 2*(attached leaves) + core-degree <= 2k+1,
+subdivide every core edge once, then pad each core vertex with pendant edges
+until its half-integral degree reaches k + 1/2.  At k = 1 such a base is a
+cubic tree with one pendant edge on each leaf.
 
 P5 (from the single-edge cubic base) and the stars are not members of
 T(2k+1); they are classified under their own tags, which leaves the family
@@ -73,47 +69,16 @@ def tree_expansion(k: int) -> ComponentClass:
     return ComponentClass("tree_expansion", k)
 
 
-# --- cubic trees and their expansions ----------------------------------------
-
-
-def is_cubic_tree(g: Graph) -> bool:
-    """Tree with every degree in {1, 3}."""
-    return is_tree(g) and all(g.degree(v) in (1, 3) for v in range(g.n))
-
-
-def expand_cubic_tree(base: Graph) -> Graph:
-    """Subdivide every edge once and add a pendant edge to every leaf.
-
-    Requires a cubic tree with at least one degree-3 vertex (the single-edge
-    base would just rebuild P5, which is classified on its own).
-    """
-    if not is_cubic_tree(base):
-        raise ValueError("base must be a tree with all degrees in {1, 3}")
-    if not any(base.degree(v) == 3 for v in range(base.n)):
-        raise ValueError("base must contain a degree-3 vertex")
-    n = base.n
-    edges: list[tuple[int, int]] = []
-    nxt = n
-    for u, v in base.edges:
-        edges.append((u, nxt))
-        edges.append((nxt, v))
-        nxt += 1
-    for leaf in range(n):
-        if base.degree(leaf) == 1:
-            edges.append((leaf, nxt))
-            nxt += 1
-    return Graph(nxt, edges)
-
-
-# --- expansion bases for k >= 2 and their expansions --------------------------
+# --- expansion bases and their expansions ------------------------------------
 
 
 def is_expansion_base(tree: Graph, k: int) -> bool:
-    """Valid base for the k >= 2 construction: tree whose non-leaf core has at
-    least two vertices, every core degree odd and <= 2k+1, and each core
-    vertex v obeys 2*(leaves attached to v) + core-degree(v) <= 2k+1."""
-    if k < 2:
-        raise ValueError("expansion bases are defined for k >= 2")
+    """Valid base for the construction at k >= 1: tree whose non-leaf core
+    has at least two vertices, every core degree odd and <= 2k+1, and each
+    core vertex v obeys 2*(leaves attached to v) + core-degree(v) <= 2k+1.
+    At k = 1 that is a cubic tree with one pendant edge on each leaf."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if not is_tree(tree):
         return False
     deg = [tree.degree(v) for v in range(tree.n)]
@@ -137,6 +102,8 @@ def expand_base_tree(base: Graph, k: int) -> Graph:
 
     The output admits the pendant-red assignment (pendant edges weight 1,
     others 1/2) in which every core vertex reaches h-degree exactly k + 1/2.
+    At k = 1 the base P4 (a single core edge) expands to P5, which
+    `classify_component` tags `P5`, not `cubic_expansion`.
     """
     if not is_expansion_base(base, k):
         raise ValueError("base tree violates the expansion-base conditions")

@@ -14,12 +14,13 @@ from factorsmith import cli
 from factorsmith.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
 from factorsmith.conditions import ConditionWitness
 from factorsmith.factors import HalfIntegralAssignment
-from factorsmith.families import classify_component
+from factorsmith.families import classify_component, is_expansion_base
 from factorsmith.graphs import Graph, encode_graph6, is_tree, parse_graph6
 from factorsmith.reducer import (
     ComponentEntry,
     FactorCertificate,
     FixpointUnclassified,
+    InvalidColoredFactor,
     extract_component_factor_detailed,
     verify_certificate,
 )
@@ -143,6 +144,22 @@ def test_usage_error_exits_two(tmp_path, capsys):
         assert main(["gen", source]) == EXIT_ERROR
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:")
+    assert main(["gen", "--expansion-base=2,8"]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: expansion-base spec is k,size,seed, got '2,8'\n"
+    # the k = 1 base replaced the cubic-tree option
+    assert main(["gen", "--cubic-tree", "3,1"]) == EXIT_ERROR
+    assert capsys.readouterr().out == ""
+    # gen takes exactly one source, as verify does
+    assert main(["gen", "--all-trees", "3", "--exhaustive", "2"]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: choose exactly one corpus source\n"
+
+
+def test_gen_k1_expansion_base(capsys):
+    assert main(["gen", "--expansion-base", "1,10,3"]) == EXIT_OK
+    (line,) = capsys.readouterr().out.splitlines()
+    assert is_expansion_base(parse_graph6(line), 1)
 
 
 def test_gen_past_62_vertices(capsys):
@@ -264,6 +281,33 @@ def test_verify_unclassified_exits_one(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.startswith("8 graphs, 8 checks, 8 disagreements, 8 failures\n")
     assert "FIXPOINT_UNCLASSIFIED" in out
+
+
+def _engine_fails_on_triangles(g, k):
+    """The real extraction, except that a triangle makes the engine fail."""
+    if g.n == 3 and g.num_edges == 3:
+        raise InvalidColoredFactor("rule R3 at (0,1,2) touches (0, 1), outside the support")
+    return extract_component_factor_detailed(g, k)
+
+
+def test_verify_reports_engine_errors(capsys, monkeypatch):
+    """An engine error is the record's error; the run keeps every record."""
+    monkeypatch.setattr(cli, "extract_component_factor_detailed", _engine_fails_on_triangles)
+    code, report = _verify_json(capsys, "--exhaustive", "3", "--k", "1", "--jobs", "1")
+    assert code == EXIT_NEGATIVE
+    assert len(report["graphs"]) == 8
+    errors = [r["error"] for r in report["graphs"] if r["error"]]
+    assert errors == ["REDUCER_ERROR: rule R3 at (0,1,2) touches (0, 1), outside the support"]
+    assert report["summary"]["failures"] == 1
+
+
+def test_factor_reports_engine_errors(tmp_path, capsys, monkeypatch):
+    """factor names the graph the engine failed on and goes on to the next."""
+    monkeypatch.setattr(cli, "extract_component_factor_detailed", _engine_fails_on_triangles)
+    code, out, err = run(tmp_path, capsys, "Bw\nCp", "factor", "--k", "1", "--emit", "trace")
+    assert code == EXIT_NEGATIVE
+    assert err == "error: Bw: rule R3 at (0,1,2) touches (0, 1), outside the support\n"
+    assert out.splitlines()[0] == "# Cp: 1 rewrite(s)"
 
 
 def test_verify_rechecks_the_witness(capsys, monkeypatch):

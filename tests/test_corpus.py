@@ -14,13 +14,12 @@ from factorsmith.corpus import (
     free_trees,
     free_trees_upto,
     paths_and_cycles,
-    random_cubic_tree,
     random_expansion_base,
     random_gnp,
     random_tree,
     read_graph6_file,
 )
-from factorsmith.families import is_cubic_tree, is_expansion_base
+from factorsmith.families import is_expansion_base
 from factorsmith.graphs import Graph, encode_graph6, is_tree
 from treeutil import tree_canon
 
@@ -88,18 +87,25 @@ class TestRandomTrees:
         assert is_tree(random_tree(n, seed))
 
     def test_cubic_m0_is_single_edge(self):
-        assert random_cubic_tree(0, 3) == Graph(2, [(0, 1)])
+        # the k = 1 base of the single-edge cubic tree is P4
+        assert random_expansion_base(1, 4, 3) == Graph(4, [(0, 1), (0, 2), (1, 3)])
 
     def test_cubic_m1_is_three_star(self):
-        t = random_cubic_tree(1, 9)
-        assert t.degree_sequence() == (3, 1, 1, 1)
+        # the three-star with a pendant edge on each leaf
+        t = random_expansion_base(1, 7, 0)
+        assert t.degree_sequence() == (3, 2, 2, 2, 1, 1, 1)
 
-    @settings(max_examples=60)
-    @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=500))
-    def test_cubic_degrees(self, m, seed):
-        t = random_cubic_tree(m, seed)
-        assert is_cubic_tree(t)
-        assert t.n == 2 + 2 * m
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=4, max_value=40), st.integers(min_value=0, max_value=500))
+    def test_cubic_degrees(self, size, seed):
+        """At k = 1 a base is a cubic tree R plus one pendant edge on each
+        leaf of R: a vertex of R has degree 3 and no leaf, or degree 2 and
+        one leaf."""
+        t = random_expansion_base(1, size, seed)
+        assert is_tree(t) and is_expansion_base(t, 1)
+        for v in range(t.n):
+            ends = sum(1 for w in t.neighbors(v) if t.degree(w) == 1)
+            assert (t.degree(v), ends) in ((1, 0), (2, 1), (3, 0))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -116,7 +122,7 @@ class TestRandomTrees:
 
     def test_expansion_base_guards(self):
         with pytest.raises(ValueError):
-            random_expansion_base(1, 8, 0)
+            random_expansion_base(0, 8, 0)
         with pytest.raises(ValueError):
             random_expansion_base(2, 3, 0)
 

@@ -12,8 +12,6 @@ from factorsmith.families import (
     classify_component,
     cubic_expansion,
     expand_base_tree,
-    expand_cubic_tree,
-    is_cubic_tree,
     is_expansion_base,
     is_tree_expansion,
     star,
@@ -35,39 +33,56 @@ def leaves(g: Graph) -> int:
     return sum(1 for v in range(g.n) if g.degree(v) == 1)
 
 
+def with_pendants(r: Graph) -> Graph:
+    """R plus one pendant edge on each leaf: the k = 1 base of a cubic tree R."""
+    ends = [v for v in range(r.n) if r.degree(v) == 1]
+    return Graph(r.n + len(ends), [*r.edges, *((v, r.n + i) for i, v in enumerate(ends))])
+
+
+@pytest.fixture(scope="module")
+def trees16() -> list[Graph]:
+    return list(free_trees_upto(16))
+
+
 class TestCubicExpansion:
+    """T(3): the k = 1 construction on a cubic tree R with a pendant per leaf."""
+
     def test_three_star_gives_ten_vertex_spider(self):
-        t = expand_cubic_tree(K13)
+        t = expand_base_tree(with_pendants(K13), 1)
         assert t.n == 10
         assert t.degree_sequence() == (3, 2, 2, 2, 2, 2, 2, 1, 1, 1)
         assert is_tree_expansion(t, 1)
 
-    def test_single_edge_base_rejected(self):
-        with pytest.raises(ValueError):
-            expand_cubic_tree(Graph(2, [(0, 1)]))
+    def test_single_edge_base_gives_p5(self):
+        # the single-edge cubic tree's base is P4; P5 is classified on its own
+        t = expand_base_tree(path(4), 1)
+        assert t.degree_sequence() == path(5).degree_sequence()
+        assert classify_component(t, 1) == P5
+        assert not is_tree_expansion(t, 1)
 
     def test_non_cubic_base_rejected(self):
-        with pytest.raises(ValueError):
-            expand_cubic_tree(path(4))
+        for base in (path(5), K13, with_pendants(path(3))):
+            with pytest.raises(ValueError):
+                expand_base_tree(base, 1)
 
     def test_six_vertex_base_gives_fifteen(self):
-        t = expand_cubic_tree(CUBIC6)
+        t = expand_base_tree(with_pendants(CUBIC6), 1)
         assert t.n == 15
         assert is_tree_expansion(t, 1)
 
     def test_leaf_count_preserved(self):
-        for base in (K13, CUBIC6, CUBIC8):
-            assert leaves(expand_cubic_tree(base)) == leaves(base)
+        for r in (K13, CUBIC6, CUBIC8):
+            assert leaves(expand_base_tree(with_pendants(r), 1)) == leaves(r)
 
     def test_vertex_count_formula(self):
         # |T| = |R| + ||R|| + leaves(R); degree-2 count = ||R|| + leaves(R)
-        for base in (K13, CUBIC6, CUBIC8):
-            t = expand_cubic_tree(base)
-            assert t.n == base.n + base.num_edges + leaves(base)
+        for r in (K13, CUBIC6, CUBIC8):
+            t = expand_base_tree(with_pendants(r), 1)
+            assert t.n == r.n + r.num_edges + leaves(r)
             deg2 = sum(1 for v in range(t.n) if t.degree(v) == 2)
-            assert deg2 == base.num_edges + leaves(base)
-        # the 20-vertex member lies outside the scan in test_forward_backward_small
-        t = expand_cubic_tree(CUBIC8)
+            assert deg2 == r.num_edges + leaves(r)
+        # the 20-vertex member lies outside the scan in test_forward_backward
+        t = expand_base_tree(with_pendants(CUBIC8), 1)
         assert t.n == 5 * CUBIC8.n // 2 == 20
         assert is_tree_expansion(t, 1)
 
@@ -80,25 +95,6 @@ class TestCubicExpansion:
         g = Graph(10, [(0, 1), (1, 2), (2, 3), (0, 4), (0, 5), (3, 6), (3, 7), (4, 8), (5, 9)])
         assert not is_tree_expansion(g, 1)
 
-    def test_forward_backward_small(self):
-        # |T| = |R| + ||R|| + leaves(R) = 5|R|/2 for a cubic base R, so the
-        # family members with <= N vertices come from bases with <= 2N/5
-        # vertices; a wider base range would generate trees the scan misses
-        N = 16
-        trees = list(free_trees_upto(N))
-        expansions = [
-            expand_cubic_tree(base)
-            for base in trees
-            if is_cubic_tree(base)
-            and any(base.degree(v) == 3 for v in range(base.n))
-            and 5 * base.n <= 2 * N
-        ]
-        assert all(t.n <= N for t in expansions)
-        # bases with 4 and 6 vertices; guards against both sides being empty
-        assert {t.n for t in expansions} == {10, 15}
-        generated = {tree_canon(t) for t in expansions}
-        accepted = {tree_canon(t) for t in trees if is_tree_expansion(t, 1)}
-        assert accepted == generated
 
 
 class TestExpansionBase:
@@ -123,7 +119,15 @@ class TestExpansionBase:
 
     def test_k_guard(self):
         with pytest.raises(ValueError):
-            is_expansion_base(K13, 1)
+            is_expansion_base(with_pendants(K13), 0)
+
+    def test_k1_base_is_cubic_with_pendants(self):
+        for r in (path(2), K13, CUBIC6, CUBIC8):
+            assert is_expansion_base(with_pendants(r), 1)
+        assert not is_expansion_base(K13, 1)
+        # a leaf of R with two pendants, and a degree-3 vertex of R with one
+        assert not is_expansion_base(Graph(5, [(0, 1), (0, 2), (0, 3), (1, 4)]), 1)
+        assert not is_expansion_base(Graph(8, [*with_pendants(K13).edges, (0, 7)]), 1)
 
 
 class TestExpandBaseTree:
@@ -164,20 +168,6 @@ class TestExpandBaseTree:
         with pytest.raises(ValueError):
             expand_base_tree(path(3), 2)
 
-    def test_forward_backward_k2(self):
-        generated = set()
-        for base in free_trees_upto(8):
-            if base.n >= 4 and is_expansion_base(base, 2):
-                t = expand_base_tree(base, 2)
-                if t.n <= 14:
-                    generated.add(tree_canon(t))
-        accepted = {
-            tree_canon(t)
-            for t in free_trees_upto(14)
-            if is_tree_expansion(t, 2)
-        }
-        # all generated trees within range are recognized
-        assert generated <= accepted
 
 
 class TestTreeExpansionRecognizer:
@@ -195,10 +185,29 @@ class TestTreeExpansionRecognizer:
         with pytest.raises(ValueError):
             is_tree_expansion(K13, 0)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_forward_backward(self, trees16, k):
+        """Every base in the scan that expands to <= 16 vertices builds
+        exactly the members the recognizer accepts, plus P5 at k = 1.  An
+        expansion is at least as large as its base, so no base outside the
+        scan builds a tree inside it."""
+        generated = set()
+        for base in trees16:
+            if is_expansion_base(base, k):
+                t = expand_base_tree(base, k)
+                if t.n <= 16:
+                    generated.add(tree_canon(t))
+        accepted = {tree_canon(t) for t in trees16 if is_tree_expansion(t, k)}
+        if k == 1:
+            accepted.add(tree_canon(path(5)))
+        # pins the counts, so the equality cannot pass with both sides empty
+        assert len(generated) == {1: 3, 2: 2, 3: 1}[k]
+        assert generated == accepted
+
     def test_members_belong_to_their_own_k_only(self):
         from factorsmith.corpus import random_expansion_base
 
-        members = {1: [expand_cubic_tree(base) for base in (K13, CUBIC6, CUBIC8)]}
+        members = {1: [expand_base_tree(with_pendants(r), 1) for r in (K13, CUBIC6, CUBIC8)]}
         for k in (2, 3):
             members[k] = [
                 expand_base_tree(random_expansion_base(k, size, seed), k)
@@ -215,7 +224,8 @@ class TestClassify:
         assert classify_component(Graph(2, [(0, 1)]), 1) == P2
         assert classify_component(Graph(3, [(0, 1), (1, 2), (0, 2)]), 1) == C3
         assert classify_component(path(5), 1) == P5
-        assert classify_component(expand_cubic_tree(K13), 1) == cubic_expansion()
+        assert classify_component(expand_base_tree(with_pendants(K13), 1), 1) == cubic_expansion()
+        assert classify_component(expand_base_tree(path(4), 1), 1) == P5
 
     def test_f1_rejects(self):
         assert classify_component(path(3), 1) == OTHER
