@@ -3,22 +3,21 @@
 Exit codes are a stable contract: 0 = condition holds / factor found / run
 clean, 1 = violated / no factor / disagreement / engine error, 2 = usage or
 parse error.
-Input auto-detection: a line whose first token is an integer (or an "n"
-header) is an edge list; otherwise a line of graph6 charset bytes is graph6.
-Set FACTORSMITH_LOG=debug for rule-by-rule rewrite logging.
+Every command reads graphs through `read_graphs`, which detects the format
+from the first line that is not blank or a "#" comment.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from typing import Iterator
+from itertools import chain
+from typing import Iterable, Iterator
 
 from factorsmith import corpus
 from factorsmith.conditions import (
@@ -49,45 +48,75 @@ EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
 
-def _looks_like_edge_list(text: str) -> bool:
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tok = line.split()
-        if tok[0] == "n" and len(tok) == 2:
-            return True
-        try:
-            int(tok[0])
-            return True
-        except ValueError:
-            return False
-    return False
+def _starts_edge_list(line: str) -> bool:
+    """An "n <count>" header or a leading integer.  Neither can start a
+    graph6 line, whose bytes are 63-126: no space, digit or sign."""
+    tok = line.split()
+    if tok[0] == "n" and len(tok) == 2:
+        return True
+    try:
+        int(tok[0])
+    except ValueError:
+        return False
+    return True
 
 
-def read_graphs(text: str, fmt: str = "auto") -> list[tuple[str, Graph]]:
-    """(label, graph) pairs: graph6 = one graph per line, edge list = one
-    graph per input."""
-    if fmt == "auto":
-        fmt = "edges" if _looks_like_edge_list(text) else "g6"
-    if fmt == "edges":
-        return [("edges:0", parse_edge_list(text))]
-    out = []
-    for raw in text.splitlines():
+def read_graphs(lines: Iterable[str]) -> Iterator[tuple[str, Graph]]:
+    """(label, graph) pairs from the lines of a text file, read one line at
+    a time; blank lines and "#" lines are skipped.  The first other line
+    fixes the format: an edge list is the whole input and one graph,
+    labelled "edges:0"; graph6 is one graph per line, labelled by the line."""
+    lines = iter(lines)
+    head = []
+    for raw in lines:
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append((line, parse_graph6(line)))
-    if not out:
+        if line and not line.startswith("#"):
+            break
+        head.append(raw)
+    else:
         raise GraphFormatError("no graphs found in input")
-    return out
+    if _starts_edge_list(line):
+        yield "edges:0", parse_edge_list("".join(chain(head, [raw], lines)))
+        return
+    for raw in chain([raw], lines):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line, parse_graph6(line)
 
 
-def _read_input(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
+def _graphs_in(path: str) -> Iterator[tuple[str, Graph]]:
+    """`read_graphs` over a file, or over standard input for "-"."""
+    if path == "-":
+        yield from read_graphs(sys.stdin)
+        return
     with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+        yield from read_graphs(fh)
+
+
+def _error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_ERROR
+
+
+def _witness_error(g: Graph, c: Fraction, witness) -> str | None:
+    """Why a violating set S fails its re-evaluation, or None."""
+    iso = iso_after_removal(g, witness.removed)
+    if iso != witness.isolated:
+        return "witness isolates a different vertex set"
+    if len(iso) <= c * len(witness.removed):
+        return "witness does not violate the condition"
+    return None
+
+
+def _factor_error(g: Graph, k: int, cert, h, trace) -> str | None:
+    """Why an extracted factor fails its re-validation, or None."""
+    if not verify_fractional(g, k, h):
+        return "assignment failed re-validation"
+    if not verify_certificate(g, cert):
+        return "certificate failed re-validation"
+    if len(trace.steps) > g.num_edges:
+        return "rewrite count exceeded edge budget"
+    return None
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -96,22 +125,24 @@ def _read_input(path: str | None) -> str:
 def cmd_check(args) -> int:
     try:
         c = parse_ratio(args.c)
-        if c <= 0:
-            raise ValueError(f"condition ratio must be positive, got {args.c}")
-        graphs = read_graphs(_read_input(args.input), args.format)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except ValueError as exc:
+        return _error(exc)
+    if c <= 0:
+        return _error(f"condition ratio must be positive, got {args.c}")
     violated = False
-    for label, g in graphs:
+    for label, g in args.graphs:
         witness = check_iso_condition(g, c)
         if witness is None:
             print(f"{label}: holds (iso(G-S) <= {c} |S| for all S)")
-        else:
-            violated = True
-            s = "{" + ",".join(map(str, sorted(witness.removed))) + "}"
-            iso = "{" + ",".join(map(str, sorted(witness.isolated))) + "}"
-            print(f"{label}: violated S={s} isolates {iso}")
+            continue
+        violated = True
+        error = _witness_error(g, c, witness)
+        if error is not None:
+            print(f"error: {label}: {error}", file=sys.stderr)
+            continue
+        s = "{" + ",".join(map(str, sorted(witness.removed))) + "}"
+        iso = "{" + ",".join(map(str, sorted(witness.isolated))) + "}"
+        print(f"{label}: violated S={s} isolates {iso}")
     return EXIT_NEGATIVE if violated else EXIT_OK
 
 
@@ -130,21 +161,19 @@ def _certificate_json(cert) -> dict:
 
 
 def cmd_factor(args) -> int:
-    try:
-        k = args.k
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        graphs = read_graphs(_read_input(args.input), args.format)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    k = args.k
+    if k < 1:
+        return _error(f"k must be >= 1, got {k}")
     negative = False
-    for label, g in graphs:
+    for label, g in args.graphs:
         try:
-            cert, _h, trace = extract_component_factor_detailed(g, k)
+            cert, h, trace = extract_component_factor_detailed(g, k)
+            error = None if cert is None else _factor_error(g, k, cert, h, trace)
         except ReducerError as exc:
+            error = exc
+        if error is not None:
             negative = True
-            print(f"error: {label}: {exc}", file=sys.stderr)
+            print(f"error: {label}: {error}", file=sys.stderr)
             continue
         if cert is None:
             negative = True
@@ -164,17 +193,15 @@ def cmd_factor(args) -> int:
 
 
 def cmd_toughness(args) -> int:
-    try:
-        graphs = read_graphs(_read_input(args.input), args.format)
-        for label, g in graphs:
-            value = isolated_toughness(g)  # raises above TOUGHNESS_MAX_N
-            if value is None:
-                print(f"{label}: infinity")
-            else:
-                print(f"{label}: {value.numerator}/{value.denominator}")
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    for label, g in args.graphs:
+        try:
+            value = isolated_toughness(g)
+        except ValueError as exc:  # past TOUGHNESS_MAX_N: a usage error
+            return _error(exc)
+        if value is None:
+            print(f"{label}: infinity")
+        else:
+            print(f"{label}: {value.numerator}/{value.denominator}")
     return EXIT_OK
 
 
@@ -187,28 +214,15 @@ def _verify_one(payload) -> dict:
     records = []
     for k in ks:
         t0 = time.perf_counter()
-        witness = check_iso_condition(g, Fraction(2 * k + 1, 2))
-        error = None
-        cert = None
-        trace_len = None
-        has_factor = False
-        if witness is not None:
-            iso = iso_after_removal(g, witness.removed)
-            if iso != witness.isolated:
-                error = "witness isolates a different vertex set"
-            elif 2 * len(iso) <= (2 * k + 1) * len(witness.removed):
-                error = "witness does not violate the condition"
+        c = Fraction(2 * k + 1, 2)
+        witness = check_iso_condition(g, c)
+        error = None if witness is None else _witness_error(g, c, witness)
+        cert = trace_len = None
         try:
             cert_obj, h, trace = extract_component_factor_detailed(g, k)
             if cert_obj is not None:
-                has_factor = True
                 trace_len = len(trace.steps)
-                if not verify_fractional(g, k, h):
-                    error = "assignment failed re-validation"
-                if not verify_certificate(g, cert_obj):
-                    error = "certificate failed re-validation"
-                if trace_len > g.num_edges:
-                    error = "rewrite count exceeded edge budget"
+                error = _factor_error(g, k, cert_obj, h, trace) or error
                 cert = _certificate_json(cert_obj)
         except FixpointUnclassified as exc:
             error = f"FIXPOINT_UNCLASSIFIED: {exc}"
@@ -221,10 +235,10 @@ def _verify_one(payload) -> dict:
                 "k": k,
                 "condition_holds": witness is None,
                 "witness": sorted(witness.removed) if witness is not None else None,
-                "has_factor": has_factor,
+                "has_factor": cert is not None,
                 "certificate": cert,
                 "trace_length": trace_len,
-                "agree": error is None and (witness is None) == has_factor,
+                "agree": error is None and (witness is None) == (cert is not None),
                 "error": error,
                 "ms": round((time.perf_counter() - t0) * 1000.0, 3),
             }
@@ -247,7 +261,7 @@ def _corpus_from_args(args) -> tuple[str, Iterator[Graph]]:
     if name == "paths_cycles":
         return name, corpus.paths_and_cycles(args.paths_cycles)
     if name == "file":
-        return name, corpus.read_graph6_file(args.file)
+        return name, (g for _label, g in _graphs_in(args.file))
     if name == "all_trees":
         return name, corpus.free_trees_upto(args.all_trees)
     spec = getattr(args, name)
@@ -275,8 +289,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         graphs = list(stream)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _error(exc)
     t0 = time.perf_counter()
     payloads = [
         (f"{kind}:{idx}", g.n, list(g.edges), ks) for idx, g in enumerate(graphs)
@@ -321,18 +334,12 @@ def cmd_gen(args) -> int:
         for g in graphs:
             print(encode_graph6(g))
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _error(exc)
     return EXIT_OK
 
 
 def cmd_convert(args) -> int:
-    try:
-        graphs = read_graphs(_read_input(args.input), args.format)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    for _label, g in graphs:
+    for _label, g in args.graphs:
         if args.to == "g6":
             print(encode_graph6(g))
         elif args.to == "edges":
@@ -346,8 +353,7 @@ def cmd_convert(args) -> int:
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("input", nargs="?", default="-", help="input file, or - for stdin")
-    p.add_argument("--format", choices=["auto", "g6", "edges"], default="auto")
+    p.add_argument("input", nargs="?", default="-", help="graph6 lines or one edge list; - for stdin")
 
 
 def _add_corpus_args(p: argparse.ArgumentParser) -> None:
@@ -355,7 +361,7 @@ def _add_corpus_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gnp", default=None, metavar="n,p,count")
     p.add_argument("--trees", default=None, metavar="n,count")
     p.add_argument("--paths-cycles", dest="paths_cycles", type=int, default=None, metavar="N")
-    p.add_argument("--file", default=None, metavar="PATH", help="graph6, one per line")
+    p.add_argument("--file", default=None, metavar="PATH", help="graph6 lines or one edge list")
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -400,14 +406,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("FACTORSMITH_LOG", "").lower()
-    if level in ("debug", "info", "warning"):
-        logging.basicConfig(level=getattr(logging, level.upper()))
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
+    if "input" in args:
+        # check, factor, toughness and convert read every graph before they
+        # answer, so a bad input exits 2 with nothing printed; the engine runs
+        # only after this, so an engine error never exits 2.
+        try:
+            args.graphs = list(_graphs_in(args.input))
+        except (ValueError, OSError) as exc:
+            return _error(exc)
     return args.func(args)
 
 

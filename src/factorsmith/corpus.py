@@ -17,7 +17,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterator
 
 from factorsmith.families import is_expansion_base
-from factorsmith.graphs import Graph, parse_graph6
+from factorsmith.graphs import Graph
 
 EXHAUSTIVE_MAX_N = 7
 
@@ -166,14 +166,6 @@ def paths_and_cycles(max_n: int) -> Iterator[Graph]:
         yield Graph(n, [(i, i + 1) for i in range(n - 1)])
     for n in range(3, max_n + 1):
         yield Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def read_graph6_file(path: str) -> Iterator[Graph]:
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield parse_graph6(line)
 
 
 # --- non-isomorphic free trees ----------------------------------------------

@@ -24,15 +24,12 @@ precedes it in the table.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from factorsmith.families import ComponentClass, classify_component
 from factorsmith.factors import HalfIntegralAssignment, find_fractional_factor, verify_fractional
 from factorsmith.graphs import Graph, connected_components, degree2_chains, edge
-
-logger = logging.getLogger("factorsmith.reducer")
 
 
 class ReducerError(RuntimeError):
@@ -552,7 +549,6 @@ def minimize(h: HalfIntegralAssignment, k: int) -> tuple[HalfIntegralAssignment,
         if not verify_fractional(g, k, h):
             raise InvalidColoredFactor(f"{step.to_line()} left the [1, {2 * k + 1}/2] window")
         trace.steps.append(step)
-        logger.debug("%s", step.to_line())
         if len(trace) > g.num_edges:
             raise ReducerError("rewrite count exceeded the edge budget; non-termination bug")
     return h, trace

@@ -1,5 +1,6 @@
 """Command-line contract: ``factor`` output and the 0/1/2 exit codes."""
 
+import io
 import json
 import os
 import resource
@@ -401,8 +402,9 @@ def test_auto_detection(text, fmt, graph):
     """A comment line is skipped, an "n <count>" header means an edge list,
     and a graph6 line whose size byte is "n" (47 + 63) stays graph6."""
     assert encode_graph6(P47)[0] == "n"
-    assert cli._looks_like_edge_list(text) == (fmt == "edges")
-    assert [g for _label, g in cli.read_graphs(text)] == [graph]
+    ((label, g),) = cli.read_graphs(io.StringIO(text))
+    assert (label == "edges:0") == (fmt == "edges")
+    assert g == graph
 
 
 @pytest.mark.parametrize("text", ["n", ""], ids=["bare-n", "empty"])
@@ -410,3 +412,96 @@ def test_undetectable_input_exits_two(tmp_path, capsys, text):
     code, out, err = run(tmp_path, capsys, text, "check", "--c", "3/2")
     assert code == EXIT_ERROR
     assert out == "" and err.startswith("error:")
+
+
+def test_edge_list_errors_keep_their_line_numbers(tmp_path, capsys):
+    """Skipped lines ahead of an edge list still count in its error."""
+    code, out, err = run(tmp_path, capsys, "# a comment\n\n0 1\n2 x", "check", "--c", "3/2")
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: line 4: non-integer vertex id in '2 x'\n"
+
+
+def test_format_option_is_gone(tmp_path, capsys):
+    """Detection is exact, so no command takes --format."""
+    for args in (["check", "--c", "3/2"], ["factor", "--k", "1"], ["toughness"], ["convert", "--to", "g6"]):
+        assert run(tmp_path, capsys, "Bw", *args, "--format", "g6")[0] == EXIT_ERROR
+
+
+@pytest.mark.parametrize("c", ["0/1", "-3/2"])
+def test_check_ratio_must_be_positive(tmp_path, capsys, c):
+    code, out, err = run(tmp_path, capsys, "Bw", "check", f"--c={c}")
+    assert code == EXIT_ERROR
+    assert out == "" and err == f"error: condition ratio must be positive, got {c}\n"
+
+
+def test_toughness_of_complete_graph_is_infinity(tmp_path, capsys):
+    """No S leaves two isolated vertices in K4."""
+    assert run(tmp_path, capsys, "C~", "toughness")[:2] == (EXIT_OK, "C~: infinity\n")
+
+
+def test_convert(tmp_path, capsys):
+    """g6 -> edges -> g6 gives the graph back; dot opens with the graph."""
+    g6 = encode_graph6(P47)
+    code, edges, _ = run(tmp_path, capsys, g6, "convert", "--to", "edges")
+    assert code == EXIT_OK and edges.startswith("n 47\n")
+    code, back, _ = run(tmp_path, capsys, edges, "convert", "--to", "g6")
+    assert (code, back) == (EXIT_OK, g6 + "\n")
+    code, dot, _ = run(tmp_path, capsys, "Bw\nCp", "convert", "--to", "dot")
+    assert code == EXIT_OK
+    assert [line for line in dot.splitlines() if line.startswith("graph")] == ["graph G {"] * 2
+    code, out, err = run(tmp_path, capsys, "Bw\n@@@", "convert", "--to", "g6")
+    assert code == EXIT_ERROR
+    assert out == "" and err.startswith("error:")
+
+
+def test_verify_file_skips_comments(tmp_path, capsys):
+    path = tmp_path / "corpus.g6"
+    path.write_text("# K3 and 2K2\nBw\n\nCp\n", encoding="ascii")
+    assert main(["verify", "--file", str(path), "--k", "1"]) == EXIT_OK
+    assert capsys.readouterr().out == "2 graphs, 2 checks, 0 disagreements, 0 failures\n"
+    assert main(["verify", "--file", str(tmp_path / "missing.g6")]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
+def test_gen_all_trees(capsys):
+    assert main(["gen", "--all-trees", "5"]) == EXIT_OK
+    trees = [parse_graph6(line) for line in capsys.readouterr().out.splitlines()]
+    assert [t.n for t in trees] == [1, 2, 3, 4, 4, 5, 5, 5]
+    assert all(is_tree(t) for t in trees)
+
+
+def test_check_rechecks_the_witness(tmp_path, capsys, monkeypatch):
+    """check re-evaluates S as verify does: S = {} leaves the edgeless graph
+    a different isolated set, and isolates nothing in K3."""
+    monkeypatch.setattr(cli, "check_iso_condition", lambda g, c: ConditionWitness(frozenset(), frozenset()))
+    code, out, err = run(tmp_path, capsys, "B?\nBw", "check", "--c", "3/2")
+    assert code == EXIT_NEGATIVE and out == ""
+    assert err.splitlines() == [
+        "error: B?: witness isolates a different vertex set",
+        "error: Bw: witness does not violate the condition",
+    ]
+
+
+def _tampered(part):
+    """The real extraction with its assignment or certificate replaced."""
+
+    def extract(g, k):
+        cert, h, trace = extract_component_factor_detailed(g, k)
+        if cert is None:
+            return cert, h, trace
+        if part == "assignment":
+            return cert, HalfIntegralAssignment(g, {e: 0 for e in g.edges}), trace
+        return FactorCertificate(k, cert.components[1:]), h, trace
+
+    return extract
+
+
+@pytest.mark.parametrize("part", ["assignment", "certificate"])
+def test_factor_rechecks_the_answer(tmp_path, capsys, monkeypatch, part):
+    """factor prints no certificate that fails its re-validation."""
+    monkeypatch.setattr(cli, "extract_component_factor_detailed", _tampered(part))
+    code, out, err = run(tmp_path, capsys, "Cp\nB?", "factor", "--k", "1")
+    assert code == EXIT_NEGATIVE
+    assert out == "B?: no factor (condition fails)\n"
+    assert err == f"error: Cp: {part} failed re-validation\n"

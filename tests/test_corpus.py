@@ -17,10 +17,9 @@ from factorsmith.corpus import (
     random_expansion_base,
     random_gnp,
     random_tree,
-    read_graph6_file,
 )
 from factorsmith.families import is_expansion_base
-from factorsmith.graphs import Graph, encode_graph6, is_tree
+from factorsmith.graphs import Graph, encode_graph6, is_tree, parse_graph6
 from treeutil import tree_canon
 
 # number of free trees on n vertices, n = 1..16 (OEIS A000055)
@@ -168,8 +167,10 @@ class TestCorpusSpec:
         assert len(streams[0].splitlines()) == 5
         assert streams[0] == streams[1]
 
-    def test_file_round_trip(self, tmp_path):
+    def test_file_round_trip(self, tmp_path, capsys):
+        """gen --file reads a graph6 corpus back; a "#" line is skipped."""
         graphs = [random_gnp(7, Fraction(1, 2), s) for s in range(4)]
         path = tmp_path / "corpus.g6"
-        path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
-        assert list(read_graph6_file(str(path))) == graphs
+        path.write_text("# gnp(7, 1/2), seeds 0-3\n" + "".join(encode_graph6(g) + "\n" for g in graphs))
+        assert main(["gen", "--file", str(path)]) == 0
+        assert [parse_graph6(line) for line in capsys.readouterr().out.splitlines()] == graphs

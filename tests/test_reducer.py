@@ -20,9 +20,11 @@ from factorsmith import reducer
 from factorsmith.conditions import check_iso_condition
 from factorsmith.corpus import enumerate_exhaustive, free_trees_upto, random_gnp
 from factorsmith.factors import HalfIntegralAssignment, find_fractional_factor
-from factorsmith.families import OTHER
+from factorsmith.families import OTHER, P2, star
 from factorsmith.graphs import Graph, encode_graph6
 from factorsmith.reducer import (
+    ComponentEntry,
+    FactorCertificate,
     FixpointUnclassified,
     extract_component_factor_detailed,
     from_assignment,
@@ -157,3 +159,49 @@ class TestGuards:
         with pytest.raises(reducer.ReducerError, match="did not remove an edge") as info:
             minimize(_c4_matching(), 1)
         assert type(info.value) is reducer.ReducerError
+
+
+def _p2_certificate(*entries) -> FactorCertificate:
+    """A k = 1 certificate of P2 components, one per (vertices, edges) pair."""
+    return FactorCertificate(1, tuple(ComponentEntry(vs, es, P2) for vs, es in entries))
+
+
+class TestVerifyCertificate:
+    """Each rejection in `verify_certificate`, next to a certificate that
+    passes and differs from it only there."""
+
+    TWO_P2 = Graph(4, [(0, 1), (2, 3)])
+
+    def test_sound_certificate_passes(self):
+        assert verify_certificate(self.TWO_P2, _p2_certificate(((0, 1), ((0, 1),)), ((2, 3), ((2, 3),))))
+
+    def test_repeated_vertex(self):
+        """One component listed twice: every vertex is still covered."""
+        twice = ((0, 1), ((0, 1),))
+        assert not verify_certificate(self.TWO_P2, _p2_certificate(twice, twice, ((2, 3), ((2, 3),))))
+
+    def test_missing_vertex(self):
+        cert = FactorCertificate(1, (ComponentEntry((0, 1), ((0, 1),), P2),))
+        assert not verify_certificate(self.TWO_P2, cert)
+
+    def test_edge_not_in_graph(self):
+        crossed = Graph(4, [(0, 2), (1, 3)])
+        assert not verify_certificate(crossed, _p2_certificate(((0, 1), ((0, 1),)), ((2, 3), ((2, 3),))))
+
+    def test_edge_leaves_its_component(self):
+        p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert verify_certificate(p4, _p2_certificate(((0, 1), ((0, 1),)), ((2, 3), ((2, 3),))))
+        assert not verify_certificate(p4, _p2_certificate(((0, 1), ((1, 2),)), ((2, 3), ((2, 3),))))
+
+    def test_class_tag_fails_to_revalidate(self):
+        """P3 is K1,2 at k = 2, so a P2 tag fails; at k = 1 it is no member,
+        and even the tag "other" is refused."""
+        p3 = Graph(3, [(0, 1), (1, 2)])
+
+        def cert(k, cls):
+            return FactorCertificate(k, (ComponentEntry((0, 1, 2), ((0, 1), (1, 2)), cls),))
+
+        assert verify_certificate(p3, cert(2, star(2)))
+        assert not verify_certificate(p3, cert(2, P2))
+        assert not verify_certificate(p3, cert(1, star(2)))
+        assert not verify_certificate(p3, cert(1, OTHER))
