@@ -21,6 +21,7 @@ from typing import Iterable, Iterator
 
 from factorsmith import corpus
 from factorsmith.conditions import (
+    TOUGHNESS_MAX_N,
     check_iso_condition,
     iso_after_removal,
     isolated_toughness,
@@ -193,11 +194,13 @@ def cmd_factor(args) -> int:
 
 
 def cmd_toughness(args) -> int:
+    # A graph past the size guard is a usage error for the whole input, so
+    # it is refused before any graph is answered.
     for label, g in args.graphs:
-        try:
-            value = isolated_toughness(g)
-        except ValueError as exc:  # past TOUGHNESS_MAX_N: a usage error
-            return _error(exc)
+        if g.n > TOUGHNESS_MAX_N:
+            return _error(f"{label}: isolated toughness supports n <= {TOUGHNESS_MAX_N}, got n = {g.n}")
+    for label, g in args.graphs:
+        value = isolated_toughness(g)
         if value is None:
             print(f"{label}: infinity")
         else:

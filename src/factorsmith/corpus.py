@@ -11,6 +11,7 @@ every k >= 1.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement
@@ -87,10 +88,7 @@ def random_tree(n: int, seed: int) -> Graph:
     for x in seq:
         degree[x] += 1
     edges = []
-    leaf_heap = sorted(v for v in range(n) if degree[v] == 1)
-    import heapq
-
-    heapq.heapify(leaf_heap)
+    leaf_heap = sorted(v for v in range(n) if degree[v] == 1)  # a sorted list is a heap
     for x in seq:
         leaf = heapq.heappop(leaf_heap)
         edges.append((leaf, x))
@@ -109,7 +107,7 @@ def random_expansion_base(k: int, size: int, seed: int) -> Graph:
     2*(attached leaves) + core-degree(v) <= 2k+1.  At k = 1 it is a random
     cubic tree with one pendant edge on each leaf.
 
-    `size` is the target vertex count (approximate; >= 4 required).
+    The base has between size - 2 and size vertices; size >= 4 is required.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -122,36 +120,34 @@ def random_expansion_base(k: int, size: int, seed: int) -> Graph:
 
 
 def _grow_expansion_base(k: int, size: int, rng: SplitMix64) -> Graph:
-    # Core grown by leaf pairs keeps all core degrees odd.
-    core_edges = [(0, 1)]
-    core_deg = {0: 1, 1: 1}
-    nxt = 2
+    # Core grown by leaf pairs keeps all core degrees odd.  Every core leaf
+    # is owed one pendant leaf, so the least total is the core plus its
+    # leaves: a step at a core leaf adds 3 to it, elsewhere 4.  The core
+    # grows until no step fits in `size`, which leaves at most 2 to spare.
+    edges = [(0, 1)]
+    core_deg = [1, 1]
+    leaves = 2
     while True:
-        core_leaves = sum(1 for d in core_deg.values() if d == 1)
-        # Every core leaf must receive at least one pendant leaf later.
-        minimum_total = nxt + core_leaves
-        if minimum_total + 3 > size or rng.randrange(3) == 0:
-            break
-        candidates = sorted(v for v, d in core_deg.items() if d + 2 <= 2 * k + 1)
+        room = size - len(core_deg) - leaves
+        candidates = [
+            v for v, d in enumerate(core_deg) if d + 2 <= 2 * k + 1 and room >= (3 if d == 1 else 4)
+        ]
         if not candidates:
             break
         v = candidates[rng.randrange(len(candidates))]
-        core_edges.append((v, nxt))
-        core_edges.append((v, nxt + 1))
+        leaves += 1 if core_deg[v] == 1 else 2
         core_deg[v] += 2
-        core_deg[nxt] = 1
-        core_deg[nxt + 1] = 1
-        nxt += 2
-    edges = list(core_edges)
-    total = nxt
-    budget = size - nxt
-    for v in range(nxt):
-        # a core leaf needs one pendant leaf and has room for k of them
-        cap = (2 * k + 1 - core_deg[v]) // 2
-        need = 1 if core_deg[v] == 1 else 0
-        extra = min(cap - need, max(budget - need, 0))
+        for _ in range(2):
+            edges.append((v, len(core_deg)))
+            core_deg.append(1)
+    total = len(core_deg)
+    spare = size - total - leaves
+    for v, d in enumerate(core_deg):
+        # a core leaf needs one pendant leaf; v has room for (2k+1-d)//2
+        need = 1 if d == 1 else 0
+        extra = min((2 * k + 1 - d) // 2 - need, spare)
         count = need + (rng.randrange(extra + 1) if extra > 0 else 0)
-        budget -= count
+        spare -= count - need
         for _ in range(count):
             edges.append((v, total))
             total += 1

@@ -2,11 +2,11 @@
 
 The engine edits a `HalfIntegralAssignment` in place: 2 half-units (weight 1)
 on an edge is called red and 1 half-unit (weight 1/2) blue, names that appear
-only in trace text.  Each rewrite deletes at least one edge of the support,
-recolours only support edges, and keeps every vertex in the [1, k+1/2]
-window, which `verify_fractional` re-checks after each step; so the loop runs
-at most ||G|| steps.  At the fixpoint every component of the support
-classifies into the target family; a component that does not is an
+only in trace text.  Each rewrite writes new half-units on support edges
+only, sets at least one of them to 0, and keeps every vertex in the
+[1, k+1/2] window, which `verify_fractional` re-checks after each step; so
+the loop runs at most ||G|| steps.  At the fixpoint every component of the
+support classifies into the target family; a component that does not is an
 implementation bug and raises loudly, never a silent skip.
 
 Both theorems run on one ordered rule table (`_RULES`).  A rule fires under
@@ -15,11 +15,17 @@ even cycle (R1/S1), branch edge (R2/S2), odd cycle through a branch vertex
 (R3/S3), odd-cycle cover (R4/S4) and branch-branch chain (R5/S5), and the
 rules with one name (S6, R6, R7/R8, S7) run only at their k.
 
-Rule scheduling is deterministic: rules are tried in table order and, within
-a rule, the candidate with the smallest sorted vertex tuple fires.  Order is
-load-bearing in one place: the odd-cycle branch rule assumes no two branch
-vertices are adjacent, which holds because the branch-edge deletion rule
-precedes it in the table.
+Rule scheduling is deterministic: rules are tried in table order, and within
+a rule the first candidate in a fixed order fires.  Chains and branch edges
+go by their sorted vertex tuples.  Cycles go by the vertex lists
+`_order_cycle` writes, which start at the smallest vertex and move toward
+its smaller cycle neighbour: the triangle 0-2-3, listed (0, 2, 3), comes
+before the 5-cycle 0-5-1-6-4, listed (0, 4, 6, 1, 5), though the sorted
+tuple (0, 1, 4, 5, 6) is smaller.  The even-cycle rule takes the smallest
+list among the single even cycles and one even cycle from each larger
+block.  Order is load-bearing in one place: the odd-cycle branch rule
+assumes no two branch vertices are adjacent, which holds because the
+branch-edge deletion rule precedes it in the table.
 """
 
 from __future__ import annotations
@@ -182,12 +188,8 @@ class _State:
         """The smallest of one even cycle per block, or None.  Blocks that are
         single even cycles qualify directly; a block with extra edges always
         contains an even cycle (an ear over any odd cycle closes one)."""
-        found = []
-        for verts, comp_edges in self.blocks:
-            if len(comp_edges) > len(verts):
-                found.append(_even_cycle_in_block(verts, comp_edges))
-            elif len(comp_edges) == len(verts) >= 3 and len(verts) % 2 == 0:
-                found.append(_order_cycle(verts, comp_edges))
+        found = [cyc for cyc in self.cycles if len(cyc) % 2 == 0]
+        found += (_even_cycle_in_block(vs, es) for vs, es in self.blocks if len(es) > len(vs))
         return min(found, default=None)
 
     @cached_property
@@ -248,7 +250,7 @@ def _even_cycle_in_block(verts: set[int], comp_edges: list[tuple[int, int]]) -> 
     assert fallback is not None
     cyc = fallback
     on_cycle = set(cyc)
-    cyc_edges = {edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))}
+    cyc_edges = _cycle_edges(cyc)
     for a in sorted(on_cycle):
         path = _ear_from(a, on_cycle, cyc_edges, nbr)
         if path is None:
@@ -321,67 +323,60 @@ def _ear_from(a: int, on_cycle: set[int], cyc_edges: set, nbr: dict) -> list[int
 
 @dataclass(frozen=True)
 class _Rewrite:
+    """New half-units for each support edge the rule touches; 0 removes it."""
+
     rule: str
     location: tuple[int, ...]
-    remove: frozenset[tuple[int, int]]
-    make_red: frozenset[tuple[int, int]]
-    make_blue: frozenset[tuple[int, int]]
+    units: dict[tuple[int, int], int]
 
 
 def _apply(units: dict[tuple[int, int], int], rw: _Rewrite) -> RuleStep:
-    """Write 0 half-units on the removed edges, then 2 (red) and 1 (blue) on
-    the recoloured ones; the step lists the edges whose value changed."""
-    for e in (*rw.remove, *rw.make_red, *rw.make_blue):
+    """Write the rewrite's half-units.  The step lists the edges set to 0,
+    then those newly at 2 (red) and newly at 1 (blue), each sorted."""
+    touched = sorted(rw.units)
+    for e in touched:
         if not units.get(e):
             raise InvalidColoredFactor(f"rule {rw.rule} at {rw.location} touches {e}, outside the support")
-    for e in rw.remove:
-        units[e] = 0
-    recolored = []
-    for value, color, es in ((2, "red", rw.make_red), (1, "blue", rw.make_blue)):
-        for e in sorted(es):
-            if units[e] != value:
-                units[e] = value
-                recolored.append((e, color))
-    return RuleStep(rw.rule, rw.location, tuple(sorted(rw.remove)), tuple(recolored))
+    removed = tuple(e for e in touched if rw.units[e] == 0)
+    recolored = tuple(
+        (e, color)
+        for value, color in ((2, "red"), (1, "blue"))
+        for e in touched
+        if rw.units[e] == value != units[e]
+    )
+    units.update(rw.units)
+    return RuleStep(rw.rule, rw.location, removed, recolored)
 
 
 def _path_cover_rewrite(rule: str, order: list[int], edges: set, lead: int) -> _Rewrite:
     """Cover an ordered vertex run with a leading path on `lead` vertices and
     then P2s, and drop every other edge of `edges`.  A leading P5 is weighted
-    1,1/2,1/2,1; every other kept edge is red."""
-    head = [edge(order[i], order[i + 1]) for i in range(lead - 1)]
-    blue = set(head[1:3]) if lead == 5 else set()
-    red = set(head) - blue
-    red |= {edge(order[i], order[i + 1]) for i in range(lead, len(order), 2)}
-    drop = edges - red - blue
-    return _Rewrite(rule, tuple(order), frozenset(drop), frozenset(red), frozenset(blue))
+    1,1/2,1/2,1; every other kept edge is at 2 half-units."""
+    new = dict.fromkeys(edges, 0)
+    for i in (*range(lead - 1), *range(lead, len(order), 2)):
+        new[edge(order[i], order[i + 1])] = 1 if lead == 5 and i in (1, 2) else 2
+    return _Rewrite(rule, tuple(order), new)
 
 
 def _cycle_edges(cyc: list[int]) -> set[tuple[int, int]]:
     return {edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))}
 
 
-def _cut_chain_end(rule: str, path: list[int], first_blue: int) -> _Rewrite:
-    """Drop the last edge of `path`, make the edge before it red and the edges
-    from index `first_blue` up to that one blue."""
-    make_blue = {edge(path[i], path[i + 1]) for i in range(first_blue, len(path) - 3)}
-    return _Rewrite(
-        rule,
-        tuple(path),
-        frozenset({edge(path[-2], path[-1])}),
-        frozenset({edge(path[-3], path[-2])}),
-        frozenset(make_blue),
-    )
+def _cut_chain_end(rule: str, path: list[int], first_half: int) -> _Rewrite:
+    """Drop the last edge of `path`, put 2 half-units on the edge before it
+    and 1 on the edges from index `first_half` up to that one."""
+    new = {edge(path[i], path[i + 1]): 1 for i in range(first_half, len(path) - 3)}
+    new[edge(path[-3], path[-2])] = 2
+    new[edge(path[-2], path[-1])] = 0
+    return _Rewrite(rule, tuple(path), new)
 
 
 def _leaf_chain_rewrite(rule: str, st: _State, a: int, interior: list[int], b: int) -> _Rewrite:
-    """Chain from leaf z to branch vertex x: with one interior vertex, drop its
-    edge to x; with more, drop the last edge and recolour the run z..x as
-    red (the leaf edge, already red), blue, ..., blue, red."""
+    """Chain from leaf z to branch vertex x: drop the last edge and write the
+    run z..x as 2, 1, ..., 1, 2 half-units.  The leaf edge is already at 2,
+    since a leaf reaches 2 half-units through that edge alone."""
     z, x = (a, b) if st.deg[a] == 1 else (b, a)
     path = [z] + (interior if a == z else list(reversed(interior))) + [x]
-    if len(interior) == 1:
-        return _Rewrite(rule, tuple(path), frozenset({edge(path[1], x)}), frozenset(), frozenset())
     return _cut_chain_end(rule, path, 1)
 
 
@@ -392,7 +387,8 @@ def _leaf_chain_rewrite(rule: str, st: _State, a: int, interior: list[int], b: i
 
 
 def _even_cycle(st: _State, rule: str) -> _Rewrite | None:
-    """Even cycle -> red perfect matching (a P2 cover), drop the rest."""
+    """Even cycle -> perfect matching at 2 half-units (a P2 cover), drop the
+    rest."""
     cyc = st.find_even_cycle()
     return None if cyc is None else _path_cover_rewrite(rule, cyc, _cycle_edges(cyc), 2)
 
@@ -403,14 +399,14 @@ def _branch_edge(st: _State, rule: str) -> _Rewrite | None:
         if st.deg[u] >= 3:
             for v in st.adj[u]:
                 if v > u and st.deg[v] >= 3:
-                    return _Rewrite(rule, (u, v), frozenset({edge(u, v)}), frozenset(), frozenset())
+                    return _Rewrite(rule, (u, v), {edge(u, v): 0})
     return None
 
 
 def _odd_cycle_branch(st: _State, rule: str) -> _Rewrite | None:
     """Odd cycle through a branch vertex v -> v keeps its edge to its smaller
-    cycle neighbour, the path C - v is matched in red from that neighbour,
-    and the other cycle edges are dropped."""
+    cycle neighbour, the path C - v is matched at 2 half-units from that
+    neighbour, and the other cycle edges are dropped."""
     for cyc in st.cycles:
         branch = [v for v in cyc if st.deg[v] >= 3]
         if branch:
@@ -426,7 +422,7 @@ def _odd_cycle_branch(st: _State, rule: str) -> _Rewrite | None:
 
 def _odd_cycle_cover(st: _State, rule: str) -> _Rewrite | None:
     """Odd cycle component -> spanning {P2, P5} cover at k = 1, where C3 is a
-    family member; spanning all-red {P2, P3} cover at k >= 2."""
+    family member; spanning {P2, P3} cover at 2 half-units per edge at k >= 2."""
     lead = 5 if st.k == 1 else 3
     for cyc in st.cycles:
         if len(cyc) >= lead and all(st.deg[v] == 2 for v in cyc):
@@ -436,7 +432,7 @@ def _odd_cycle_cover(st: _State, rule: str) -> _Rewrite | None:
 
 def _branch_chain(st: _State, rule: str) -> _Rewrite | None:
     """Branch..branch chain with >= 2 interior vertices -> drop its last edge,
-    recolour the rest blue, ..., blue, red.  At k = 1 every branch vertex
+    write the rest as 1, ..., 1, 2 half-units.  At k = 1 every branch vertex
     has degree exactly 3."""
     for a, interior, b in st.chains:
         if st.deg[a] >= 3 and st.deg[b] >= 3 and len(interior) >= 2 and a != b:
@@ -452,12 +448,10 @@ def _branch_gap(st: _State, rule: str) -> _Rewrite | None:
         if st.deg[a] >= 3 and st.deg[b] >= 3 and len(interior) == 1 and a != b:
             u1 = interior[0]
             for x, y in sorted(((a, b), (b, a))):
-                if sum(st.units[edge(x, w)] for w in st.adj[x]) < 2 * st.k + 1:
-                    return _Rewrite(
-                        rule, (x, u1, y), frozenset({edge(u1, y)}), frozenset({edge(x, u1)}), frozenset()
-                    )
-                if st.units[edge(x, u1)] == 2:
-                    return _Rewrite(rule, (x, u1, y), frozenset({edge(u1, y)}), frozenset(), frozenset())
+                # x-u1 can go to 2 half-units, or is there already
+                room = sum(st.units[edge(x, w)] for w in st.adj[x]) < 2 * st.k + 1
+                if room or st.units[edge(x, u1)] == 2:
+                    return _Rewrite(rule, (x, u1, y), {edge(u1, y): 0, edge(x, u1): 2})
     return None
 
 
@@ -493,13 +487,7 @@ def _leaf_chains(st: _State, rule: str) -> _Rewrite | None:
             continue
         if ends[1] == 1 and len(interior) >= 2:
             order = (a, *interior, b)
-            return _Rewrite(
-                rule,
-                order,
-                frozenset({edge(order[1], order[2])}),
-                frozenset({edge(order[2], order[3])}),
-                frozenset(),
-            )
+            return _Rewrite(rule, order, {edge(order[1], order[2]): 0, edge(order[2], order[3]): 2})
         if ends[1] >= 3:
             return _leaf_chain_rewrite(rule, st, a, interior, b)
     return None
@@ -544,7 +532,7 @@ def minimize(h: HalfIntegralAssignment, k: int) -> tuple[HalfIntegralAssignment,
     trace = RuleTrace()
     while (rw := _find_rewrite(_State(h, k))) is not None:
         step = _apply(h.units, rw)
-        if all(h.units[e] for e in rw.remove):
+        if 0 not in rw.units.values():
             raise ReducerError(f"rule {rw.rule} did not remove an edge at {rw.location}")
         if not verify_fractional(g, k, h):
             raise InvalidColoredFactor(f"{step.to_line()} left the [1, {2 * k + 1}/2] window")

@@ -189,6 +189,15 @@ def test_toughness_size_guard_exits_two(tmp_path, capsys):
     assert run(tmp_path, capsys, "Dhc", "toughness")[1] == "Dhc: 3/2\n"  # C5 is still answered
 
 
+def test_toughness_refuses_before_answering(tmp_path, capsys):
+    """One graph past TOUGHNESS_MAX_N refuses the whole input: the C5 before
+    it is not answered either, as every other command prints nothing on exit 2."""
+    p21 = encode_graph6(Graph(21, [(i, i + 1) for i in range(20)]))
+    code, out, err = run(tmp_path, capsys, f"Dhc\n{p21}\nDhc", "toughness")
+    assert code == EXIT_ERROR
+    assert out == "" and err == f"error: {p21}: isolated toughness supports n <= 20, got n = 21\n"
+
+
 def _cap_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

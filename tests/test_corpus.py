@@ -18,7 +18,7 @@ from factorsmith.corpus import (
     random_gnp,
     random_tree,
 )
-from factorsmith.families import is_expansion_base
+from factorsmith.families import expand_base_tree, is_expansion_base
 from factorsmith.graphs import Graph, encode_graph6, is_tree, parse_graph6
 from treeutil import tree_canon
 
@@ -115,6 +115,16 @@ class TestRandomTrees:
     def test_expansion_base_validates(self, k, size, seed):
         base = random_expansion_base(k, size, seed)
         assert is_expansion_base(base, k)
+
+    def test_expansion_base_honours_size(self):
+        """Every draw lands in [size - 2, size]: the core grows until no step
+        fits, and the pendants owed to core leaves are reserved up front."""
+        for k in (1, 2, 3):
+            for size in range(4, 80):
+                for seed in range(60):
+                    assert size - 2 <= random_expansion_base(k, size, seed).n <= size, (k, size, seed)
+        sizes = [expand_base_tree(random_expansion_base(k, 1000, 1), k).n for k in (1, 2, 3)]
+        assert sizes == [1665, 2135, 2727]
 
     def test_expansion_base_deterministic(self):
         assert random_expansion_base(2, 8, 5) == random_expansion_base(2, 8, 5)

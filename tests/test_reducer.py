@@ -126,6 +126,18 @@ class TestMinimize:
         assert [s.rule for s in trace.steps] == ["R1"]
         assert sorted(f.units.values()) == [0] * (n // 2) + [2] * (n // 2)
 
+    def test_cycles_fire_in_order_cycle_order(self):
+        """Cycles are taken by the vertex lists `_order_cycle` writes, not by
+        sorted vertex tuples: the triangle listed (0, 2, 3) fires before the
+        5-cycle listed (0, 4, 6, 1, 5), though (0, 1, 4, 5, 6) < (0, 2, 3)."""
+        g = Graph(7, [(0, 2), (2, 3), (0, 3), (0, 5), (1, 5), (1, 6), (4, 6), (0, 4)])
+        _f, trace = minimize(HalfIntegralAssignment(g, dict.fromkeys(g.edges, 1)), 2)
+        assert trace.to_text().splitlines() == [
+            "S3 loc=(0,2,3) removed=[0-3] recolored=[2-3:red]",
+            "S3 loc=(0,4,6,1,5) removed=[0-5,1-6] recolored=[1-5:red,4-6:red]",
+            "S7 loc=(3,2,0,4,6) removed=[0-2] recolored=[0-4:red]",
+        ]
+
 
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
@@ -139,23 +151,23 @@ class TestGuards:
     """Each guard in `minimize` fires on a rule that breaks its contract."""
 
     @staticmethod
-    def _only_rule(monkeypatch, remove, make_red=(), make_blue=()):
-        rw = reducer._Rewrite("X", (0,), frozenset(remove), frozenset(make_red), frozenset(make_blue))
+    def _only_rule(monkeypatch, units):
+        rw = reducer._Rewrite("X", (0,), units)
         monkeypatch.setattr(reducer, "_RULES", (("X", "X", lambda st, rule: rw),))
 
     def test_recolor_outside_support(self, monkeypatch):
-        self._only_rule(monkeypatch, remove={(0, 1)}, make_red={(1, 2)})
+        self._only_rule(monkeypatch, {(0, 1): 0, (1, 2): 2})
         with pytest.raises(reducer.InvalidColoredFactor, match=r"touches \(1, 2\), outside the support"):
             minimize(_c4_matching(), 1)
 
     def test_leaving_window_names_step(self, monkeypatch):
-        self._only_rule(monkeypatch, remove={(0, 1)})
+        self._only_rule(monkeypatch, {(0, 1): 0})
         with pytest.raises(reducer.InvalidColoredFactor) as info:
             minimize(_c4_matching(), 1)
         assert str(info.value).startswith("X loc=(0) removed=[0-1] recolored=[] left the")
 
     def test_rewrite_must_remove_an_edge(self, monkeypatch):
-        self._only_rule(monkeypatch, remove=(), make_blue={(0, 1)})
+        self._only_rule(monkeypatch, {(0, 1): 1})
         with pytest.raises(reducer.ReducerError, match="did not remove an edge") as info:
             minimize(_c4_matching(), 1)
         assert type(info.value) is reducer.ReducerError
