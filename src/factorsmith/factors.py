@@ -1,8 +1,11 @@
 """Half-integral [1, k+1/2] edge weightings.
 
 An assignment gives each edge of G the weight 0, 1/2 or 1 so that every
-vertex's weighted degree lies in [1, k+1/2].  Weights are stored in integer
+vertex's weighted degree lies in [1, k+1/2].  Weights are counted in integer
 half-units 0/1/2, so the window is [2, 2k+1]; no floating point anywhere.
+An assignment is its support: it stores only the edges at 1 or 2 half-units,
+and every edge it leaves out carries 0, so building or copying one costs
+O(support), not O(||G||).
 `find_fractional_factor` searches for one and re-checks its answer with
 `verify_fractional`.
 
@@ -26,28 +29,34 @@ ORACLE_AFTER = 16
 
 
 class HalfIntegralAssignment:
-    """Edge weighting with values in {0, 1/2, 1}, stored as 0/1/2 half-units."""
+    """Edge weighting with values in {0, 1/2, 1}, stored as its support.
+
+    `units` maps each edge of weight 1/2 or 1, as `edge(u, v)`, to its
+    half-units 1 or 2; every other edge of the graph carries 0.  The
+    constructor accepts the int values 0, 1 and 2 on edges of the graph, each
+    edge given once in either orientation, and drops the zeros."""
 
     __slots__ = ("graph", "units")
 
     def __init__(self, graph: Graph, units: dict[tuple[int, int], int]):
-        edges = set(graph.edges)
+        n, adj = graph.n, graph.adj
         norm: dict[tuple[int, int], int] = {}
         for (u, v), h in units.items():
             e = edge(u, v)
-            if e not in edges:
+            a, b = e
+            if not (0 <= a and b < n and adj[a] >> b & 1):
                 raise ValueError(f"assignment references non-edge {e}")
-            if h not in (0, 1, 2):
-                raise ValueError(f"half-unit value must be 0, 1 or 2, got {h}")
-            norm[e] = h
-        missing = edges - norm.keys()
-        if missing:
-            raise ValueError(f"assignment missing edges, e.g. {sorted(missing)[0]}")
+            if u > v and e in units:
+                raise ValueError(f"assignment gives edge {e} twice")
+            if type(h) is not int or not 0 <= h <= 2:
+                raise ValueError(f"half-unit value must be the int 0, 1 or 2, got {h!r}")
+            if h:
+                norm[e] = h
         self.graph = graph
         self.units = norm
 
     def support_edges(self) -> list[tuple[int, int]]:
-        return sorted(e for e, h in self.units.items() if h > 0)
+        return sorted(self.units)
 
 
 def find_fractional_factor(g: Graph, k: int) -> HalfIntegralAssignment | None:
@@ -136,7 +145,7 @@ def find_fractional_factor(g: Graph, k: int) -> HalfIntegralAssignment | None:
         i = safe
     if i < 0:
         return None
-    assignment = HalfIntegralAssignment(g, dict(zip(edges, h)))
+    assignment = HalfIntegralAssignment(g, {e: x for e, x in zip(edges, h) if x})
     if not verify_fractional(g, k, assignment):
         raise AssertionError("constructed assignment failed its own verification")
     return assignment

@@ -2,8 +2,10 @@
 
 The engine edits a `HalfIntegralAssignment` in place: 2 half-units (weight 1)
 on an edge is called red and 1 half-unit (weight 1/2) blue, names that appear
-only in trace text.  Each rewrite writes new half-units on support edges
-only, sets at least one of them to 0, and keeps every vertex in the
+only in trace text.  The assignment stores its support only, and so does
+every state the engine reaches.  Each rewrite writes new half-units on
+support edges only, removes at least one support edge by setting it to 0
+(which deletes it from the assignment), and keeps every vertex in the
 [1, k+1/2] window, which `verify_fractional` re-checks after each step; so
 the loop runs at most ||G|| steps.  At the fixpoint every component of the
 support classifies into the target family; a component that does not is an
@@ -30,6 +32,7 @@ branch-edge deletion rule precedes it in the table.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -120,10 +123,9 @@ class _State:
         n = h.graph.n
         self.n = n
         self.adj: list[list[int]] = [[] for _ in range(n)]
-        for (u, v), x in h.units.items():
-            if x:
-                self.adj[u].append(v)
-                self.adj[v].append(u)
+        for u, v in h.units:
+            self.adj[u].append(v)
+            self.adj[v].append(u)
         for lst in self.adj:
             lst.sort()
         self.deg = [len(a) for a in self.adj]
@@ -294,8 +296,6 @@ def _tree_cycle(u: int, v: int, parent: dict, depth: dict) -> list[int]:
 def _ear_from(a: int, on_cycle: set[int], cyc_edges: set, nbr: dict) -> list[int] | None:
     """Shortest path from a back to the cycle avoiding cycle edges and not
     passing through cycle vertices; None if this start vertex has no ear."""
-    from collections import deque
-
     prev = {a: None}
     q = deque([a])
     while q:
@@ -331,11 +331,12 @@ class _Rewrite:
 
 
 def _apply(units: dict[tuple[int, int], int], rw: _Rewrite) -> RuleStep:
-    """Write the rewrite's half-units.  The step lists the edges set to 0,
-    then those newly at 2 (red) and newly at 1 (blue), each sorted."""
+    """Write the rewrite's half-units, deleting each edge set to 0.  The step
+    lists the edges set to 0, then those newly at 2 (red) and newly at 1
+    (blue), each sorted."""
     touched = sorted(rw.units)
     for e in touched:
-        if not units.get(e):
+        if e not in units:
             raise InvalidColoredFactor(f"rule {rw.rule} at {rw.location} touches {e}, outside the support")
     removed = tuple(e for e in touched if rw.units[e] == 0)
     recolored = tuple(
@@ -344,7 +345,11 @@ def _apply(units: dict[tuple[int, int], int], rw: _Rewrite) -> RuleStep:
         for e in touched
         if rw.units[e] == value != units[e]
     )
-    units.update(rw.units)
+    for e in touched:
+        if rw.units[e]:
+            units[e] = rw.units[e]
+        else:
+            del units[e]
     return RuleStep(rw.rule, rw.location, removed, recolored)
 
 
@@ -523,9 +528,9 @@ def _find_rewrite(st: _State) -> _Rewrite | None:
 
 def minimize(h: HalfIntegralAssignment, k: int) -> tuple[HalfIntegralAssignment, RuleTrace]:
     """Rewrite h in place to a fixpoint and return it.  Each step removes at
-    least one edge, so at most ||G|| steps run; every state is checked with
-    `verify_fractional` and a violation aborts loudly (it would mean a rule
-    fired outside its guard)."""
+    least one support edge, so at most ||G|| steps run; every state is
+    checked with `verify_fractional` and a violation aborts loudly (it would
+    mean a rule fired outside its guard)."""
     g = h.graph
     if not verify_fractional(g, k, h):
         raise InvalidColoredFactor(f"starting assignment is outside the [1, {2 * k + 1}/2] window")

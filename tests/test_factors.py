@@ -203,9 +203,27 @@ class TestVerifyFractional:
         with pytest.raises(ValueError):
             HalfIntegralAssignment(P3, {(0, 1): 1, (1, 2): 1, (0, 2): 1})
 
-    def test_missing_edge_rejected(self):
-        with pytest.raises(ValueError):
-            HalfIntegralAssignment(P3, {(0, 1): 1})
+    def test_omitted_edge_carries_zero(self):
+        """An assignment is its support: an edge left out carries 0, and a
+        zero entry is dropped."""
+        h = HalfIntegralAssignment(P3, {(0, 1): 2})
+        assert h.units == {(0, 1): 2} and h.support_edges() == [(0, 1)]
+        assert not verify_fractional(P3, 1, h)  # vertex 2 is left at 0
+        h = HalfIntegralAssignment(P3, {(1, 0): 2, (1, 2): 0})
+        assert h.units == {(0, 1): 2}
+        assert HalfIntegralAssignment(P3, {}).units == {}
+
+    def test_edge_given_twice_rejected(self):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) twice"):
+            HalfIntegralAssignment(K2, {(0, 1): 2, (1, 0): 1})
+        with pytest.raises(ValueError, match="twice"):
+            HalfIntegralAssignment(K2, {(1, 0): 0, (0, 1): 0})
+
+    @pytest.mark.parametrize("value", [True, False, 2.0, 1.0, 3, -1, "2", None])
+    def test_value_must_be_int_0_to_2(self, value):
+        """No bool and no float: half-units are the ints 0, 1 and 2."""
+        with pytest.raises(ValueError, match="half-unit value"):
+            HalfIntegralAssignment(K2, {(0, 1): value})
 
     def test_condition_necessity_sum(self):
         # for a verified assignment, iso(G-S) <= sum of h-degrees over S

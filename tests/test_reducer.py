@@ -124,7 +124,27 @@ class TestMinimize:
         f, trace = minimize(HalfIntegralAssignment(g, dict.fromkeys(g.edges, 1)), 1)
         assert sys.getrecursionlimit() == limit
         assert [s.rule for s in trace.steps] == ["R1"]
-        assert sorted(f.units.values()) == [0] * (n // 2) + [2] * (n // 2)
+        assert sorted(f.units.values()) == [2] * (n // 2)
+
+    def test_every_state_is_its_support(self):
+        """Over every labelled graph with n <= 5 at k = 1, 2, 3, the search's
+        assignment, the copy `minimize` edits and its fixpoint store only
+        edges of the graph at 1 or 2 half-units, and their support edges are
+        their sorted keys."""
+        for n in range(1, 6):
+            for g in enumerate_exhaustive(n):
+                edges = set(g.edges)
+                for k in (1, 2, 3):
+                    h = find_fractional_factor(g, k)
+                    if h is None:
+                        continue
+                    copy = from_assignment(g, k, h)
+                    assert copy.units == h.units and copy.units is not h.units
+                    f, _trace = minimize(copy, k)
+                    for a in (h, f):
+                        assert 0 not in a.units.values()
+                        assert a.units.keys() <= edges
+                        assert a.support_edges() == sorted(a.units)
 
     def test_cycles_fire_in_order_cycle_order(self):
         """Cycles are taken by the vertex lists `_order_cycle` writes, not by
