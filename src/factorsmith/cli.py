@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 = condition holds / factor found / run
 clean, 1 = violated / no factor / disagreement / engine error, 2 = usage or
-parse error.
+parse error.  A closed standard output (a reader such as `head` that stops
+early) ends a command quietly with 1.
 Every command reads graphs through `read_graphs`, which detects the format
 from the first line that is not blank or a "#" comment.
 """
@@ -50,10 +51,10 @@ EXIT_ERROR = 2
 
 
 def _starts_edge_list(line: str) -> bool:
-    """An "n <count>" header or a leading integer.  Neither can start a
-    graph6 line, whose bytes are 63-126: no space, digit or sign."""
+    """A header "n" with more tokens, or a leading integer.  Neither can
+    start a graph6 line, whose bytes are 63-126: no space, digit or sign."""
     tok = line.split()
-    if tok[0] == "n" and len(tok) == 2:
+    if tok[0] == "n" and len(tok) >= 2:
         return True
     try:
         int(tok[0])
@@ -336,6 +337,8 @@ def cmd_gen(args) -> int:
         # The generators are lazy, so a bad range surfaces while encoding.
         for g in graphs:
             print(encode_graph6(g))
+    except BrokenPipeError:
+        raise
     except (ValueError, OSError) as exc:
         return _error(exc)
     return EXIT_OK
@@ -422,7 +425,15 @@ def main(argv: list[str] | None = None) -> int:
             args.graphs = list(_graphs_in(args.input))
         except (ValueError, OSError) as exc:
             return _error(exc)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output.  Point fd 1 at devnull, so the
+        # flush at interpreter exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return EXIT_NEGATIVE
+    return code
 
 
 if __name__ == "__main__":

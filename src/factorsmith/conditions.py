@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from factorsmith.graphs import Graph, _mask_to_list
+from factorsmith.graphs import Graph
 
 TOUGHNESS_MAX_N = 20
 
@@ -65,7 +65,7 @@ def iso_after_removal(g: Graph, removed) -> frozenset[int]:
 def _counters(g: Graph) -> tuple[list[list[int]], list[int], list[bool], int]:
     """Neighbour lists, need[v] = deg(v) and in_s for S = empty set, and
     iso(G), the starting state of a walk."""
-    nbrs = [_mask_to_list(m) for m in g.adj]
+    nbrs = [g.neighbors(v) for v in range(g.n)]
     need = [len(ns) for ns in nbrs]
     return nbrs, need, [False] * g.n, need.count(0)
 

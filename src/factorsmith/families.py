@@ -6,8 +6,9 @@ k alone fixes the target family, so the classifier takes k itself:
 for k >= 2.  The tag of a T(2k+1) member stays `cubic_expansion` at k = 1
 and `tree_expansion` at k >= 2.
 
-`is_tree_expansion(t, k)` recognizes T(2k+1) at every k >= 1 with degree
-and adjacency tests alone (isomorphism invariant, no search).
+`is_tree_expansion(t, k)` recognizes T(2k+1) at every k >= 1 with a tree
+test, then degree and adjacency tests alone (isomorphism invariant, no
+search).
 `expand_base_tree(base, k)` builds the members the way the paper does, at
 every k >= 1: take a tree whose non-leaf core has odd degrees <= 2k+1 and
 whose core vertices each satisfy 2*(attached leaves) + core-degree <= 2k+1,
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from factorsmith.graphs import Graph, is_path_graph, is_tree
+from factorsmith.graphs import Graph, is_tree
 
 
 @dataclass(frozen=True)
@@ -132,17 +133,21 @@ def expand_base_tree(base: Graph, k: int) -> Graph:
 
 
 def is_tree_expansion(t: Graph, k: int) -> bool:
-    """Recognize the trees T(2k+1), for any k >= 1.  The core is every vertex
-    of degree >= 3 or next to a leaf.  A member is a tree with >= 2 core
-    vertices, at least one of degree >= 3, where no two core vertices are
-    adjacent, every other non-leaf vertex has degree 2 and two core
-    neighbours, and each core vertex b has leaves(b) + deg(b) = 2k+1.  At
-    k = 1 a core vertex next to a leaf has degree 2, which is why the core is
-    not simply the vertices of degree >= 3."""
+    """Recognize the trees T(2k+1), for any k >= 1: `t` is a tree of the
+    shape `_expansion_shape` tests."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not is_tree(t):
-        return False
+    return is_tree(t) and _expansion_shape(t, k)
+
+
+def _expansion_shape(t: Graph, k: int) -> bool:
+    """The shape of T(2k+1) in a tree t.  The core is every vertex of degree
+    >= 3 or next to a leaf.  A member has >= 2 core vertices, at least one of
+    degree >= 3, where no two core vertices are adjacent, every other
+    non-leaf vertex has degree 2 and two core neighbours, and each core
+    vertex b has leaves(b) + deg(b) = 2k+1.  At k = 1 a core vertex next to
+    a leaf has degree 2, which is why the core is not simply the vertices of
+    degree >= 3."""
     adj = t.adj
     deg = [m.bit_count() for m in adj]
     if max(deg) < 3:
@@ -166,22 +171,20 @@ def is_tree_expansion(t: Graph, k: int) -> bool:
 def classify_component(t: Graph, k: int) -> ComponentClass:
     """Structural class of a connected graph within the family k fixes:
     {P2, C3, P5} and T(3) for k = 1, stars up to K_{1,k} and T(2k+1) for
-    k >= 2.  No isomorphism search, only degree and path tests."""
+    k >= 2.  Every class but C3 is a tree, so one tree test comes first;
+    the rest are degree and adjacency tests, with no isomorphism search."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if t.n == 0:
-        return OTHER
+    if not is_tree(t):
+        return C3 if k == 1 and t.n == 3 and t.num_edges == 3 else OTHER
+    max_deg = max(t.degree(v) for v in range(t.n))
     if k == 1:
-        if t.n == 2 and t.num_edges == 1:
+        if t.n == 2:
             return P2
-        if t.n == 3 and t.num_edges == 3:
-            return C3
-        if t.n == 5 and is_path_graph(t):
+        if t.n == 5 and max_deg <= 2:
             return P5
-    elif is_tree(t) and t.n >= 2:
-        j = t.n - 1
-        if max(t.degree(v) for v in range(t.n)) == j:
-            return star(j) if j <= k else OTHER
-    if is_tree_expansion(t, k):
+    elif max_deg == t.n - 1 >= 1:
+        return star(max_deg) if max_deg <= k else OTHER
+    if _expansion_shape(t, k):
         return cubic_expansion() if k == 1 else tree_expansion(k)
     return OTHER

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from math import isqrt
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class GraphFormatError(ValueError):
@@ -60,18 +60,9 @@ class Graph:
     def degree(self, v: int) -> int:
         return self._adj[v].bit_count()
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        mask = self._adj[v]
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._adj[u] >> v & 1)
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted((m.bit_count() for m in self._adj), reverse=True))
+    def neighbors(self, v: int) -> list[int]:
+        """v's neighbours in ascending order."""
+        return _mask_to_list(self._adj[v])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
@@ -281,8 +272,8 @@ def _mask_to_list(mask: int) -> list[int]:
 def degree2_chains(nbrs: list[list[int]]) -> list[tuple[int, list[int], int]]:
     """Maximal chains (a, interior, b) between two vertices of degree other
     than 2, through interior vertices of degree 2, from ascending neighbour
-    lists.  Each chain is listed once, from the end found first in index
-    order; bare edges between two such vertices come with an empty interior.
+    lists.  Each chain is listed once, from its end found first in index
+    order, so a < b unless a == b; bare edges come with an empty interior.
     Every degree-2 vertex outside a cycle component is interior to exactly
     one chain, and a leaf-to-leaf chain is a whole path component."""
     seen: set[tuple[int, int, tuple[int, ...]]] = set()
@@ -308,9 +299,3 @@ def is_tree(g: Graph) -> bool:
     if g.n == 0:
         return False
     return g.num_edges == g.n - 1 and len(connected_components(g.n, g.adj)) == 1
-
-
-def is_path_graph(g: Graph) -> bool:
-    if not is_tree(g):
-        return False
-    return all(g.degree(v) <= 2 for v in range(g.n))

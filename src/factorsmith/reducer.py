@@ -131,13 +131,15 @@ class _State:
         self.deg = [len(a) for a in self.adj]
 
     @cached_property
-    def blocks(self) -> list[tuple[set[int], list[tuple[int, int]]]]:
-        """Biconnected blocks as (vertices, edges), by an iterative DFS."""
+    def blocks(self) -> list[dict[int, list[int]]]:
+        """Biconnected blocks other than bridges, by an iterative DFS, each as
+        its own adjacency {vertex: ascending block neighbours}: an edge whose
+        ends lie in one block lies in that block."""
         n, adj = self.n, self.adj
         disc = [-1] * n
         low = [0] * n
         edges: list[tuple[int, int]] = []
-        out: list[tuple[set[int], list[tuple[int, int]]]] = []
+        out: list[dict[int, list[int]]] = []
         timer = 0
         for s in range(n):
             if disc[s] != -1 or not adj[s]:
@@ -167,31 +169,28 @@ class _State:
                     if low[u] < low[parent]:
                         low[parent] = low[u]
                     if low[u] >= disc[parent]:
-                        comp: list[tuple[int, int]] = []
+                        verts: set[int] = set()
                         while True:
                             e = edges.pop()
-                            comp.append(e)
+                            verts.update(e)
                             if e == (parent, u):
                                 break
-                        out.append(({x for ed in comp for x in ed}, comp))
+                        if len(verts) > 2:
+                            out.append({v: [w for w in adj[v] if w in verts] for v in verts})
         return out
 
     @cached_property
     def cycles(self) -> list[list[int]]:
         """Blocks that are single cycles, as ordered vertex lists starting at
         the smallest vertex, moving toward its smaller cycle neighbour."""
-        return sorted(
-            _order_cycle(verts, comp_edges)
-            for verts, comp_edges in self.blocks
-            if len(comp_edges) == len(verts) >= 3
-        )
+        return sorted(_order_cycle(nbr) for nbr in self.blocks if max(map(len, nbr.values())) == 2)
 
     def find_even_cycle(self) -> list[int] | None:
         """The smallest of one even cycle per block, or None.  Blocks that are
         single even cycles qualify directly; a block with extra edges always
         contains an even cycle (an ear over any odd cycle closes one)."""
         found = [cyc for cyc in self.cycles if len(cyc) % 2 == 0]
-        found += (_even_cycle_in_block(vs, es) for vs, es in self.blocks if len(es) > len(vs))
+        found += (_even_cycle_in_block(nbr) for nbr in self.blocks if max(map(len, nbr.values())) > 2)
         return min(found, default=None)
 
     @cached_property
@@ -200,37 +199,27 @@ class _State:
         return sorted(degree2_chains(self.adj), key=lambda ch: sorted((ch[0], ch[2], *ch[1])))
 
 
-def _order_cycle(verts: set[int], comp_edges: list[tuple[int, int]]) -> list[int]:
-    nbr: dict[int, list[int]] = {v: [] for v in verts}
-    for u, v in comp_edges:
-        nbr[u].append(v)
-        nbr[v].append(u)
-    start = min(verts)
-    cur = min(nbr[start])
+def _order_cycle(nbr: dict[int, list[int]]) -> list[int]:
+    """The single-cycle block with adjacency `nbr` as a vertex list, from its
+    smallest vertex toward that vertex's smaller neighbour."""
+    start = min(nbr)
+    cur = nbr[start][0]
     order = [start, cur]
     prev = start
-    while len(order) < len(verts):
+    while len(order) < len(nbr):
         nxt = next(w for w in nbr[cur] if w != prev)
         order.append(nxt)
         prev, cur = cur, nxt
     return order
 
 
-def _even_cycle_in_block(verts: set[int], comp_edges: list[tuple[int, int]]) -> list[int]:
-    """Even cycle inside a 2-connected block with more edges than vertices."""
-    nbr: dict[int, list[int]] = {v: [] for v in verts}
-    eset = set()
-    for u, v in comp_edges:
-        nbr[u].append(v)
-        nbr[v].append(u)
-        eset.add(edge(u, v))
-    for v in nbr:
-        nbr[v].sort()
+def _even_cycle_in_block(nbr: dict[int, list[int]]) -> list[int]:
+    """Even cycle inside the 2-connected block with adjacency `nbr`, which
+    has more edges than vertices."""
     # fundamental cycles from a DFS tree; return the first even one
-    root = min(verts)
+    root = min(nbr)
     parent = {root: None}
     depth = {root: 0}
-    order = [root]
     stack = [root]
     while stack:
         v = stack.pop()
@@ -238,11 +227,12 @@ def _even_cycle_in_block(verts: set[int], comp_edges: list[tuple[int, int]]) -> 
             if w not in parent:
                 parent[w] = v
                 depth[w] = depth[v] + 1
-                order.append(w)
                 stack.append(w)
-    tree_edges = {edge(v, p) for v, p in parent.items() if p is not None}
     fallback: list[int] | None = None
-    for u, v in sorted(eset - tree_edges):
+    # the non-tree edges (u, v), u < v, in sorted order
+    for u, v in ((u, v) for u in sorted(nbr) for v in nbr[u] if u < v):
+        if parent[v] == u or parent[u] == v:
+            continue
         cyc = _tree_cycle(u, v, parent, depth)
         if len(cyc) % 2 == 0:
             return cyc
@@ -307,13 +297,11 @@ def _ear_from(a: int, on_cycle: set[int], cyc_edges: set, nbr: dict) -> list[int
                 continue
             prev[w] = v
             if w in on_cycle:
-                if w != a:
-                    path = [w]
-                    while path[-1] is not None:
-                        path.append(prev[path[-1]])
-                    path.pop()
-                    return list(reversed(path))
-                continue
+                path = [w]
+                while path[-1] is not None:
+                    path.append(prev[path[-1]])
+                path.pop()
+                return list(reversed(path))
             q.append(w)
     return None
 
@@ -438,12 +426,11 @@ def _odd_cycle_cover(st: _State, rule: str) -> _Rewrite | None:
 def _branch_chain(st: _State, rule: str) -> _Rewrite | None:
     """Branch..branch chain with >= 2 interior vertices -> drop its last edge,
     write the rest as 1, ..., 1, 2 half-units.  At k = 1 every branch vertex
-    has degree exactly 3."""
+    has degree exactly 3.  `degree2_chains` lists a chain from its smaller end,
+    so the edge cut is the one at the larger end."""
     for a, interior, b in st.chains:
         if st.deg[a] >= 3 and st.deg[b] >= 3 and len(interior) >= 2 and a != b:
-            x, y = (a, b) if a < b else (b, a)
-            path = [x] + (interior if a < b else list(reversed(interior))) + [y]
-            return _cut_chain_end(rule, path, 0)
+            return _cut_chain_end(rule, [a, *interior, b], 0)
     return None
 
 

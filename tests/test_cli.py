@@ -14,6 +14,7 @@ import pytest
 from factorsmith import cli
 from factorsmith.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
 from factorsmith.conditions import ConditionWitness
+from factorsmith.corpus import enumerate_exhaustive
 from factorsmith.factors import HalfIntegralAssignment
 from factorsmith.families import classify_component, is_expansion_base
 from factorsmith.graphs import Graph, encode_graph6, is_tree, parse_graph6
@@ -128,6 +129,9 @@ def test_parse_error_exits_two(tmp_path, capsys):
     code, out, err = run(tmp_path, capsys, ">>graph6<<", "check", "--c", "3/2")
     assert code == EXIT_ERROR
     assert out == "" and err.startswith("error:")
+    for c in ("1.5", "3"):
+        code, out, err = run(tmp_path, capsys, "Bw", "check", f"--c={c}")
+        assert (code, out, err) == (EXIT_ERROR, "", f"error: ratio must be written as p/q, got '{c}'\n")
 
 
 def test_check_exit_codes(tmp_path, capsys):
@@ -198,6 +202,12 @@ def test_toughness_refuses_before_answering(tmp_path, capsys):
     assert out == "" and err == f"error: {p21}: isolated toughness supports n <= 20, got n = 21\n"
 
 
+# The command line as a child process, with this checkout's package first.
+CLI = [sys.executable, "-m", "factorsmith.cli"]
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+CLI_ENV = {**os.environ, "PYTHONPATH": _SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+
 def _cap_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -216,20 +226,57 @@ def test_huge_edge_list_header_exits_two(n, args):
     """An 'n' header far past memory is refused with exit 2, not a traceback.
     Runs in a child capped at 1 GB of address space, so the allocation that
     fails there is never tried in the test process."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run(
-        [sys.executable, "-m", "factorsmith.cli", *args],
+        [*CLI, *args],
         input=f"n {n}\n0 1\n",
         capture_output=True,
         text=True,
-        env=env,
+        env=CLI_ENV,
         preexec_fn=_cap_address_space,
         timeout=60,
     )
     assert proc.returncode == EXIT_ERROR, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"error: graph too large: n={n}")
+
+
+@pytest.mark.parametrize(
+    "args", [["gen", "--exhaustive", "6"], ["convert", "--to", "g6"]], ids=["gen", "convert"]
+)
+def test_closed_stdout_exits_one_quietly(tmp_path, args):
+    """A reader that stops after one line (as `head -1` does) ends the
+    command with exit 1 and nothing on stderr.  The 32,768 lines, about
+    160 KB, overflow the pipe buffer, so the command is still writing."""
+    if args[0] == "convert":
+        path = tmp_path / "n6.g6"
+        path.write_text("".join(encode_graph6(g) + "\n" for g in enumerate_exhaustive(6)))
+        args = [*args, str(path)]
+    with subprocess.Popen([*CLI, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CLI_ENV) as proc:
+        assert proc.stdout.readline() == b"E???\n"
+        proc.stdout.close()
+        _out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (EXIT_NEGATIVE, b"")
+
+
+def test_standard_input_is_read():
+    """With no input argument, and with `--file -`, graph6 lines come from
+    standard input, through the module's `__main__` guard."""
+
+    def child(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [*CLI, *args], input="A_\nBw\nB?\n", capture_output=True, text=True, env=CLI_ENV, timeout=60
+        )
+
+    proc = child("verify", "--file", "-", "--k", "1,2")
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout == "3 graphs, 6 checks, 0 disagreements, 0 failures\n"
+    proc = child("check", "--c", "3/2")
+    assert (proc.returncode, proc.stderr) == (EXIT_NEGATIVE, "")
+    assert proc.stdout == (
+        "A_: holds (iso(G-S) <= 3/2 |S| for all S)\n"
+        "Bw: holds (iso(G-S) <= 3/2 |S| for all S)\n"
+        "B?: violated S={} isolates {0,1,2}\n"
+    )
 
 
 FAMILY_JSON = {1: {"kind": "F1", "k": 1}, 2: {"kind": "F2", "k": 2}}
@@ -428,6 +475,10 @@ def test_edge_list_errors_keep_their_line_numbers(tmp_path, capsys):
     code, out, err = run(tmp_path, capsys, "# a comment\n\n0 1\n2 x", "check", "--c", "3/2")
     assert code == EXIT_ERROR and out == ""
     assert err == "error: line 4: non-integer vertex id in '2 x'\n"
+    # "n" and more tokens is an edge-list header, never graph6, which has no spaces
+    code, out, err = run(tmp_path, capsys, "n 3 4\n0 1", "check", "--c", "3/2")
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: line 1: header must be 'n <count>'\n"
 
 
 def test_format_option_is_gone(tmp_path, capsys):

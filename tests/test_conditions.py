@@ -16,7 +16,7 @@ from factorsmith.conditions import (
     parse_ratio,
 )
 from factorsmith.corpus import enumerate_exhaustive, random_gnp, random_tree
-from factorsmith.graphs import Graph, _mask_to_list
+from factorsmith.graphs import Graph
 
 K13 = Graph(4, [(0, 1), (0, 2), (0, 3)])
 C5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
@@ -48,12 +48,9 @@ def reference_witness(g: Graph, c: Fraction) -> ConditionWitness | None:
             smask = 0
             for v in subset:
                 smask |= 1 << v
-            iso_mask = 0
-            for v in range(n):
-                if not smask >> v & 1 and adj[v] & ~smask == 0:
-                    iso_mask |= 1 << v
-            if iso_mask.bit_count() * den > num * size:
-                return ConditionWitness(frozenset(subset), frozenset(_mask_to_list(iso_mask)))
+            iso = [v for v in range(n) if not smask >> v & 1 and adj[v] & ~smask == 0]
+            if len(iso) * den > num * size:
+                return ConditionWitness(frozenset(subset), frozenset(iso))
     return None
 
 

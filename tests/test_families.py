@@ -18,7 +18,7 @@ from factorsmith.families import (
     tree_expansion,
 )
 from factorsmith.graphs import Graph
-from treeutil import half_degree_units, pendant_half_assignment, tree_canon
+from treeutil import degree_sequence, half_degree_units, pendant_half_assignment, tree_canon
 
 K13 = Graph(4, [(0, 1), (0, 2), (0, 3)])
 CUBIC6 = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
@@ -50,13 +50,13 @@ class TestCubicExpansion:
     def test_three_star_gives_ten_vertex_spider(self):
         t = expand_base_tree(with_pendants(K13), 1)
         assert t.n == 10
-        assert t.degree_sequence() == (3, 2, 2, 2, 2, 2, 2, 1, 1, 1)
+        assert degree_sequence(t) == (3, 2, 2, 2, 2, 2, 2, 1, 1, 1)
         assert is_tree_expansion(t, 1)
 
     def test_single_edge_base_gives_p5(self):
         # the single-edge cubic tree's base is P4; P5 is classified on its own
         t = expand_base_tree(path(4), 1)
-        assert t.degree_sequence() == path(5).degree_sequence()
+        assert degree_sequence(t) == degree_sequence(path(5))
         assert classify_component(t, 1) == P5
         assert not is_tree_expansion(t, 1)
 

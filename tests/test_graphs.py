@@ -12,12 +12,14 @@ from factorsmith.corpus import enumerate_exhaustive, random_gnp
 from factorsmith.graphs import (
     Graph,
     GraphFormatError,
+    degree2_chains,
     encode_graph6,
     format_edge_list,
     parse_edge_list,
     parse_graph6,
     to_dot,
 )
+from treeutil import degree_sequence
 
 
 def reference_encode_graph6(g: Graph) -> str:
@@ -25,7 +27,7 @@ def reference_encode_graph6(g: Graph) -> str:
     bits = ""
     for j in range(1, g.n):
         for i in range(j):
-            bits += "1" if g.has_edge(i, j) else "0"
+            bits += "1" if g.adj[i] >> j & 1 else "0"
     while len(bits) % 6:
         bits += "0"
     if g.n <= 62:
@@ -65,12 +67,15 @@ class TestGraph:
             Graph(2, [(0, 0)])
         with pytest.raises(ValueError):
             Graph(2, [(0, 2)])
+        with pytest.raises(ValueError) as exc:
+            Graph(-1)
+        assert str(exc.value) == "vertex count must be non-negative, got -1"
 
     def test_degrees_and_neighbors(self):
         star = Graph(4, [(0, 1), (0, 2), (0, 3)])
         assert star.degree(0) == 3
         assert list(star.neighbors(0)) == [1, 2, 3]
-        assert star.degree_sequence() == (3, 1, 1, 1)
+        assert degree_sequence(star) == (3, 1, 1, 1)
 
 
 class TestGraph6:
@@ -196,6 +201,21 @@ class TestEdgeList:
         with pytest.raises(GraphFormatError):
             parse_edge_list("n 2\n0 5")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1\nn 3", "line 2: header must be the first line"),
+            ("n x", "line 1: bad vertex count 'x'"),
+            ("n -1", "line 1: negative vertex count"),
+            ("-1 2", "line 1: negative vertex id"),
+        ],
+        ids=["late-header", "n-x", "n-negative", "negative-id"],
+    )
+    def test_malformed_rejected(self, text, message):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == message
+
     def test_round_trip(self):
         for n in range(1, 5):
             for g in enumerate_exhaustive(n):
@@ -212,6 +232,19 @@ class TestEdgeList:
         except GraphFormatError:
             return
         assert parse_edge_list(format_edge_list(g)) == g
+
+
+class TestDegree2Chains:
+    def test_two_ended_chain_starts_at_its_smaller_end(self):
+        """The branch-chain rewrite relies on this: every chain (a, interior,
+        b) with a != b has a < b, over every labelled graph with n <= 6."""
+        chains = 0
+        for n in range(1, 7):
+            for g in enumerate_exhaustive(n):
+                for a, _interior, b in degree2_chains([g.neighbors(v) for v in range(n)]):
+                    chains += 1
+                    assert a == b or a < b, (encode_graph6(g), a, b)
+        assert chains == 187623
 
 
 class TestDot:

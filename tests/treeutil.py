@@ -1,10 +1,15 @@
-"""Test helpers: AHU canonical forms of trees rooted at centroids, and the
-half-unit weightings the family tests check."""
+"""Test helpers: AHU canonical forms of trees rooted at centroids, degree
+sequences, and the half-unit weightings the family tests check."""
 
 from __future__ import annotations
 
 from factorsmith.factors import HalfIntegralAssignment
 from factorsmith.graphs import Graph
+
+
+def degree_sequence(g: Graph) -> tuple[int, ...]:
+    """Vertex degrees, largest first."""
+    return tuple(sorted((g.degree(v) for v in range(g.n)), reverse=True))
 
 
 def half_degree_units(h: HalfIntegralAssignment, v: int) -> int:
