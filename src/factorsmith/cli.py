@@ -210,11 +210,11 @@ def cmd_toughness(args) -> int:
 
 
 def _verify_one(payload) -> dict:
-    """Verify records for one graph.  Every answer is re-checked: the
-    witness is re-evaluated, the assignment and the certificate are
-    re-validated; a failed re-check or an engine error is the record's error."""
-    label, n, edges, ks = payload
-    g = Graph(n, edges)
+    """Verify records for one payload (label, Graph, ks), one record per k.
+    Every answer is re-checked: the witness is re-evaluated, the assignment
+    and the certificate are re-validated; a failed re-check or an engine
+    error is the record's error."""
+    label, g, ks = payload
     records = []
     for k in ks:
         t0 = time.perf_counter()
@@ -273,14 +273,17 @@ def _corpus_from_args(args) -> tuple[str, Iterator[Graph]]:
     parts = [part.strip() for part in spec.split(",")]
     if len(parts) != form.count(",") + 1:
         raise ValueError(f"{name.replace('_', '-')} spec is {form}, got {spec!r}")
+    if name == "expansion_base":
+        k, size, seed = map(int, parts)
+        return name, iter([corpus.random_expansion_base(k, size, seed)])
+    count = int(parts[-1])
+    if count < 0:
+        raise ValueError(f"{name} count must be >= 0, got {count}")
+    seeds = range(args.seed, args.seed + count)
     if name == "gnp":
-        n, p, count = int(parts[0]), parse_ratio(parts[1]), int(parts[2])
-        return name, (corpus.random_gnp(n, p, args.seed + i) for i in range(count))
-    if name == "trees":
-        n, count = map(int, parts)
-        return name, (corpus.random_tree(n, args.seed + i) for i in range(count))
-    k, size, seed = map(int, parts)
-    return name, iter([corpus.random_expansion_base(k, size, seed)])
+        n, p = int(parts[0]), parse_ratio(parts[1])
+        return name, (corpus.random_gnp(n, p, seed) for seed in seeds)
+    return name, (corpus.random_tree(int(parts[0]), seed) for seed in seeds)
 
 
 def cmd_verify(args) -> int:
@@ -291,13 +294,10 @@ def cmd_verify(args) -> int:
             raise ValueError("k values must be >= 1")
         if args.jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-        graphs = list(stream)
+        payloads = [(f"{kind}:{idx}", g, ks) for idx, g in enumerate(stream)]
     except (ValueError, OSError) as exc:
         return _error(exc)
     t0 = time.perf_counter()
-    payloads = [
-        (f"{kind}:{idx}", g.n, list(g.edges), ks) for idx, g in enumerate(graphs)
-    ]
     # The pool starts all its workers on the first submit, so never ask for
     # more than there are graphs or CPUs.
     jobs = min(args.jobs, len(payloads), os.cpu_count() or 1)
@@ -312,7 +312,7 @@ def cmd_verify(args) -> int:
     report = {
         "graphs": records,
         "summary": {
-            "graphs": len(graphs),
+            "graphs": len(payloads),
             "checked": len(records),
             "agreements": len(records) - disagreements,
             "disagreements": disagreements,
@@ -323,7 +323,7 @@ def cmd_verify(args) -> int:
     if args.emit == "json":
         print(json.dumps(report, indent=2))
     else:
-        print(f"{len(graphs)} graphs, {len(records)} checks, "
+        print(f"{len(payloads)} graphs, {len(records)} checks, "
               f"{disagreements} disagreements, {failures} failures")
         for r in records:
             if not r["agree"]:

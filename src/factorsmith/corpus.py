@@ -51,10 +51,6 @@ class SplitMix64:
             if x < limit:
                 return x % bound
 
-    def chance(self, p: Fraction) -> bool:
-        """True with probability exactly p."""
-        return self.next_u64() * p.denominator < p.numerator << 64
-
 
 def enumerate_exhaustive(n: int) -> Iterator[Graph]:
     """All 2^(n(n-1)/2) labeled graphs on n vertices, each exactly once."""
@@ -66,11 +62,14 @@ def enumerate_exhaustive(n: int) -> Iterator[Graph]:
 
 
 def random_gnp(n: int, p: Fraction, seed: int) -> Graph:
+    """G(n, p) with p exact: a pair is kept when its 64-bit draw x is below
+    the one integer limit ceil(p * 2^64), which is x < p * 2^64."""
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability must be in [0,1], got {p}")
     rng = SplitMix64(seed)
-    edges = [(u, v) for u, v in combinations(range(n), 2) if rng.chance(p)]
+    limit = -((-p.numerator << 64) // p.denominator)
+    edges = [(u, v) for u, v in combinations(range(n), 2) if rng.next_u64() < limit]
     return Graph(n, edges)
 
 
@@ -80,8 +79,6 @@ def random_tree(n: int, seed: int) -> Graph:
         raise ValueError("tree needs at least one vertex")
     if n == 1:
         return Graph(1)
-    if n == 2:
-        return Graph(2, [(0, 1)])
     rng = SplitMix64(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
@@ -242,5 +239,7 @@ def free_trees(n: int) -> Iterator[Graph]:
 
 
 def free_trees_upto(max_n: int) -> Iterator[Graph]:
+    if max_n < 0:
+        raise ValueError(f"need max_n >= 0, got {max_n}")
     for n in range(1, max_n + 1):
         yield from free_trees(n)

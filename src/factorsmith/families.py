@@ -77,24 +77,27 @@ def is_expansion_base(tree: Graph, k: int) -> bool:
     """Valid base for the construction at k >= 1: tree whose non-leaf core
     has at least two vertices, every core degree odd and <= 2k+1, and each
     core vertex v obeys 2*(leaves attached to v) + core-degree(v) <= 2k+1.
+    That leaf budget implies the core-degree bound, so only it is tested.
     At k = 1 that is a cubic tree with one pendant edge on each leaf."""
+    return _core_degrees(tree, k) is not None
+
+
+def _core_degrees(tree: Graph, k: int) -> dict[int, tuple[int, int]] | None:
+    """Core vertex -> (core-degree, attached leaves) of a base valid at k, or None."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not is_tree(tree):
-        return False
-    deg = [tree.degree(v) for v in range(tree.n)]
-    core = [v for v in range(tree.n) if deg[v] >= 2]
-    if len(core) < 2:
-        return False
-    core_set = set(core)
-    for v in core:
-        core_deg = sum(1 for w in tree.neighbors(v) if w in core_set)
-        leaf_count = deg[v] - core_deg
-        if core_deg % 2 == 0 or core_deg > 2 * k + 1:
-            return False
-        if 2 * leaf_count + core_deg > 2 * k + 1:
-            return False
-    return True
+        return None
+    core_mask = sum(1 << v for v, m in enumerate(tree.adj) if m.bit_count() >= 2)
+    core = {}
+    for v, m in enumerate(tree.adj):
+        if core_mask >> v & 1:
+            core_deg = (m & core_mask).bit_count()
+            leaves = m.bit_count() - core_deg
+            if core_deg % 2 == 0 or 2 * leaves + core_deg > 2 * k + 1:
+                return None
+            core[v] = core_deg, leaves
+    return core if len(core) >= 2 else None
 
 
 def expand_base_tree(base: Graph, k: int) -> Graph:
@@ -106,24 +109,19 @@ def expand_base_tree(base: Graph, k: int) -> Graph:
     At k = 1 the base P4 (a single core edge) expands to P5, which
     `classify_component` tags `P5`, not `cubic_expansion`.
     """
-    if not is_expansion_base(base, k):
+    core = _core_degrees(base, k)
+    if core is None:
         raise ValueError("base tree violates the expansion-base conditions")
-    deg = [base.degree(v) for v in range(base.n)]
-    core_set = {v for v in range(base.n) if deg[v] >= 2}
     edges: list[tuple[int, int]] = []
     nxt = base.n
     for u, v in base.edges:
-        if u in core_set and v in core_set:
-            edges.append((u, nxt))
-            edges.append((nxt, v))
+        if u in core and v in core:
+            edges += [(u, nxt), (nxt, v)]
             nxt += 1
         else:
             edges.append((u, v))
-    for v in sorted(core_set):
-        core_deg = sum(1 for w in base.neighbors(v) if w in core_set)
-        leaves = deg[v] - core_deg
-        r = (core_deg - 1) // 2
-        for _ in range(k - r - leaves):
+    for v, (core_deg, leaves) in core.items():
+        for _ in range(k - (core_deg - 1) // 2 - leaves):
             edges.append((v, nxt))
             nxt += 1
     return Graph(nxt, edges)

@@ -144,11 +144,22 @@ def test_usage_error_exits_two(tmp_path, capsys):
     assert run(tmp_path, capsys, "Fh_GG", "factor", "--k", "0")[0] == EXIT_ERROR
     capsys.readouterr()
     # The corpus generators are lazy: a bad range surfaces mid-stream and
-    # must still exit 2, not crash.  A spec with a stray field is refused.
-    for source in ("--exhaustive=8", "--paths-cycles=1", "--gnp=9,1/2,2,sede=11", "--trees=5,2,99"):
-        assert main(["gen", source]) == EXIT_ERROR
+    # must still exit 2, not crash.  A spec with a stray field is refused,
+    # and so is a negative count; a count of 0 is an empty corpus.
+    for argv in (
+        ["gen", "--exhaustive=8"],
+        ["gen", "--paths-cycles=1"],
+        ["gen", "--gnp=9,1/2,2,sede=11"],
+        ["gen", "--trees=5,2,99"],
+        ["verify", "--trees", "5,-1", "--k", "1"],
+        ["gen", "--gnp", "8,1/2,-3"],
+        ["gen", "--all-trees", "-2"],
+    ):
+        assert main(argv) == EXIT_ERROR
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:")
+    assert main(["gen", "--gnp", "8,1/2,0"]) == EXIT_OK
+    assert capsys.readouterr() == ("", "")
     assert main(["gen", "--expansion-base=2,8"]) == EXIT_ERROR
     out, err = capsys.readouterr()
     assert out == "" and err == "error: expansion-base spec is k,size,seed, got '2,8'\n"

@@ -64,6 +64,18 @@ class TestGnp:
         with pytest.raises(ValueError):
             random_gnp(5, Fraction(3, 2), 0)
 
+    @pytest.mark.parametrize("p", ["0", "1/3", "1/2", "2/7", "12/3000", "5/7", "1"])
+    def test_keep_boundary(self, monkeypatch, p):
+        """A pair is kept exactly when its draw x has x * den < num * 2^64,
+        also at the two draws around ceil(p * 2^64), where a floor limit
+        would keep one draw too few."""
+        p = Fraction(p)
+        limit = -((-p.numerator << 64) // p.denominator)  # ceil(p * 2^64)
+        for x in (limit - 1, limit):
+            monkeypatch.setattr(SplitMix64, "next_u64", lambda self, x=x: x)
+            keep = x * p.denominator < p.numerator << 64
+            assert random_gnp(2, p, 0).num_edges == keep
+
 
 class TestSplitMix:
     def test_reference_values(self):

@@ -169,6 +169,26 @@ class TestFractional:
                     has = find_fractional_factor(g, k) is not None
                     assert has == brute_completable(g, [], 0, k)
 
+    def test_pendant_edges_carry_one_exhaustive(self):
+        """A leaf reaches weight 1 only through its one edge, so every
+        assignment puts 2 half-units on each pendant edge, and no factor
+        exists once a vertex has more than k leaf neighbours."""
+        found = overloaded = 0
+        for n in range(1, 7):
+            for g in enumerate_exhaustive(n):
+                leaves = [v for v in range(n) if g.degree(v) == 1]
+                pendant = [e for e in g.edges if e[0] in leaves or e[1] in leaves]
+                most = max(sum(1 for w in g.neighbors(v) if w in leaves) for v in range(n))
+                for k in (1, 2, 3):
+                    h = find_fractional_factor(g, k)
+                    if most > k:
+                        assert h is None
+                        overloaded += 1
+                    if h is not None:
+                        assert all(h.units.get(e) == 2 for e in pendant)
+                        found += 1
+        assert (found, overloaded) == (81_775, 3_456)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=3000))
     def test_brute_agreement_random(self, n, seed):

@@ -1,5 +1,6 @@
 """Graph primitives, graph6 round trips, edge lists, DOT."""
 
+import pickle
 import time
 import tracemalloc
 from fractions import Fraction
@@ -76,6 +77,12 @@ class TestGraph:
         assert star.degree(0) == 3
         assert list(star.neighbors(0)) == [1, 2, 3]
         assert degree_sequence(star) == (3, 1, 1, 1)
+
+    @pytest.mark.parametrize("g", [Graph(0), parse_graph6("Fh_GG"), random_gnp(100, Fraction(1, 2), 100)])
+    def test_pickle_round_trip(self, g):
+        """`verify --jobs` hands each worker its Graph through pickle."""
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and copy.edges == g.edges
 
 
 class TestGraph6:
