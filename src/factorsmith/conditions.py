@@ -15,9 +15,12 @@ minimum size.
 The walk keeps need[v], the number of v's neighbours not in S, and the
 number of vertices outside S with need 0.  Putting a vertex into S or
 taking it out touches only its neighbours, so a step costs O(deg) instead
-of a rescan of all n vertices.  isolated_toughness walks every subset once
-in pre-order with the same counters.  All comparisons are integer
+of a rescan of all n vertices.  All comparisons are integer
 cross-multiplications, exact like rationals.
+
+isolated_toughness walks independent sets instead: I = iso(G-S) is
+independent with N(I) inside S, and removing N(I) isolates all of I, so
+min |S|/iso(G-S) over iso(G-S) >= 2 is min |N(I)|/|I| over |I| >= 2.
 """
 
 from __future__ import annotations
@@ -62,14 +65,6 @@ def iso_after_removal(g: Graph, removed) -> frozenset[int]:
     return frozenset(v for v in range(g.n) if not smask >> v & 1 and g.adj[v] & ~smask == 0)
 
 
-def _counters(g: Graph) -> tuple[list[list[int]], list[int], list[bool], int]:
-    """Neighbour lists, need[v] = deg(v) and in_s for S = empty set, and
-    iso(G), the starting state of a walk."""
-    nbrs = [g.neighbors(v) for v in range(g.n)]
-    need = [len(ns) for ns in nbrs]
-    return nbrs, need, [False] * g.n, need.count(0)
-
-
 def check_iso_condition(g: Graph, c: Fraction) -> ConditionWitness | None:
     """None iff iso(G-S) <= c*|S| for all S (including S = empty set);
     otherwise the lexicographically smallest violating S of minimum size.
@@ -83,10 +78,11 @@ def check_iso_condition(g: Graph, c: Fraction) -> ConditionWitness | None:
     if c <= 0:
         raise ValueError(f"condition ratio must be positive, got {c}")
     n = g.n
-    if n == 0:
-        return None
     p, q = c.numerator, c.denominator
-    nbrs, need, in_s, iso = _counters(g)
+    nbrs = [g.neighbors(v) for v in range(n)]
+    need = [len(ns) for ns in nbrs]
+    in_s = [False] * n
+    iso = need.count(0)
     # the largest s with s*(1+c) < n, i.e. s*(p+q) < n*q
     for size in range((n * q - 1) // (p + q) + 1):
         stack: list[int] = []
@@ -122,41 +118,27 @@ def check_iso_condition(g: Graph, c: Fraction) -> ConditionWitness | None:
 
 
 def isolated_toughness(g: Graph) -> Fraction | None:
-    """min |S| / iso(G-S) over all S with iso(G-S) >= 2; None means infinite
-    (no removal set isolates two vertices, e.g. complete graphs).  Visits
-    all 2^n sets, so n is capped at TOUGHNESS_MAX_N.
-
-    One pre-order walk of the subset tree (children append a vertex greater
-    than the top of the stack) with the counters of check_iso_condition;
-    |S|/iso is compared by cross-multiplying against the best pair so far."""
+    """min |S|/iso(G-S) over S with iso(G-S) >= 2, as min |N(I)|/|I| over
+    independent I with |I| >= 2 (module docstring); None means infinite,
+    as for complete graphs.  A star has 2^(n-1) independent sets, so n is
+    capped at TOUGHNESS_MAX_N.  Each stack entry (candidates, N(I) as a
+    mask, |I|) has one child per candidate v outside N(I), whose candidates
+    lie above v.  Ratios are cross-multiplied, and 0 ends the walk."""
     n = g.n
     if n > TOUGHNESS_MAX_N:
         raise ValueError(f"isolated toughness supports n <= {TOUGHNESS_MAX_N}, got n = {n}")
-    nbrs, need, in_s, iso = _counters(g)
-    best_size, best_iso = 0, 0  # best_iso == 0: no S with iso >= 2 yet
-    stack: list[int] = []
-    v = 0
-    while True:
-        if iso >= 2 and (best_iso == 0 or len(stack) * best_iso < iso * best_size):
-            best_size, best_iso = len(stack), iso
-        while v == n:
-            if not stack:
-                return Fraction(best_size, best_iso) if best_iso else None
-            u = stack.pop()
-            for w in nbrs[u]:
-                if need[w] == 0 and not in_s[w]:
-                    iso -= 1
-                need[w] += 1
-            in_s[u] = False
-            if need[u] == 0:
-                iso += 1
-            v = u + 1
-        if need[v] == 0:
-            iso -= 1
-        in_s[v] = True
-        for w in nbrs[v]:
-            need[w] -= 1
-            if need[w] == 0 and not in_s[w]:
-                iso += 1
-        stack.append(v)
-        v += 1
+    adj = g.adj
+    best_size, best_iso = 1, 0  # 1/0: no I with |I| >= 2 yet
+    stack = [((1 << n) - 1, 0, 0)]
+    while stack:
+        cand, nmask, size = stack.pop()
+        if size >= 2 and nmask.bit_count() * best_iso < size * best_size:
+            best_size, best_iso = nmask.bit_count(), size
+            if best_size == 0:
+                break
+        cand &= ~nmask
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            stack.append((cand, nmask | adj[low.bit_length() - 1], size + 1))
+    return Fraction(best_size, best_iso) if best_iso else None

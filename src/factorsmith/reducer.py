@@ -66,16 +66,21 @@ class FixpointUnclassified(ReducerError):
 
 @dataclass(frozen=True)
 class RuleStep:
+    """One rewrite: new half-units for each support edge it touches, 0
+    removing the edge.  A rule returns every edge it writes; the trace keeps
+    the edges whose value changed."""
+
     rule: str
     location: tuple[int, ...]
-    removed: tuple[tuple[int, int], ...]
-    recolored: tuple[tuple[tuple[int, int], str], ...]
+    units: dict[tuple[int, int], int]
 
     def to_line(self) -> str:
-        rem = ",".join(f"{u}-{v}" for u, v in self.removed)
-        rec = ",".join(f"{u}-{v}:{c}" for (u, v), c in self.recolored)
+        """Edges set to 0, then to 2 (red), then to 1 (blue), each sorted."""
+        rem, red, blue = (sorted(e for e, x in self.units.items() if x == value) for value in (0, 2, 1))
+        removed = ",".join(f"{u}-{v}" for u, v in rem)
+        recolored = ",".join([f"{u}-{v}:red" for u, v in red] + [f"{u}-{v}:blue" for u, v in blue])
         loc = ",".join(map(str, self.location))
-        return f"{self.rule} loc=({loc}) removed=[{rem}] recolored=[{rec}]"
+        return f"{self.rule} loc=({loc}) removed=[{removed}] recolored=[{recolored}]"
 
 
 @dataclass
@@ -309,62 +314,45 @@ def _ear_from(a: int, on_cycle: set[int], cyc_edges: set, nbr: dict) -> list[int
 # --- rewrites -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Rewrite:
-    """New half-units for each support edge the rule touches; 0 removes it."""
-
-    rule: str
-    location: tuple[int, ...]
-    units: dict[tuple[int, int], int]
-
-
-def _apply(units: dict[tuple[int, int], int], rw: _Rewrite) -> RuleStep:
-    """Write the rewrite's half-units, deleting each edge set to 0.  The step
-    lists the edges set to 0, then those newly at 2 (red) and newly at 1
-    (blue), each sorted."""
-    touched = sorted(rw.units)
-    for e in touched:
+def _apply(units: dict[tuple[int, int], int], rw: RuleStep) -> RuleStep:
+    """Write the rewrite's half-units, deleting each edge set to 0, and
+    return it with only the edges whose value changed."""
+    for e in sorted(rw.units):
         if e not in units:
             raise InvalidColoredFactor(f"rule {rw.rule} at {rw.location} touches {e}, outside the support")
-    removed = tuple(e for e in touched if rw.units[e] == 0)
-    recolored = tuple(
-        (e, color)
-        for value, color in ((2, "red"), (1, "blue"))
-        for e in touched
-        if rw.units[e] == value != units[e]
-    )
-    for e in touched:
-        if rw.units[e]:
-            units[e] = rw.units[e]
+    changed = {e: x for e, x in rw.units.items() if x != units[e]}
+    for e, x in changed.items():
+        if x:
+            units[e] = x
         else:
             del units[e]
-    return RuleStep(rw.rule, rw.location, removed, recolored)
+    return RuleStep(rw.rule, rw.location, changed)
 
 
-def _path_cover_rewrite(rule: str, order: list[int], edges: set, lead: int) -> _Rewrite:
+def _path_cover_rewrite(rule: str, order: list[int], edges: set, lead: int) -> RuleStep:
     """Cover an ordered vertex run with a leading path on `lead` vertices and
     then P2s, and drop every other edge of `edges`.  A leading P5 is weighted
     1,1/2,1/2,1; every other kept edge is at 2 half-units."""
     new = dict.fromkeys(edges, 0)
     for i in (*range(lead - 1), *range(lead, len(order), 2)):
         new[edge(order[i], order[i + 1])] = 1 if lead == 5 and i in (1, 2) else 2
-    return _Rewrite(rule, tuple(order), new)
+    return RuleStep(rule, tuple(order), new)
 
 
 def _cycle_edges(cyc: list[int]) -> set[tuple[int, int]]:
     return {edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))}
 
 
-def _cut_chain_end(rule: str, path: list[int], first_half: int) -> _Rewrite:
+def _cut_chain_end(rule: str, path: list[int], first_half: int) -> RuleStep:
     """Drop the last edge of `path`, put 2 half-units on the edge before it
     and 1 on the edges from index `first_half` up to that one."""
     new = {edge(path[i], path[i + 1]): 1 for i in range(first_half, len(path) - 3)}
     new[edge(path[-3], path[-2])] = 2
     new[edge(path[-2], path[-1])] = 0
-    return _Rewrite(rule, tuple(path), new)
+    return RuleStep(rule, tuple(path), new)
 
 
-def _leaf_chain_rewrite(rule: str, st: _State, a: int, interior: list[int], b: int) -> _Rewrite:
+def _leaf_chain_rewrite(rule: str, st: _State, a: int, interior: list[int], b: int) -> RuleStep:
     """Chain from leaf z to branch vertex x: drop the last edge and write the
     run z..x as 2, 1, ..., 1, 2 half-units.  The leaf edge is already at 2,
     since a leaf reaches 2 half-units through that edge alone."""
@@ -379,24 +367,24 @@ def _leaf_chain_rewrite(rule: str, st: _State, a: int, interior: list[int], b: i
 # rewrite of its first candidate, or None.
 
 
-def _even_cycle(st: _State, rule: str) -> _Rewrite | None:
+def _even_cycle(st: _State, rule: str) -> RuleStep | None:
     """Even cycle -> perfect matching at 2 half-units (a P2 cover), drop the
     rest."""
     cyc = st.find_even_cycle()
     return None if cyc is None else _path_cover_rewrite(rule, cyc, _cycle_edges(cyc), 2)
 
 
-def _branch_edge(st: _State, rule: str) -> _Rewrite | None:
+def _branch_edge(st: _State, rule: str) -> RuleStep | None:
     """Adjacent branch vertices -> delete the joining edge."""
     for u in range(st.n):
         if st.deg[u] >= 3:
             for v in st.adj[u]:
                 if v > u and st.deg[v] >= 3:
-                    return _Rewrite(rule, (u, v), {edge(u, v): 0})
+                    return RuleStep(rule, (u, v), {edge(u, v): 0})
     return None
 
 
-def _odd_cycle_branch(st: _State, rule: str) -> _Rewrite | None:
+def _odd_cycle_branch(st: _State, rule: str) -> RuleStep | None:
     """Odd cycle through a branch vertex v -> v keeps its edge to its smaller
     cycle neighbour, the path C - v is matched at 2 half-units from that
     neighbour, and the other cycle edges are dropped."""
@@ -413,7 +401,7 @@ def _odd_cycle_branch(st: _State, rule: str) -> _Rewrite | None:
     return None
 
 
-def _odd_cycle_cover(st: _State, rule: str) -> _Rewrite | None:
+def _odd_cycle_cover(st: _State, rule: str) -> RuleStep | None:
     """Odd cycle component -> spanning {P2, P5} cover at k = 1, where C3 is a
     family member; spanning {P2, P3} cover at 2 half-units per edge at k >= 2."""
     lead = 5 if st.k == 1 else 3
@@ -423,7 +411,7 @@ def _odd_cycle_cover(st: _State, rule: str) -> _Rewrite | None:
     return None
 
 
-def _branch_chain(st: _State, rule: str) -> _Rewrite | None:
+def _branch_chain(st: _State, rule: str) -> RuleStep | None:
     """Branch..branch chain with >= 2 interior vertices -> drop its last edge,
     write the rest as 1, ..., 1, 2 half-units.  At k = 1 every branch vertex
     has degree exactly 3.  `degree2_chains` lists a chain from its smaller end,
@@ -434,7 +422,7 @@ def _branch_chain(st: _State, rule: str) -> _Rewrite | None:
     return None
 
 
-def _branch_gap(st: _State, rule: str) -> _Rewrite | None:
+def _branch_gap(st: _State, rule: str) -> RuleStep | None:
     """Branch-u-branch gap of length two -> cut u from one side."""
     for a, interior, b in st.chains:
         if st.deg[a] >= 3 and st.deg[b] >= 3 and len(interior) == 1 and a != b:
@@ -443,11 +431,11 @@ def _branch_gap(st: _State, rule: str) -> _Rewrite | None:
                 # x-u1 can go to 2 half-units, or is there already
                 room = sum(st.units[edge(x, w)] for w in st.adj[x]) < 2 * st.k + 1
                 if room or st.units[edge(x, u1)] == 2:
-                    return _Rewrite(rule, (x, u1, y), {edge(u1, y): 0, edge(x, u1): 2})
+                    return RuleStep(rule, (x, u1, y), {edge(u1, y): 0, edge(x, u1): 2})
     return None
 
 
-def _leaf_branch_chain(st: _State, rule: str) -> _Rewrite | None:
+def _leaf_branch_chain(st: _State, rule: str) -> RuleStep | None:
     """Leaf..branch chain with 1 or >= 3 interior vertices."""
     for a, interior, b in st.chains:
         if sorted((st.deg[a], st.deg[b])) == [1, 3] and len(interior) not in (0, 2):
@@ -455,7 +443,7 @@ def _leaf_branch_chain(st: _State, rule: str) -> _Rewrite | None:
     return None
 
 
-def _path_component(st: _State, rule: str) -> _Rewrite | None:
+def _path_component(st: _State, rule: str) -> RuleStep | None:
     """Path component with >= 4 vertices -> P2 cover when even; {P2, P5}
     cover, fired as R8, when odd with >= 7 vertices (P5 is a member)."""
     for a, interior, b in st.chains:
@@ -469,7 +457,7 @@ def _path_component(st: _State, rule: str) -> _Rewrite | None:
     return None
 
 
-def _leaf_chains(st: _State, rule: str) -> _Rewrite | None:
+def _leaf_chains(st: _State, rule: str) -> RuleStep | None:
     """The first, by sorted vertex tuple, of the path components with >= 4
     vertices (cut the second edge) and the leaf..branch chains (as above,
     any interior length)."""
@@ -479,7 +467,7 @@ def _leaf_chains(st: _State, rule: str) -> _Rewrite | None:
             continue
         if ends[1] == 1 and len(interior) >= 2:
             order = (a, *interior, b)
-            return _Rewrite(rule, order, {edge(order[1], order[2]): 0, edge(order[2], order[3]): 2})
+            return RuleStep(rule, order, {edge(order[1], order[2]): 0, edge(order[2], order[3]): 2})
         if ends[1] >= 3:
             return _leaf_chain_rewrite(rule, st, a, interior, b)
     return None
@@ -500,7 +488,7 @@ _RULES = (
 )
 
 
-def _find_rewrite(st: _State) -> _Rewrite | None:
+def _find_rewrite(st: _State) -> RuleStep | None:
     for name_k1, name_k2, scan in _RULES:
         rule = name_k1 if st.k == 1 else name_k2
         if rule is not None:

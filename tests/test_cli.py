@@ -194,7 +194,7 @@ def test_gen_past_62_vertices(capsys):
 
 
 def test_toughness_size_guard_exits_two(tmp_path, capsys):
-    """21 vertices is past TOUGHNESS_MAX_N: refused at once, not 2^21 subsets."""
+    """21 vertices is past TOUGHNESS_MAX_N: refused at once, before any walk."""
     text = "n 21\n" + "\n".join(f"{i} {i + 1}" for i in range(20))
     t0 = time.perf_counter()
     code, out, err = run(tmp_path, capsys, text, "toughness")

@@ -251,6 +251,34 @@ class TestToughness:
         g = random_gnp(n, Fraction(1, 2), seed)
         assert isolated_toughness(g) == brute_toughness(g)
 
+    def test_brute_agreement_exhaustive(self):
+        for n in range(1, 6):
+            for g in enumerate_exhaustive(n):
+                assert isolated_toughness(g) == brute_toughness(g), g
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=5000))
+    def test_brute_agreement_trees(self, n, seed):
+        g = random_tree(n, seed)
+        assert isolated_toughness(g) == brute_toughness(g)
+
+    @pytest.mark.parametrize(
+        "g, value",
+        [
+            (Graph(20), Fraction(0)),
+            (Graph(20, [(0, i) for i in range(1, 20)]), Fraction(1, 19)),
+            (Graph(20, [(a, i) for a in (0, 1) for i in range(2, 20)]), Fraction(1, 9)),
+            (Graph(20, [(i, i + 1) for i in range(19)]), Fraction(1)),
+            (Graph(20, [(i, (i + 1) % 20) for i in range(20)]), Fraction(1)),
+            (Graph(20, [(i, j) for i in range(20) for j in range(i + 1, 20)]), None),
+            (random_tree(20, 1), Fraction(1, 2)),
+        ],
+        ids=["edgeless", "K1_19", "K2_18", "P20", "C20", "K20", "tree20"],
+    )
+    def test_at_size_guard(self, g, value):
+        """Pinned values at n = TOUGHNESS_MAX_N, the largest size answered."""
+        assert isolated_toughness(g) == value
+
 
 class TestParseRatio:
     def test_accepted(self):

@@ -106,20 +106,20 @@ def units_of(h: HalfIntegralAssignment | None):
 
 
 class TestConditionWitness:
-    """The paper's condition iso(G-S) <= (k+1/2)|S| at k = 1 on the small
-    graphs whose half-unit degree windows [2, 3] are searched below."""
+    """The paper's condition iso(G-S) <= (k+1/2)|S| at k = 1, on G itself,
+    for the small graphs whose half-unit degrees are searched below."""
 
-    def test_doubled_p3_has_violator(self):
+    def test_p3_has_violator(self):
         w = check_iso_condition(P3, Fraction(3, 2))
         assert w is not None
         # removing the middle vertex strands both ends
         assert w.removed == frozenset({1})
         assert w.isolated == frozenset({0, 2})
 
-    def test_doubled_k2_none(self):
+    def test_k2_none(self):
         assert check_iso_condition(K2, Fraction(3, 2)) is None
 
-    def test_doubled_c3_none(self):
+    def test_c3_none(self):
         assert check_iso_condition(C3, Fraction(3, 2)) is None
 
     def test_single_vertex_empty_set_violates(self):
@@ -127,19 +127,19 @@ class TestConditionWitness:
         assert w is not None and w.removed == frozenset()
 
 
-class TestFindGfFactor:
-    """Half-unit degrees of the search's answer are the degrees of a
-    [2, 2k+1]-factor of G with every edge doubled."""
+class TestHalfUnitDegrees:
+    """Every vertex of `find_fractional_factor`'s answer has half-unit
+    degree in [2, 2k+1]."""
 
-    def test_doubled_k2(self):
+    def test_k2_degrees(self):
         h = find_fractional_factor(K2, 1)
         assert h is not None
         assert [half_degree_units(h, v) for v in range(2)] == [2, 2]
 
-    def test_doubled_p3_none(self):
+    def test_p3_none(self):
         assert find_fractional_factor(P3, 1) is None
 
-    def test_doubled_p5_degrees(self):
+    def test_p5_degrees(self):
         h = find_fractional_factor(P5, 1)
         assert h is not None
         assert all(2 <= half_degree_units(h, v) <= 3 for v in range(5))

@@ -172,7 +172,7 @@ class TestGuards:
 
     @staticmethod
     def _only_rule(monkeypatch, units):
-        rw = reducer._Rewrite("X", (0,), units)
+        rw = reducer.RuleStep("X", (0,), units)
         monkeypatch.setattr(reducer, "_RULES", (("X", "X", lambda st, rule: rw),))
 
     def test_recolor_outside_support(self, monkeypatch):
