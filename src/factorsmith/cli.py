@@ -173,6 +173,8 @@ def cmd_factor(args) -> int:
             error = None if cert is None else _factor_error(g, k, cert, h, trace)
         except ReducerError as exc:
             error = exc
+        except Exception as exc:  # an engine self-check failed
+            error = f"{type(exc).__name__}: {exc}"
         if error is not None:
             negative = True
             print(f"error: {label}: {error}", file=sys.stderr)
@@ -232,6 +234,8 @@ def _verify_one(payload) -> dict:
             error = f"FIXPOINT_UNCLASSIFIED: {exc}"
         except ReducerError as exc:
             error = f"REDUCER_ERROR: {exc}"
+        except Exception as exc:  # an engine self-check failed
+            error = f"ENGINE_ERROR: {type(exc).__name__}: {exc}"
         records.append(
             {
                 "graph_id": label,

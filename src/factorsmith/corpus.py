@@ -207,23 +207,20 @@ def _rooted_shapes(n: int) -> tuple[_Shape, ...]:
 
 
 def _shape_to_graph(shape: _Shape, extra_root: _Shape | None = None) -> Graph:
-    edges: list[tuple[int, int]] = []
-    counter = [1]
+    edges: list[tuple[int, int]] = []  # vertex j > 0 is the end of edges[j - 1]
 
     def build(sub: _Shape, parent: int) -> None:
         for child in sub:
-            cid = counter[0]
-            counter[0] += 1
+            cid = len(edges) + 1
             edges.append((parent, cid))
             build(child, cid)
 
     build(shape, 0)
     if extra_root is not None:
-        rid = counter[0]
-        counter[0] += 1
+        rid = len(edges) + 1
         edges.append((0, rid))
         build(extra_root, rid)
-    return Graph(counter[0], edges)
+    return Graph(len(edges) + 1, edges)
 
 
 def free_trees(n: int) -> Iterator[Graph]:

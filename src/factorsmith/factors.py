@@ -10,8 +10,8 @@ O(support), not O(||G||).
 `verify_fractional`.
 
 The search is a depth-first search over the edges.  Once it has wasted
-enough work it also consults a completion oracle, one lower-bounded max flow
-on the bipartite double cover B(G) (Anstee's view of fractional factors),
+enough work it also consults a completion oracle, one max flow on the
+bipartite double cover B(G) (Anstee's view of fractional factors),
 which bounds the rest of the search polynomially without changing its
 answer.
 """
@@ -64,9 +64,8 @@ def find_fractional_factor(g: Graph, k: int) -> HalfIntegralAssignment | None:
 
     Depth-first search over the sorted edge list, trying half-units 2, 1, 0
     on each edge in turn.  A value is pruned when it lifts an end past 2k+1
-    half-units, or when an end could no longer reach 2 half-units with all
-    its later edges at 2.  At a vertex's last edge that capacity is zero, so
-    the same test rejects a vertex left below 2.  The search keeps its
+    half-units, or when the edge is an end's last and leaves it below 2;
+    before its last edge a vertex can still reach 2.  The search keeps its
     position in arrays rather than on the call stack.
 
     After ORACLE_AFTER * (n + m) dead ends the search also asks
@@ -84,9 +83,10 @@ def find_fractional_factor(g: Graph, k: int) -> HalfIntegralAssignment | None:
     top = 2 * k + 1
     edges = g.edges
     m = len(edges)
-    # half-units each vertex can still gain from the edges after the current one
-    spare = [2 * g.degree(v) for v in range(g.n)]
-    if any(s < 2 for s in spare):
+    last = [-1] * g.n  # index of each vertex's last edge
+    for j, (a, b) in enumerate(edges):
+        last[a] = last[b] = j
+    if -1 in last:
         return None
     units = [0] * g.n
     h = [0] * m
@@ -98,14 +98,12 @@ def find_fractional_factor(g: Graph, k: int) -> HalfIntegralAssignment | None:
     while 0 <= i < m:
         u, v = edges[i]
         if entering:
-            spare[u] -= 2
-            spare[v] -= 2
             c = min(2, top - units[u], top - units[v])
         else:  # the edges after i have no completion: take back edge i's value
             units[u] -= h[i]
             units[v] -= h[i]
             c = h[i] - 1
-        while c >= 0 and (units[u] + c + spare[u] < 2 or units[v] + c + spare[v] < 2):
+        while c >= 0 and (i == last[u] and units[u] + c < 2 or i == last[v] and units[v] + c < 2):
             c -= 1
         if c >= 0:
             h[i] = c
@@ -114,8 +112,6 @@ def find_fractional_factor(g: Graph, k: int) -> HalfIntegralAssignment | None:
             i += 1
             entering = True
             continue
-        spare[u] += 2
-        spare[v] += 2
         entering = False
         dead_ends += 1
         if dead_ends <= budget:
@@ -140,8 +136,6 @@ def find_fractional_factor(g: Graph, k: int) -> HalfIntegralAssignment | None:
             a, b = edges[j]
             units[a] -= h[j]
             units[b] -= h[j]
-            spare[a] += 2
-            spare[b] += 2
         i = safe
     if i < 0:
         return None
@@ -173,17 +167,22 @@ def _completable(
     fractional edge, so hi_v > 0, and hi_v - lo_v is then either hi_v or
     top - 2 >= 1: one direction stays in bounds.
 
-    Lower bounds go the usual way: merging s and t (joined by an uncapacitated
-    t -> s arc) leaves arcs o -> L_v and R_v -> o of capacity hi_v - lo_v,
-    and a new source and sink with S -> L_v and R_v -> T of capacity lo_v.
-    A feasible flow exists iff the S-T max flow saturates all of them."""
+    No lower-bound gadget is needed.  With lo_v <= hi_v, checked first,
+    Hoffman's circulation theorem says that the two-sided flow exists iff,
+    for all X, Y within V, with cap(A, B) the capacity of the arcs from L_A
+    to R_B, (I) lo(X) <= hi(Y) + cap(X, V - Y) and (II) lo(V - Y) <=
+    hi(V - X) + cap(X, V - Y).  B(G) is symmetric, cap(A, B) = cap(B, A),
+    so (II) is (I) for the pair V - Y, V - X.  And (I) for all X, Y says,
+    by max-flow/min-cut, that the plain network with s -> L_v of capacity
+    lo_v, R_v -> t of capacity hi_v and the same L -> R arcs has a flow
+    saturating every s -> L_v arc."""
     f = [0] * n
     for j in range(p):
         a, b = edges[j]
         f[a] += h[j]
         f[b] += h[j]
-    # nodes: 0 = S, 1 = T, 2 = o, 3 + v = L_v, 3 + n + v = R_v
-    heads: list[list[int]] = [[] for _ in range(2 * n + 3)]
+    # nodes: 0 = s, 1 = t, 2 + v = L_v, 2 + n + v = R_v
+    heads: list[list[int]] = [[] for _ in range(2 * n + 2)]
     to: list[int] = []
     cap: list[int] = []
 
@@ -203,15 +202,13 @@ def _completable(
             return False
         if lo:
             demand += lo
-            arc(0, 3 + v, lo)
-            arc(3 + n + v, 1, lo)
-        if hi > lo:
-            arc(2, 3 + v, hi - lo)
-            arc(3 + n + v, 2, hi - lo)
+            arc(0, 2 + v, lo)
+        if hi:
+            arc(2 + n + v, 1, hi)
     for j in range(p, len(edges)):
         a, b = edges[j]
-        arc(3 + a, 3 + n + b, 2)
-        arc(3 + b, 3 + n + a, 2)
+        arc(2 + a, 2 + n + b, 2)
+        arc(2 + b, 2 + n + a, 2)
     return _max_flow(heads, to, cap, demand) == demand
 
 

@@ -272,11 +272,11 @@ def _mask_to_list(mask: int) -> list[int]:
 def degree2_chains(nbrs: list[list[int]]) -> list[tuple[int, list[int], int]]:
     """Maximal chains (a, interior, b) between two vertices of degree other
     than 2, through interior vertices of degree 2, from ascending neighbour
-    lists.  Each chain is listed once, from its end found first in index
-    order, so a < b unless a == b; bare edges come with an empty interior.
-    Every degree-2 vertex outside a cycle component is interior to exactly
-    one chain, and a leaf-to-leaf chain is a whole path component."""
-    seen: set[tuple[int, int, tuple[int, ...]]] = set()
+    lists.  Each chain is walked from both ends and listed once: from its
+    smaller end, so a < b, or if a == b toward a's smaller neighbour.  Bare
+    edges come with an empty interior.  Every degree-2 vertex outside a
+    cycle component is interior to exactly one chain, and a leaf-to-leaf
+    chain is a whole path component."""
     out = []
     for a, nbrs_a in enumerate(nbrs):
         if len(nbrs_a) == 2:
@@ -288,9 +288,7 @@ def degree2_chains(nbrs: list[list[int]]) -> list[tuple[int, list[int], int]]:
                 interior.append(cur)
                 w0, w1 = nbrs[cur]
                 prev, cur = cur, w1 if w0 == prev else w0
-            key = (min(a, cur), max(a, cur), tuple(sorted(interior)))
-            if key not in seen:
-                seen.add(key)
+            if a < cur or a == cur and first < interior[-1]:
                 out.append((a, interior, cur))
     return out
 

@@ -224,21 +224,19 @@ def _even_cycle_in_block(nbr: dict[int, list[int]]) -> list[int]:
     # fundamental cycles from a DFS tree; return the first even one
     root = min(nbr)
     parent = {root: None}
-    depth = {root: 0}
     stack = [root]
     while stack:
         v = stack.pop()
         for w in nbr[v]:
             if w not in parent:
                 parent[w] = v
-                depth[w] = depth[v] + 1
                 stack.append(w)
     fallback: list[int] | None = None
     # the non-tree edges (u, v), u < v, in sorted order
     for u, v in ((u, v) for u in sorted(nbr) for v in nbr[u] if u < v):
         if parent[v] == u or parent[u] == v:
             continue
-        cyc = _tree_cycle(u, v, parent, depth)
+        cyc = _tree_cycle(u, v, parent)
         if len(cyc) % 2 == 0:
             return cyc
         if fallback is None:
@@ -271,21 +269,18 @@ def _even_cycle_in_block(nbr: dict[int, list[int]]) -> list[int]:
     raise AssertionError("block with extra edges must contain an even cycle")
 
 
-def _tree_cycle(u: int, v: int, parent: dict, depth: dict) -> list[int]:
-    pu, pv = [u], [v]
-    a, b = u, v
-    while depth[a] > depth[b]:
+def _tree_cycle(u: int, v: int, parent: dict) -> list[int]:
+    """The cycle closed by the non-tree edge uv, from u up and down to v."""
+    up = []
+    a = u
+    while a is not None:
+        up.append(a)
         a = parent[a]
-        pu.append(a)
-    while depth[b] > depth[a]:
-        b = parent[b]
-        pv.append(b)
-    while a != b:
-        a = parent[a]
-        b = parent[b]
-        pu.append(a)
-        pv.append(b)
-    return pu[:-1] + list(reversed(pv))
+    index = {x: j for j, x in enumerate(up)}
+    down = [v]
+    while down[-1] not in index:
+        down.append(parent[down[-1]])
+    return up[: index[down[-1]]] + list(reversed(down))
 
 
 def _ear_from(a: int, on_cycle: set[int], cyc_edges: set, nbr: dict) -> list[int] | None:
@@ -578,11 +573,10 @@ def verify_certificate(g: Graph, cert: FactorCertificate) -> bool:
             seen.add(v)
     if len(seen) != g.n:
         return False
-    base_edges = set(g.edges)
     for entry in cert.components:
         vset = set(entry.vertices)
         for u, v in entry.edges:
-            if edge(u, v) not in base_edges or u not in vset or v not in vset:
+            if u not in vset or v not in vset or not g.adj[u] >> v & 1:
                 return False
         cls = _classify(sorted(vset), entry.edges, cert.k)
         if cls.kind == "other" or cls != entry.cls:

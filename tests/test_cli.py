@@ -378,6 +378,33 @@ def test_factor_reports_engine_errors(tmp_path, capsys, monkeypatch):
     assert out.splitlines()[0] == "# Cp: 1 rewrite(s)"
 
 
+def _self_check_fails_on_triangles(g, k):
+    """The real extraction, except that an engine self-check fails on a triangle."""
+    if g.n == 3 and g.num_edges == 3:
+        raise AssertionError("completion oracle contradicted the search")
+    return extract_component_factor_detailed(g, k)
+
+
+def test_verify_reports_engine_self_check_failures(capsys, monkeypatch):
+    """A failed self-check inside the engine is the record's error, not a crash."""
+    monkeypatch.setattr(cli, "extract_component_factor_detailed", _self_check_fails_on_triangles)
+    code, report = _verify_json(capsys, "--exhaustive", "3", "--k", "1", "--jobs", "1")
+    assert code == EXIT_NEGATIVE
+    assert len(report["graphs"]) == 8
+    errors = [r["error"] for r in report["graphs"] if r["error"]]
+    assert errors == ["ENGINE_ERROR: AssertionError: completion oracle contradicted the search"]
+    assert report["summary"]["failures"] == 1
+
+
+def test_factor_reports_engine_self_check_failures(tmp_path, capsys, monkeypatch):
+    """factor names the graph whose self-check failed and goes on to the next."""
+    monkeypatch.setattr(cli, "extract_component_factor_detailed", _self_check_fails_on_triangles)
+    code, out, err = run(tmp_path, capsys, "Bw\nCp", "factor", "--k", "1", "--emit", "trace")
+    assert code == EXIT_NEGATIVE
+    assert err == "error: Bw: AssertionError: completion oracle contradicted the search\n"
+    assert out.splitlines()[0] == "# Cp: 1 rewrite(s)"
+
+
 def test_verify_rechecks_the_witness(capsys, monkeypatch):
     """S = {} is reported for every graph: on the edgeless graph it leaves
     the wrong isolated set, and on P2 it isolates nothing."""

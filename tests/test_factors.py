@@ -341,6 +341,28 @@ class TestCompletionOracle:
                     assert quarter == brute_completable(g, h, p, k), (g, h, k)
 
 
+    def test_theorem_1_exhaustive(self):
+        """The paper's Theorem 1 through the oracle: with an empty prefix it
+        answers yes exactly when iso(G - S) <= (k + 1/2)|S| for every S."""
+        for n in range(1, 6):
+            for g in enumerate_exhaustive(n):
+                for k in (1, 2, 3):
+                    holds = check_iso_condition(g, Fraction(2 * k + 1, 2)) is None
+                    assert _completable(g.n, g.edges, [], 0, 2 * k + 1) == holds, (g, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=18),
+        st.sampled_from([None, Fraction(1, 5), Fraction(1, 3), Fraction(1, 2)]),
+        st.integers(min_value=0, max_value=3000),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_theorem_1_random(self, n, p, seed, k):
+        """Theorem 1 on random trees (p None) up to 18 vertices and gnp graphs up to 12."""
+        g = random_tree(n, seed) if p is None else random_gnp(min(n, 12), p, seed)
+        holds = check_iso_condition(g, Fraction(2 * k + 1, 2)) is None
+        assert _completable(g.n, g.edges, [], 0, 2 * k + 1) == holds
+
 @pytest.mark.parametrize("seed", [92, 50086])
 def test_gnp_mid_hard_seeds(seed):
     """Both ran past 20 s in the search without the oracle."""
