@@ -86,13 +86,12 @@ def read_graphs(lines: Iterable[str]) -> Iterator[tuple[str, Graph]]:
             yield line, parse_graph6(line)
 
 
-def _graphs_in(path: str) -> Iterator[tuple[str, Graph]]:
-    """`read_graphs` over a file, or over standard input for "-"."""
+def _read_lines(path: str) -> list[str]:
+    """The lines of a file, or of standard input for "-", read once."""
     if path == "-":
-        yield from read_graphs(sys.stdin)
-        return
+        return sys.stdin.readlines()
     with open(path, "r", encoding="ascii") as fh:
-        yield from read_graphs(fh)
+        return fh.readlines()
 
 
 def _error(message) -> int:
@@ -100,25 +99,48 @@ def _error(message) -> int:
     return EXIT_ERROR
 
 
-def _witness_error(g: Graph, c: Fraction, witness) -> str | None:
-    """Why a violating set S fails its re-evaluation, or None."""
-    iso = iso_after_removal(g, witness.removed)
+# An answer comes with an error, or None if every re-check passed: (message,)
+# when a re-check failed, or (TAG, message) and no answer when the engine
+# failed.  check and factor print the message; verify prints ": ".join(error).
+
+
+def _condition(g: Graph, c: Fraction):
+    """(witness, error): the violating S, or None if the condition holds."""
+    try:
+        witness = check_iso_condition(g, c)
+        iso = None if witness is None else iso_after_removal(g, witness.removed)
+    except Exception as exc:  # an engine self-check failed
+        return None, ("ENGINE_ERROR", f"{type(exc).__name__}: {exc}")
+    if iso is None:
+        return None, None
     if iso != witness.isolated:
-        return "witness isolates a different vertex set"
+        return witness, ("witness isolates a different vertex set",)
     if len(iso) <= c * len(witness.removed):
-        return "witness does not violate the condition"
-    return None
+        return witness, ("witness does not violate the condition",)
+    return witness, None
 
 
-def _factor_error(g: Graph, k: int, cert, h, trace) -> str | None:
-    """Why an extracted factor fails its re-validation, or None."""
-    if not verify_fractional(g, k, h):
-        return "assignment failed re-validation"
-    if not verify_certificate(g, cert):
-        return "certificate failed re-validation"
+def _factor(g: Graph, k: int):
+    """(certificate, trace, error): the extracted factor, or None if none
+    exists; the assignment, the certificate and the trace length are
+    re-validated."""
+    try:
+        cert, h, trace = extract_component_factor_detailed(g, k)
+        if cert is None:
+            return None, None, None
+        if not verify_fractional(g, k, h):
+            return cert, trace, ("assignment failed re-validation",)
+        if not verify_certificate(g, cert):
+            return cert, trace, ("certificate failed re-validation",)
+    except FixpointUnclassified as exc:
+        return None, None, ("FIXPOINT_UNCLASSIFIED", str(exc))
+    except ReducerError as exc:
+        return None, None, ("REDUCER_ERROR", str(exc))
+    except Exception as exc:  # an engine self-check failed
+        return None, None, ("ENGINE_ERROR", f"{type(exc).__name__}: {exc}")
     if len(trace.steps) > g.num_edges:
-        return "rewrite count exceeded edge budget"
-    return None
+        return cert, trace, ("rewrite count exceeded edge budget",)
+    return cert, trace, None
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -132,15 +154,14 @@ def cmd_check(args) -> int:
     if c <= 0:
         return _error(f"condition ratio must be positive, got {args.c}")
     violated = False
-    for label, g in args.graphs:
-        witness = check_iso_condition(g, c)
-        if witness is None:
+    for label, g in read_graphs(args.lines):
+        witness, error = _condition(g, c)
+        if error is None and witness is None:
             print(f"{label}: holds (iso(G-S) <= {c} |S| for all S)")
             continue
         violated = True
-        error = _witness_error(g, c, witness)
         if error is not None:
-            print(f"error: {label}: {error}", file=sys.stderr)
+            print(f"error: {label}: {error[-1]}", file=sys.stderr)
             continue
         s = "{" + ",".join(map(str, sorted(witness.removed))) + "}"
         iso = "{" + ",".join(map(str, sorted(witness.isolated))) + "}"
@@ -167,17 +188,11 @@ def cmd_factor(args) -> int:
     if k < 1:
         return _error(f"k must be >= 1, got {k}")
     negative = False
-    for label, g in args.graphs:
-        try:
-            cert, h, trace = extract_component_factor_detailed(g, k)
-            error = None if cert is None else _factor_error(g, k, cert, h, trace)
-        except ReducerError as exc:
-            error = exc
-        except Exception as exc:  # an engine self-check failed
-            error = f"{type(exc).__name__}: {exc}"
+    for label, g in read_graphs(args.lines):
+        cert, trace, error = _factor(g, k)
         if error is not None:
             negative = True
-            print(f"error: {label}: {error}", file=sys.stderr)
+            print(f"error: {label}: {error[-1]}", file=sys.stderr)
             continue
         if cert is None:
             negative = True
@@ -199,10 +214,10 @@ def cmd_factor(args) -> int:
 def cmd_toughness(args) -> int:
     # A graph past the size guard is a usage error for the whole input, so
     # it is refused before any graph is answered.
-    for label, g in args.graphs:
+    for label, g in read_graphs(args.lines):
         if g.n > TOUGHNESS_MAX_N:
             return _error(f"{label}: isolated toughness supports n <= {TOUGHNESS_MAX_N}, got n = {g.n}")
-    for label, g in args.graphs:
+    for label, g in read_graphs(args.lines):
         value = isolated_toughness(g)
         if value is None:
             print(f"{label}: infinity")
@@ -211,47 +226,33 @@ def cmd_toughness(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(payload) -> dict:
+def _verify_one(payload) -> list[dict]:
     """Verify records for one payload (label, Graph, ks), one record per k.
-    Every answer is re-checked: the witness is re-evaluated, the assignment
-    and the certificate are re-validated; a failed re-check or an engine
-    error is the record's error."""
+    Every answer is re-checked (`_condition`, `_factor`); a failed re-check
+    or an engine error is the record's error, the factor's first."""
     label, g, ks = payload
     records = []
     for k in ks:
         t0 = time.perf_counter()
-        c = Fraction(2 * k + 1, 2)
-        witness = check_iso_condition(g, c)
-        error = None if witness is None else _witness_error(g, c, witness)
-        cert = trace_len = None
-        try:
-            cert_obj, h, trace = extract_component_factor_detailed(g, k)
-            if cert_obj is not None:
-                trace_len = len(trace.steps)
-                error = _factor_error(g, k, cert_obj, h, trace) or error
-                cert = _certificate_json(cert_obj)
-        except FixpointUnclassified as exc:
-            error = f"FIXPOINT_UNCLASSIFIED: {exc}"
-        except ReducerError as exc:
-            error = f"REDUCER_ERROR: {exc}"
-        except Exception as exc:  # an engine self-check failed
-            error = f"ENGINE_ERROR: {type(exc).__name__}: {exc}"
+        witness, cond_error = _condition(g, Fraction(2 * k + 1, 2))
+        cert, trace, error = _factor(g, k)
+        error = error or cond_error
         records.append(
             {
                 "graph_id": label,
                 "n": g.n,
                 "k": k,
-                "condition_holds": witness is None,
+                "condition_holds": None if witness is None and cond_error else witness is None,
                 "witness": sorted(witness.removed) if witness is not None else None,
                 "has_factor": cert is not None,
-                "certificate": cert,
-                "trace_length": trace_len,
+                "certificate": None if cert is None else _certificate_json(cert),
+                "trace_length": None if cert is None else len(trace.steps),
                 "agree": error is None and (witness is None) == (cert is not None),
-                "error": error,
+                "error": None if error is None else ": ".join(error),
                 "ms": round((time.perf_counter() - t0) * 1000.0, 3),
             }
         )
-    return {"graph": label, "records": records}
+    return records
 
 
 def _corpus_from_args(args) -> tuple[str, Iterator[Graph]]:
@@ -269,7 +270,7 @@ def _corpus_from_args(args) -> tuple[str, Iterator[Graph]]:
     if name == "paths_cycles":
         return name, corpus.paths_and_cycles(args.paths_cycles)
     if name == "file":
-        return name, (g for _label, g in _graphs_in(args.file))
+        return name, (g for _label, g in read_graphs(_read_lines(args.file)))
     if name == "all_trees":
         return name, corpus.free_trees_upto(args.all_trees)
     spec = getattr(args, name)
@@ -310,7 +311,7 @@ def cmd_verify(args) -> int:
             results = list(pool.map(_verify_one, payloads, chunksize=16))
     else:
         results = [_verify_one(p) for p in payloads]
-    records = [rec for res in results for rec in res["records"]]
+    records = [rec for res in results for rec in res]
     disagreements = sum(1 for r in records if not r["agree"])
     failures = sum(1 for r in records if r["error"])
     report = {
@@ -349,7 +350,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    for _label, g in args.graphs:
+    for _label, g in read_graphs(args.lines):
         if args.to == "g6":
             print(encode_graph6(g))
         elif args.to == "edges":
@@ -422,11 +423,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     if "input" in args:
-        # check, factor, toughness and convert read every graph before they
-        # answer, so a bad input exits 2 with nothing printed; the engine runs
-        # only after this, so an engine error never exits 2.
+        # check, factor, toughness and convert parse every graph before they
+        # answer, so a bad input exits 2 with nothing printed and an engine
+        # error never does.  They keep the lines and parse them again.
         try:
-            args.graphs = list(_graphs_in(args.input))
+            args.lines = _read_lines(args.input)
+            for _graph in read_graphs(args.lines):
+                pass
         except (ValueError, OSError) as exc:
             return _error(exc)
     try:

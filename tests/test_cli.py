@@ -7,13 +7,14 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from factorsmith import cli
 from factorsmith.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
-from factorsmith.conditions import ConditionWitness
+from factorsmith.conditions import ConditionWitness, check_iso_condition
 from factorsmith.corpus import enumerate_exhaustive
 from factorsmith.factors import HalfIntegralAssignment
 from factorsmith.families import classify_component, is_expansion_base
@@ -290,6 +291,26 @@ def test_standard_input_is_read():
     )
 
 
+@pytest.mark.parametrize("args", [["convert", "--to", "g6"], ["check", "--c", "3/2"]], ids=["convert", "check"])
+def test_input_is_kept_as_text(tmp_path, capsys, args):
+    """The commands keep the input's lines, not its graphs: 20,000 graph6
+    lines of 8 bytes stay well under 8 MB traced, where a list of the parsed
+    graphs alone takes about 16 MB."""
+    path = tmp_path / "n7.g6"
+    with path.open("w", encoding="ascii") as fh:
+        for _, g in zip(range(20_000), enumerate_exhaustive(7)):
+            fh.write(encode_graph6(g) + "\n")
+    tracemalloc.start()
+    try:
+        code = main([*args, str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (EXIT_OK, EXIT_NEGATIVE)
+    assert len(capsys.readouterr().out.splitlines()) == 20_000
+    assert peak < 8 << 20, peak
+
+
 FAMILY_JSON = {1: {"kind": "F1", "k": 1}, 2: {"kind": "F2", "k": 2}}
 
 
@@ -403,6 +424,33 @@ def test_factor_reports_engine_self_check_failures(tmp_path, capsys, monkeypatch
     assert code == EXIT_NEGATIVE
     assert err == "error: Bw: AssertionError: completion oracle contradicted the search\n"
     assert out.splitlines()[0] == "# Cp: 1 rewrite(s)"
+
+
+def _condition_fails_on_triangles(g, c):
+    """The real condition check, except that it fails a self-check on a triangle."""
+    if g.n == 3 and g.num_edges == 3:
+        raise AssertionError("walk left a vertex in S")
+    return check_iso_condition(g, c)
+
+
+def test_verify_reports_condition_engine_failures(capsys, monkeypatch):
+    """A failed condition check is the record's error, with no verdict and
+    no witness; the factor is still extracted and reported."""
+    monkeypatch.setattr(cli, "check_iso_condition", _condition_fails_on_triangles)
+    code, report = _verify_json(capsys, "--exhaustive", "3", "--k", "1", "--jobs", "1")
+    assert code == EXIT_NEGATIVE
+    assert len(report["graphs"]) == 8
+    (bad,) = [r for r in report["graphs"] if r["error"]]
+    assert bad["error"] == "ENGINE_ERROR: AssertionError: walk left a vertex in S"
+    assert (bad["condition_holds"], bad["witness"], bad["has_factor"]) == (None, None, True)
+    assert all(r["condition_holds"] is not None for r in report["graphs"] if r is not bad)
+    assert report["summary"]["failures"] == 1
+    # when both engines fail, the factor's error is the one reported
+    monkeypatch.setattr(cli, "extract_component_factor_detailed", _engine_fails_on_triangles)
+    code, report = _verify_json(capsys, "--exhaustive", "3", "--k", "1", "--jobs", "1")
+    assert code == EXIT_NEGATIVE
+    errors = [r["error"] for r in report["graphs"] if r["error"]]
+    assert errors == ["REDUCER_ERROR: rule R3 at (0,1,2) touches (0, 1), outside the support"]
 
 
 def test_verify_rechecks_the_witness(capsys, monkeypatch):
@@ -579,6 +627,15 @@ def test_check_rechecks_the_witness(tmp_path, capsys, monkeypatch):
         "error: B?: witness isolates a different vertex set",
         "error: Bw: witness does not violate the condition",
     ]
+
+
+def test_check_reports_condition_engine_failures(tmp_path, capsys, monkeypatch):
+    """check names the graph the condition check failed on and goes on to the next."""
+    monkeypatch.setattr(cli, "check_iso_condition", _condition_fails_on_triangles)
+    code, out, err = run(tmp_path, capsys, "Bw\nCp", "check", "--c", "3/2")
+    assert code == EXIT_NEGATIVE
+    assert err == "error: Bw: AssertionError: walk left a vertex in S\n"
+    assert out == "Cp: holds (iso(G-S) <= 3/2 |S| for all S)\n"
 
 
 def _tampered(part):

@@ -363,13 +363,36 @@ class TestCompletionOracle:
         holds = check_iso_condition(g, Fraction(2 * k + 1, 2)) is None
         assert _completable(g.n, g.edges, [], 0, 2 * k + 1) == holds
 
+
+def counted_completions(monkeypatch) -> list:
+    """Count the search's `_completable` calls through a wrapper."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _completable(*args)
+
+    monkeypatch.setattr(factors, "_completable", counted)
+    return calls
+
+
+def completion_bound(g: Graph) -> int:
+    """The oracle budget `find_fractional_factor` states: one call for the
+    empty prefix, then at most 3m dead ends, each binary-searching m + 1
+    prefixes in ceil(log2(m + 1)) = m.bit_length() calls."""
+    m = g.num_edges
+    return 1 + 3 * m * m.bit_length()
+
+
 @pytest.mark.parametrize("seed", [92, 50086])
-def test_gnp_mid_hard_seeds(seed):
+def test_gnp_mid_hard_seeds(seed, monkeypatch):
     """Both ran past 20 s in the search without the oracle."""
     g = random_gnp(16, Fraction(1, 4), seed)
+    calls = counted_completions(monkeypatch)
     t0 = time.perf_counter()
     h = find_fractional_factor(g, 1)
     assert time.perf_counter() - t0 < 2.0
+    assert len(calls) <= completion_bound(g)
     assert (h is None) == (check_iso_condition(g, Fraction(3, 2)) is not None)
     assert h is None or verify_fractional(g, 1, h)
 
@@ -381,9 +404,11 @@ def test_gnp_mid_hard_seeds(seed):
     ids=[f"tree100-{s}" for s in range(6)] + ["gnp30-1", "gnp60-4"],
 )
 @pytest.mark.parametrize("k", [1, 2])
-def test_large_inputs_finish(g, k):
+def test_large_inputs_finish(g, k, monkeypatch):
     """Each ran past 20 s in the search without the oracle."""
+    calls = counted_completions(monkeypatch)
     t0 = time.perf_counter()
     h = find_fractional_factor(g, k)
     assert time.perf_counter() - t0 < 2.0
+    assert len(calls) <= completion_bound(g)
     assert h is None or verify_fractional(g, k, h)

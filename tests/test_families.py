@@ -1,8 +1,13 @@
-"""Component-family generators and recognizers: forward/backward exactness."""
+"""Component-family generators and recognizers: forward/backward exactness,
+and the paper's converse, sharpness and k = 1 minimality on the members."""
+
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from factorsmith.corpus import free_trees_upto
+from factorsmith.conditions import check_iso_condition, iso_after_removal
+from factorsmith.corpus import free_trees_upto, random_expansion_base
 from factorsmith.factors import verify_fractional
 from factorsmith.families import (
     C3,
@@ -18,6 +23,7 @@ from factorsmith.families import (
     tree_expansion,
 )
 from factorsmith.graphs import Graph
+from factorsmith.reducer import _component_entries, extract_component_factor_detailed, verify_certificate
 from treeutil import degree_sequence, half_degree_units, pendant_half_assignment, tree_canon
 
 K13 = Graph(4, [(0, 1), (0, 2), (0, 3)])
@@ -247,3 +253,67 @@ class TestClassify:
         for k in (0, -1):
             with pytest.raises(ValueError):
                 classify_component(Graph(2, [(0, 1)]), k)
+
+
+def core(t: Graph) -> list[int]:
+    """The vertices of degree >= 3 or next to a leaf."""
+    return [v for v in range(t.n) if t.degree(v) >= 3 or any(t.degree(w) == 1 for w in t.neighbors(v))]
+
+
+def forest_classifies(n: int, edges, k: int) -> bool:
+    """Every component of the spanning forest on these edges classifies at k."""
+    return all(e.cls != OTHER for e in _component_entries(n, edges, k))
+
+
+@pytest.fixture(scope="module")
+def expansion_members() -> dict[int, list[Graph]]:
+    """The distinct expansions of random bases with at most 20 vertices."""
+    members = {}
+    for k in (1, 2, 3):
+        trees = {
+            expand_base_tree(random_expansion_base(k, size, seed), k)
+            for size in range(4, 40)
+            for seed in range(25)
+        }
+        members[k] = sorted((t for t in trees if t.n <= 20), key=lambda t: (t.n, t.edges))
+    return members
+
+
+class TestTheorem:
+    """The paper's (i) and (ii) on the family members themselves: a member is
+    its own factor, so it meets the condition at k + 1/2 (converse); S =
+    core(T) isolates exactly (k + 1/2)|S|, so it fails at c = k (sharpness);
+    and at k = 1 no proper part of it is a factor (minimality)."""
+
+    def test_member_counts(self, expansion_members):
+        assert {k: len(ts) for k, ts in expansion_members.items()} == {1: 25, 2: 21, 3: 27}
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_converse(self, expansion_members, k):
+        for t in expansion_members[k]:
+            assert check_iso_condition(t, Fraction(2 * k + 1, 2)) is None, t
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_sharpness(self, expansion_members, k):
+        for t in expansion_members[k]:
+            s = core(t)
+            assert 2 * len(iso_after_removal(t, s)) == (2 * k + 1) * len(s), t
+            assert check_iso_condition(t, Fraction(k)) is not None, t
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_member_is_its_own_factor(self, expansion_members, k):
+        for t in expansion_members[k]:
+            cert, _h, _trace = extract_component_factor_detailed(t, k)
+            assert verify_certificate(t, cert)
+            assert [e.cls for e in cert.components] == [classify_component(t, k)], t
+
+    def test_k1_minimality(self, trees16):
+        """No proper edge subset of P5 or of a T(3) member with n <= 16 is a
+        spanning forest whose components all lie in the k = 1 family."""
+        members = [path(5), *(t for t in trees16 if is_tree_expansion(t, 1))]
+        assert [t.n for t in members] == [5, 10, 15]
+        for t in members:
+            assert forest_classifies(t.n, t.edges, 1)
+            for size in range(t.num_edges):
+                for edges in combinations(t.edges, size):
+                    assert not forest_classifies(t.n, edges, 1), (t, edges)

@@ -146,6 +146,29 @@ class TestMinimize:
                         assert a.units.keys() <= edges
                         assert a.support_edges() == sorted(a.units)
 
+    def test_one_state_per_step(self, monkeypatch):
+        """Work, counted: over every labelled graph with n <= 5 at k = 1, 2, 3,
+        `minimize` builds one `_State` per step plus one at the fixpoint, and
+        takes at most ||G|| steps."""
+        built = []
+
+        class CountedState(reducer._State):
+            def __init__(self, h, k):
+                built.append(k)
+                super().__init__(h, k)
+
+        monkeypatch.setattr(reducer, "_State", CountedState)
+        for n in range(1, 6):
+            for g in enumerate_exhaustive(n):
+                for k in (1, 2, 3):
+                    h = find_fractional_factor(g, k)
+                    if h is None:
+                        continue
+                    built.clear()
+                    _f, trace = minimize(from_assignment(g, k, h), k)
+                    assert len(built) == len(trace) + 1, (g, k)
+                    assert len(trace) <= g.num_edges, (g, k)
+
     def test_cycles_fire_in_order_cycle_order(self):
         """Cycles are taken by the vertex lists `_order_cycle` writes, not by
         sorted vertex tuples: the triangle listed (0, 2, 3) fires before the
