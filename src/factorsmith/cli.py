@@ -212,11 +212,6 @@ def cmd_factor(args) -> int:
 
 
 def cmd_toughness(args) -> int:
-    # A graph past the size guard is a usage error for the whole input, so
-    # it is refused before any graph is answered.
-    for label, g in read_graphs(args.lines):
-        if g.n > TOUGHNESS_MAX_N:
-            return _error(f"{label}: isolated toughness supports n <= {TOUGHNESS_MAX_N}, got n = {g.n}")
     for label, g in read_graphs(args.lines):
         value = isolated_toughness(g)
         if value is None:
@@ -425,11 +420,14 @@ def main(argv: list[str] | None = None) -> int:
     if "input" in args:
         # check, factor, toughness and convert parse every graph before they
         # answer, so a bad input exits 2 with nothing printed and an engine
-        # error never does.  They keep the lines and parse them again.
+        # error never does.  They keep the lines and parse them again.  A
+        # graph past toughness's size guard is a usage error for the whole
+        # input too.
         try:
             args.lines = _read_lines(args.input)
-            for _graph in read_graphs(args.lines):
-                pass
+            for label, g in read_graphs(args.lines):
+                if args.command == "toughness" and g.n > TOUGHNESS_MAX_N:
+                    return _error(f"{label}: isolated toughness supports n <= {TOUGHNESS_MAX_N}, got n = {g.n}")
         except (ValueError, OSError) as exc:
             return _error(exc)
     try:

@@ -10,10 +10,9 @@ O(support), not O(||G||).
 `verify_fractional`.
 
 The search is a depth-first search over the edges.  Once it has wasted
-enough work it also consults a completion oracle, one max flow on the
-bipartite double cover B(G) (Anstee's view of fractional factors),
-which bounds the rest of the search polynomially without changing its
-answer.
+enough work it stops, and builds the same answer edge by edge with a
+completion oracle, one max flow on the bipartite double cover B(G)
+(Anstee's view of fractional factors), at most two per edge.
 """
 
 from __future__ import annotations
@@ -21,10 +20,11 @@ from __future__ import annotations
 from factorsmith.graphs import Graph, edge
 
 # Dead ends per vertex-or-edge of G that the search may spend before it
-# starts consulting the completion oracle.  Most small graphs finish sooner
+# hands over to the completion oracle.  Most small graphs finish sooner
 # than a max flow takes: on 3000 gnp(7, 1/2) graphs and the 2288 free trees
-# with n <= 13 (k = 1, 2), the factor search took 2.8x and 3.1x as long with
-# 1 as with 16, and 64 was no faster overall.
+# with n <= 13 (k = 1, 2; best of 5, Python 3.11 on 2 cores), the factor
+# search took 2.5x and 1.9x as long with 1 as with 16, and with 64 it took
+# 0.93x and 1.07x, no faster overall.
 ORACLE_AFTER = 16
 
 
@@ -66,18 +66,17 @@ def find_fractional_factor(g: Graph, k: int) -> HalfIntegralAssignment | None:
     on each edge in turn.  A value is pruned when it lifts an end past 2k+1
     half-units, or when the edge is an end's last and leaves it below 2;
     before its last edge a vertex can still reach 2.  The search keeps its
-    position in arrays rather than on the call stack.
+    position in arrays rather than on the call stack.  Its first solution is
+    the lexicographically greatest feasible vector over the sorted edges.
 
-    After ORACLE_AFTER * (n + m) dead ends the search also asks
-    `_completable`, an exact max-flow test, whether a prefix of its current
-    path can still be completed.  It asks once for the empty prefix (None if
-    not), and at every later dead end it binary-searches the deepest
-    completable prefix of the path and backjumps there.  Only subtrees with
-    no solution are skipped, so the answer is the first solution in search
-    order, as without the test.  Each dead end either deepens the known
-    completable prefix or moves its next edge to a lower value, so after the
-    switch there are at most 3m dead ends, each costing O(m) search steps
-    and O(log m) max flows."""
+    After ORACLE_AFTER * (n + m) dead ends the search stops and builds that
+    same vector in one pass with `_completable`, an exact max-flow test of
+    whether a prefix can still be completed.  It asks once for the empty
+    prefix (None if not).  Then each edge in turn takes the largest value in
+    its window, the caps and the last-edge bound above, whose prefix is
+    still completable.  Since the prefix before it is completable, some value
+    in the window is, so the lowest needs no test: at most 1 + 2m max flows
+    after the switch."""
     if k < 1:
         raise ValueError(f"parameter k must be >= 1, got {k}")
     top = 2 * k + 1
@@ -94,7 +93,6 @@ def find_fractional_factor(g: Graph, k: int) -> HalfIntegralAssignment | None:
     entering = True
     dead_ends = 0
     budget = ORACLE_AFTER * (g.n + m)
-    safe = -1  # once the oracle is on: a depth whose prefix h[:safe] is completable
     while 0 <= i < m:
         u, v = edges[i]
         if entering:
@@ -112,31 +110,21 @@ def find_fractional_factor(g: Graph, k: int) -> HalfIntegralAssignment | None:
             i += 1
             entering = True
             continue
-        entering = False
         dead_ends += 1
-        if dead_ends <= budget:
-            i -= 1
-            continue
-        if safe < 0:
+        if dead_ends > budget:
             if not _completable(g.n, edges, h, 0, top):
                 return None
-            safe = 0
-        if safe >= i:
-            raise AssertionError("completion oracle contradicted the search")
-        # h[:safe] completes and h[:i] does not: find where completions stop
-        hi = i
-        while hi - safe > 1:
-            mid = (safe + hi) // 2
-            if _completable(g.n, edges, h, mid, top):
-                safe = mid
-            else:
-                hi = mid
-        # h[:safe + 1] has no completion: undo edges safe+1..i-1, retry edge safe
-        for j in range(i - 1, safe, -1):
-            a, b = edges[j]
-            units[a] -= h[j]
-            units[b] -= h[j]
-        i = safe
+            units = [0] * g.n
+            for j, (u, v) in enumerate(edges):
+                lo = max(0, 2 - units[u] if j == last[u] else 0, 2 - units[v] if j == last[v] else 0)
+                h[j] = min(2, top - units[u], top - units[v])
+                while h[j] > lo and not _completable(g.n, edges, h, j + 1, top):
+                    h[j] -= 1
+                units[u] += h[j]
+                units[v] += h[j]
+            break
+        i -= 1
+        entering = False
     if i < 0:
         return None
     assignment = HalfIntegralAssignment(g, {e: x for e, x in zip(edges, h) if x})

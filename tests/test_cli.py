@@ -214,6 +214,24 @@ def test_toughness_refuses_before_answering(tmp_path, capsys):
     assert out == "" and err == f"error: {p21}: isolated toughness supports n <= 20, got n = 21\n"
 
 
+@pytest.mark.parametrize(
+    "args", [["toughness"], ["check", "--c", "3/2"], ["factor", "--k", "1"], ["convert", "--to", "g6"]]
+)
+def test_each_graph_is_parsed_twice(tmp_path, capsys, monkeypatch, args):
+    """Once in the up-front check, which also applies toughness's size
+    guard, and once to answer."""
+    parsed = []
+
+    def counted(line):
+        parsed.append(line)
+        return parse_graph6(line)
+
+    monkeypatch.setattr(cli, "parse_graph6", counted)
+    code, out, _ = run(tmp_path, capsys, "Dhc\nBw\nC~", *args)
+    assert code in (EXIT_OK, EXIT_NEGATIVE) and out
+    assert sorted(parsed) == sorted(["Dhc", "Bw", "C~"] * 2)
+
+
 # The command line as a child process, with this checkout's package first.
 CLI = [sys.executable, "-m", "factorsmith.cli"]
 _SRC = str(Path(__file__).resolve().parents[1] / "src")

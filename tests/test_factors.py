@@ -378,10 +378,8 @@ def counted_completions(monkeypatch) -> list:
 
 def completion_bound(g: Graph) -> int:
     """The oracle budget `find_fractional_factor` states: one call for the
-    empty prefix, then at most 3m dead ends, each binary-searching m + 1
-    prefixes in ceil(log2(m + 1)) = m.bit_length() calls."""
-    m = g.num_edges
-    return 1 + 3 * m * m.bit_length()
+    empty prefix, then at most two per edge."""
+    return 1 + 2 * g.num_edges
 
 
 @pytest.mark.parametrize("seed", [92, 50086])
@@ -412,3 +410,20 @@ def test_large_inputs_finish(g, k, monkeypatch):
     assert time.perf_counter() - t0 < 2.0
     assert len(calls) <= completion_bound(g)
     assert h is None or verify_fractional(g, k, h)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [random_tree(100, s) for s in range(6)]
+    + [random_gnp(30, Fraction(1, 5), 1), random_gnp(60, Fraction(1, 5), 4)]
+    + [random_gnp(16, Fraction(1, 4), s) for s in (92, 50086)],
+    ids=[f"tree100-{s}" for s in range(6)] + ["gnp30-1", "gnp60-4", "gnp16-92", "gnp16-50086"],
+)
+@pytest.mark.parametrize("k", [1, 2])
+def test_answer_does_not_depend_on_the_switch(g, k, monkeypatch):
+    """The test_large_inputs_finish graphs and the hard gnp-mid seeds: the
+    answer built from the first dead end equals the one built after the
+    default budget."""
+    want = units_of(find_fractional_factor(g, k))
+    monkeypatch.setattr(factors, "ORACLE_AFTER", 0)
+    assert units_of(find_fractional_factor(g, k)) == want
