@@ -1,13 +1,16 @@
 """Bitset-backed simple graphs and their text formats.
 
 Vertex ids are dense integers 0..n-1.  Adjacency is one int bitmask per
-vertex, which keeps exhaustive corpus sweeps cheap.  Graphs are immutable
-after construction and safe to share across workers.
+vertex, and those masks are the only stored form: the edge list, the edge
+count and the graph6 body are all read off them.  That keeps exhaustive
+corpus sweeps cheap.  Graphs are immutable after construction and safe to
+share across workers.
 """
 
 from __future__ import annotations
 
 import re
+from binascii import b2a_base64
 from math import isqrt
 from typing import Iterable
 
@@ -22,31 +25,30 @@ def edge(u: int, v: int) -> tuple[int, int]:
 
 
 class Graph:
-    """Immutable simple graph: no loops, no parallel edges."""
+    """Immutable simple graph: no loops, no parallel edges.  Only `n` and the
+    neighbour bitmasks are stored; `edges` is derived from the masks on each
+    access, sorted with u < v, in O(n + m)."""
 
-    __slots__ = ("n", "_adj", "_edges")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         adj = [0] * n
-        seen: set[tuple[int, int]] = set()
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
-            seen.add(edge(u, v))
-        for u, v in seen:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.n = n
         self._adj = tuple(adj)
-        self._edges = tuple(sorted(seen))
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return self._edges
+        """Sorted (u, v) pairs with u < v: each vertex's neighbours above it."""
+        return tuple((u, v) for u, m in enumerate(self._adj) for v in _mask_to_list(m >> u + 1 << u + 1))
 
     @property
     def adj(self) -> tuple[int, ...]:
@@ -55,7 +57,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return sum(m.bit_count() for m in self._adj) // 2
 
     def degree(self, v: int) -> int:
         return self._adj[v].bit_count()
@@ -71,7 +73,7 @@ class Graph:
         return hash((self.n, self._adj))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={list(self._edges)})"
+        return f"Graph(n={self.n}, edges={list(self.edges)})"
 
 
 # --- graph6 -------------------------------------------------------------------
@@ -86,7 +88,10 @@ class Graph:
 
 _G6_INVALID = re.compile(r"[^?-~]")
 _G6_NONZERO = re.compile(rb"[^?]")
-_G6_PLUS_63 = bytes((b + 63) & 255 for b in range(256))
+_REVERSE_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_BASE64_TO_G6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
 
 
 def _graph6_size(n: int) -> bytes:
@@ -147,11 +152,17 @@ def parse_graph6(text: str) -> Graph:
 
 
 def encode_graph6(g: Graph) -> str:
-    body = bytearray((g.n * (g.n - 1) // 2 + 5) // 6)
-    for i, j in g.edges:
-        b = j * (j - 1) // 2 + i
-        body[b // 6] |= 32 >> b % 6
-    return (_graph6_size(g.n) + body.translate(_G6_PLUS_63)).decode("ascii")
+    # Column j's lower neighbours, shifted to bit j(j-1)/2, give the body's
+    # bit string read from bit 0.  Reversing each little-endian byte puts it
+    # in stream order, most significant bit first, and base64 cuts such a
+    # stream into the same 6-bit groups that graph6 does.
+    stream = base = 0
+    for j, m in enumerate(g.adj):
+        stream |= (m & (1 << j) - 1) << base
+        base += j
+    raw = stream.to_bytes(-(-base // 24) * 3, "little").translate(_REVERSE_BITS)
+    body = b2a_base64(raw, newline=False).translate(_BASE64_TO_G6)[: (base + 5) // 6]
+    return (_graph6_size(g.n) + body).decode("ascii")
 
 
 # --- plain edge-list text ---------------------------------------------------
@@ -214,16 +225,17 @@ def format_edge_list(g: Graph) -> str:
 def to_dot(g: Graph, highlight: Iterable[tuple[int, int]] | None = None) -> str:
     """Render to DOT.  With `highlight` (edges of g, e.g. a factor), those
     edges are drawn red and the rest dashed gray."""
+    edges = g.edges
     marked: set[tuple[int, int]] = set()
     if highlight is not None:
         marked = {edge(u, v) for u, v in highlight}
-        foreign = marked - set(g.edges)
+        foreign = marked - set(edges)
         if foreign:
             raise ValueError(f"highlighted edge {min(foreign)} is not an edge of the graph")
     lines = ["graph G {", "  node [shape=circle];"]
     for v in range(g.n):
         lines.append(f"  {v};")
-    for u, v in g.edges:
+    for u, v in edges:
         if (u, v) in marked:
             lines.append(f"  {u} -- {v} [color=red, penwidth=2];")
         elif highlight is not None:

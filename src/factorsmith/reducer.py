@@ -505,6 +505,7 @@ def minimize(h: HalfIntegralAssignment, k: int) -> tuple[HalfIntegralAssignment,
     if not verify_fractional(g, k, h):
         raise InvalidColoredFactor(f"starting assignment is outside the [1, {2 * k + 1}/2] window")
     trace = RuleTrace()
+    budget = g.num_edges
     while (rw := _find_rewrite(_State(h, k))) is not None:
         step = _apply(h.units, rw)
         if 0 not in rw.units.values():
@@ -512,7 +513,7 @@ def minimize(h: HalfIntegralAssignment, k: int) -> tuple[HalfIntegralAssignment,
         if not verify_fractional(g, k, h):
             raise InvalidColoredFactor(f"{step.to_line()} left the [1, {2 * k + 1}/2] window")
         trace.steps.append(step)
-        if len(trace) > g.num_edges:
+        if len(trace) > budget:
             raise ReducerError("rewrite count exceeded the edge budget; non-termination bug")
     return h, trace
 

@@ -29,6 +29,11 @@ FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 774
 # and the labels of all 32,508 trees
 FREE_TREES_16_DIGEST = "285f00e70cc4e68b811c4d6cff3b3a9245f01f63b0f4693706f1d85b6d8e2738"
 
+# sha256 of the graph6 lines ("...\n") of random_gnp(7, 1/2, s), s = 0..2999,
+# the small-dense benchmark corpus: pins the draws, the construction and the
+# encoder
+SMALL_DENSE_DIGEST = "e37f98149618b53d1cc166aa0e63fd7126ab1d98a8b2eab5fa01b3e3d16f4fc6"
+
 
 class TestExhaustive:
     @pytest.mark.parametrize("n,count", [(2, 2), (3, 8), (4, 64)])
@@ -59,6 +64,12 @@ class TestGnp:
     def test_seed_matters(self):
         outs = {random_gnp(8, Fraction(1, 2), s) for s in range(10)}
         assert len(outs) > 1
+
+    def test_small_dense_corpus_digest(self):
+        digest = hashlib.sha256()
+        for s in range(3000):
+            digest.update((encode_graph6(random_gnp(7, Fraction(1, 2), s)) + "\n").encode("ascii"))
+        assert digest.hexdigest() == SMALL_DENSE_DIGEST
 
     def test_probability_validated(self):
         with pytest.raises(ValueError):

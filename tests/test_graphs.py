@@ -14,6 +14,7 @@ from factorsmith.graphs import (
     Graph,
     GraphFormatError,
     degree2_chains,
+    edge,
     encode_graph6,
     format_edge_list,
     parse_edge_list,
@@ -53,6 +54,23 @@ def graphs_strategy(max_n=12):
     return build()
 
 
+def pair_lists_strategy(max_n=12):
+    """(n, pairs): vertex pairs with repeats, in both orientations."""
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(min_value=0, max_value=max_n))
+        if n < 2:
+            return n, []
+        vertex = st.integers(min_value=0, max_value=n - 1)
+        pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]), max_size=3 * n))
+        repeats = draw(st.lists(st.sampled_from(pairs), max_size=n)) if pairs else []
+        flipped = [(v, u) for u, v in repeats]
+        return n, draw(st.permutations(pairs + repeats + flipped))
+
+    return build()
+
+
 K2 = Graph(2, [(0, 1)])
 P3 = Graph(3, [(0, 1), (1, 2)])
 C3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -71,12 +89,45 @@ class TestGraph:
         with pytest.raises(ValueError) as exc:
             Graph(-1)
         assert str(exc.value) == "vertex count must be non-negative, got -1"
+        # pairs are checked in input order, so the message names the first bad one
+        with pytest.raises(ValueError) as exc:
+            Graph(3, [(0, 5), (1, 1)])
+        assert str(exc.value) == "edge (0,5) outside vertex range 0..2"
+        with pytest.raises(ValueError) as exc:
+            Graph(3, [(1, 1), (0, 5)])
+        assert str(exc.value) == "self-loop at vertex 1"
+
+    @settings(max_examples=200)
+    @given(pair_lists_strategy(max_n=12))
+    def test_edges_derived_from_masks(self, case):
+        """Repeats and reversed pairs collapse; the derived edge list, edge
+        count and graph6 text agree with the pairs given."""
+        n, pairs = case
+        g = Graph(n, pairs)
+        assert g.edges == tuple(sorted({edge(u, v) for u, v in pairs}))
+        assert g.num_edges == len(g.edges)
+        assert parse_graph6(encode_graph6(g)) == g
+        twin = Graph(n, list(reversed(g.edges)))
+        assert twin.adj == g.adj and twin == g and hash(twin) == hash(g)
 
     def test_degrees_and_neighbors(self):
         star = Graph(4, [(0, 1), (0, 2), (0, 3)])
         assert star.degree(0) == 3
         assert list(star.neighbors(0)) == [1, 2, 3]
         assert degree_sequence(star) == (3, 1, 1, 1)
+
+    def test_masks_are_the_only_stored_form(self):
+        """A parsed gnp(7, 1/2) graph holds its n and its masks, nothing more."""
+        assert Graph.__slots__ == ("n", "_adj")
+        lines = [encode_graph6(random_gnp(7, Fraction(1, 2), s)) for s in range(3000)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            graphs = [parse_graph6(line) for line in lines]
+            per_graph = (tracemalloc.get_traced_memory()[0] - before) / len(graphs)
+        finally:
+            tracemalloc.stop()
+        assert per_graph <= 200
 
     @pytest.mark.parametrize("g", [Graph(0), parse_graph6("Fh_GG"), random_gnp(100, Fraction(1, 2), 100)])
     def test_pickle_round_trip(self, g):
