@@ -74,7 +74,8 @@ def random_gnp(n: int, p: Fraction, seed: int) -> Graph:
 
 
 def random_tree(n: int, seed: int) -> Graph:
-    """Uniform-ish labeled tree via a random Pruefer sequence."""
+    """Uniform labeled tree: Pruefer sequences are in bijection with the
+    n^(n-2) labeled trees, and each entry is drawn uniformly by rejection."""
     if n < 1:
         raise ValueError("tree needs at least one vertex")
     if n == 1:

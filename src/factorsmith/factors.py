@@ -6,26 +6,39 @@ half-units 0/1/2, so the window is [2, 2k+1]; no floating point anywhere.
 An assignment is its support: it stores only the edges at 1 or 2 half-units,
 and every edge it leaves out carries 0, so building or copying one costs
 O(support), not O(||G||).
-`find_fractional_factor` searches for one and re-checks its answer with
-`verify_fractional`.
+`find_fractional_factor` builds one in polynomial time and re-checks its
+answer with `verify_fractional`.
 
-The search is a depth-first search over the edges.  Once it has wasted
-enough work it stops, and builds the same answer edge by edge with a
-completion oracle, one max flow on the bipartite double cover B(G)
-(Anstee's view of fractional factors), at most two per edge.
+The construction is a flow on the bipartite double cover B(G) (Anstee, "An
+algorithmic proof of Tutte's f-factor theorem", J. Algorithms 6, 1985): a
+left copy L_v and a right copy R_v of each vertex, and arcs L_u -> R_w and
+L_w -> R_u of capacity 2 for each edge uw.  If v needs lo_v to hi_v
+half-units, a flow with s -> L_v and R_v -> t each in [lo_v, hi_v] is a
+weighting and back.  A half-integral x gives one with both arcs of each edge
+at x_e; an integral flow y gives x_e = (y_uw + y_wu) / 2 half-units, whose
+total is half the flow value, within the bounds but possibly 1/2 or 3/2.
+
+Such an x rounds to a half-integral one.  In quarter-units q_e = y_uw + y_wu
+every degree lies in [4, 4k+2], whose ends are even.  The edges with odd q_e
+split into trails, each vertex of odd trail degree ending exactly one, and
+q_e moves by -1, +1 alternately along each trail, staying in 0..4 and
+becoming even.  Inside a trail no degree changes.  An open trail's end has
+an odd degree, strictly inside the window, so either move keeps it there.
+A closed trail of odd length moves the even degree of the vertex it starts
+at by 2, in a direction we choose: down from 6 or more, else up from 4.
+
+So the total stays at or below the least flow's, a lower bound for every
+weighting's, except where a closed trail of odd length whose vertices all
+sit at weight 1 moves up.  Bipartite graphs have no closed trail of odd
+length, so there the answer has least total weight.  It has on every graph
+with n <= 6 at k <= 3 too (checked by brute force), but not always: the
+9-vertex `HAfaPUo` at k = 1 gets 10 half-units where 9 suffice.  Going below
+that is a parity problem, as for b-matchings.
 """
 
 from __future__ import annotations
 
 from factorsmith.graphs import Graph, edge
-
-# Dead ends per vertex-or-edge of G that the search may spend before it
-# hands over to the completion oracle.  Most small graphs finish sooner
-# than a max flow takes: on 3000 gnp(7, 1/2) graphs and the 2288 free trees
-# with n <= 13 (k = 1, 2; best of 5, Python 3.11 on 2 cores), the factor
-# search took 2.5x and 1.9x as long with 1 as with 16, and with 64 it took
-# 0.93x and 1.07x, no faster overall.
-ORACLE_AFTER = 16
 
 
 class HalfIntegralAssignment:
@@ -62,192 +75,177 @@ class HalfIntegralAssignment:
 def find_fractional_factor(g: Graph, k: int) -> HalfIntegralAssignment | None:
     """Half-integral [1, k+1/2] edge weighting, or None if none exists.
 
-    Depth-first search over the sorted edge list, trying half-units 2, 1, 0
-    on each edge in turn.  A value is pruned when it lifts an end past 2k+1
-    half-units, or when the edge is an end's last and leaves it below 2;
-    before its last edge a vertex can still reach 2.  The search keeps its
-    position in arrays rather than on the call stack.  Its first solution is
-    the lexicographically greatest feasible vector over the sorted edges.
-
-    After ORACLE_AFTER * (n + m) dead ends the search stops and builds that
-    same vector in one pass with `_completable`, an exact max-flow test of
-    whether a prefix can still be completed.  It asks once for the empty
-    prefix (None if not).  Then each edge in turn takes the largest value in
-    its window, the caps and the last-edge bound above, whose prefix is
-    still completable.  Since the prefix before it is completable, some value
-    in the window is, so the lowest needs no test: at most 1 + 2m max flows
-    after the switch."""
+    A leaf reaches 2 half-units only through its one edge, so every pendant
+    edge carries 2; a vertex then above 2k+1 has no factor.  The other edges
+    take the least feasible flow on B(G) for each vertex's remaining window,
+    rounded along trails (see the module docstring): two max flows in all."""
     if k < 1:
         raise ValueError(f"parameter k must be >= 1, got {k}")
     top = 2 * k + 1
-    edges = g.edges
-    m = len(edges)
-    last = [-1] * g.n  # index of each vertex's last edge
-    for j, (a, b) in enumerate(edges):
-        last[a] = last[b] = j
-    if -1 in last:
+    n, adj = g.n, g.adj
+    if not all(adj):
         return None
-    units = [0] * g.n
-    h = [0] * m
-    i = 0
-    entering = True
-    dead_ends = 0
-    budget = ORACLE_AFTER * (g.n + m)
-    while 0 <= i < m:
-        u, v = edges[i]
-        if entering:
-            c = min(2, top - units[u], top - units[v])
-        else:  # the edges after i have no completion: take back edge i's value
-            units[u] -= h[i]
-            units[v] -= h[i]
-            c = h[i] - 1
-        while c >= 0 and (i == last[u] and units[u] + c < 2 or i == last[v] and units[v] + c < 2):
-            c -= 1
-        if c >= 0:
-            h[i] = c
-            units[u] += c
-            units[v] += c
-            i += 1
-            entering = True
-            continue
-        dead_ends += 1
-        if dead_ends > budget:
-            if not _completable(g.n, edges, h, 0, top):
-                return None
-            units = [0] * g.n
-            for j, (u, v) in enumerate(edges):
-                lo = max(0, 2 - units[u] if j == last[u] else 0, 2 - units[v] if j == last[v] else 0)
-                h[j] = min(2, top - units[u], top - units[v])
-                while h[j] > lo and not _completable(g.n, edges, h, j + 1, top):
-                    h[j] -= 1
-                units[u] += h[j]
-                units[v] += h[j]
-            break
-        i -= 1
-        entering = False
-    if i < 0:
+    units: dict[tuple[int, int], int] = {}
+    fixed = [0] * n
+    rest = []
+    for e in g.edges:
+        u, w = e
+        if adj[u] & adj[u] - 1 and adj[w] & adj[w] - 1:
+            rest.append(e)
+        else:  # a leaf's only edge
+            units[e] = 2
+            fixed[u] += 2
+            fixed[w] += 2
+    if max(fixed, default=0) > top:
         return None
-    assignment = HalfIntegralAssignment(g, {e: x for e, x in zip(edges, h) if x})
+    if rest:
+        q = _least_flow(n, rest, fixed, top)
+        if q is None:
+            return None
+        deg = [2 * f for f in fixed]
+        for (u, w), x in zip(rest, q):
+            deg[u] += x
+            deg[w] += x
+        _round_trails(rest, q, deg)
+        units.update((e, x // 2) for e, x in zip(rest, q) if x)
+    assignment = HalfIntegralAssignment(g, units)
     if not verify_fractional(g, k, assignment):
         raise AssertionError("constructed assignment failed its own verification")
     return assignment
 
 
-def _completable(
-    n: int, edges: tuple[tuple[int, int], ...], h: list[int], p: int, top: int
-) -> bool:
-    """Whether edges[p:] can take half-units 0..2 so that, with edges[:p]
-    fixed at h[:p], every vertex ends with between 2 and `top` half-units.
+def _least_flow(n: int, rest: list[tuple[int, int]], fixed: list[int], top: int) -> list[int] | None:
+    """Quarter-units y_uw + y_wu of each edge of `rest` in a least feasible
+    flow on B(G) restricted to `rest`, where v needs between
+    lo_v = max(0, 2 - fixed[v]) and hi_v = top - fixed[v] more half-units;
+    None if no feasible flow exists.
 
-    With prefix degree f_v, vertex v needs lo_v = max(0, 2 - f_v) to
-    hi_v = top - f_v more half-units.  On the bipartite double cover this is
-    a flow with s -> L_v and R_v -> t in [lo_v, hi_v] and L_u -> R_w,
-    L_w -> R_u of capacity 2 for each later edge uw.  A half-integral x
-    gives such a flow (both arcs carry x_e), and an integral flow y gives
-    x_e = (y_uw + y_wu) / 2, within the bounds but possibly 1/2 or 3/2.
-    Such a quarter-integral x rounds to a half-integral one.  The edges with
-    a fractional x_e split into trails, each vertex of odd trail degree
-    ending exactly one, and x_e moves by +1/2, -1/2 alternately along each
-    trail, staying in 0..2.  Inside a trail no degree changes.  An open
-    trail's end has a fractional degree, strictly between the integers lo_v
-    and hi_v, so either rounding stays in bounds.  A closed trail of odd
-    length moves its start by 1 in a direction we choose.  That start has a
-    fractional edge, so hi_v > 0, and hi_v - lo_v is then either hi_v or
-    top - 2 >= 1: one direction stays in bounds.
-
-    No lower-bound gadget is needed.  With lo_v <= hi_v, checked first,
-    Hoffman's circulation theorem says that the two-sided flow exists iff,
-    for all X, Y within V, with cap(A, B) the capacity of the arcs from L_A
-    to R_B, (I) lo(X) <= hi(Y) + cap(X, V - Y) and (II) lo(V - Y) <=
-    hi(V - X) + cap(X, V - Y).  B(G) is symmetric, cap(A, B) = cap(B, A),
-    so (II) is (I) for the pair V - Y, V - X.  And (I) for all X, Y says,
-    by max-flow/min-cut, that the plain network with s -> L_v of capacity
-    lo_v, R_v -> t of capacity hi_v and the same L -> R arcs has a flow
-    saturating every s -> L_v arc."""
-    f = [0] * n
-    for j in range(p):
-        a, b = edges[j]
-        f[a] += h[j]
-        f[b] += h[j]
-    # nodes: 0 = s, 1 = t, 2 + v = L_v, 2 + n + v = R_v
-    heads: list[list[int]] = [[] for _ in range(2 * n + 2)]
+    Lower bounds go the standard way (Ahuja, Magnanti, Orlin, Network Flows,
+    1993, ch. 6): a bounded arc keeps capacity hi_v - lo_v, its head draws
+    lo_v from a super-source S' and its tail sends lo_v to a super-sink T',
+    and an uncapped arc t -> s closes the circulation.  A feasible flow
+    exists iff the max flow from S' to T' saturates S'.  A max flow from t
+    back to s in its residual, without that arc, then leaves the least one."""
+    # nodes: 0 = s, 1 = t, 2 = S', 3 = T', 4 + v = L_v, 4 + n + v = R_v
+    arcs = [a for u, w in rest for a in ((4 + u, 4 + n + w, 2), (4 + w, 4 + n + u, 2))]
+    demand = 0
+    for v in range(n):  # a vertex with no edge in `rest` has lo_v = 0
+        lo = max(0, 2 - fixed[v])
+        hi = top - fixed[v]
+        demand += lo
+        arcs += ((2, 4 + v, lo), (4 + n + v, 3, lo), (0, 4 + v, hi - lo), (4 + n + v, 1, hi - lo))
+    arcs += ((2, 1, demand), (0, 3, demand), (1, 0, 4 * len(rest)))
+    heads: list[list[int]] = [[] for _ in range(4 + 2 * n)]
     to: list[int] = []
     cap: list[int] = []
-
-    def arc(x: int, y: int, c: int) -> None:
-        heads[x].append(len(to))
-        to.append(y)
-        cap.append(c)
-        heads[y].append(len(to))
-        to.append(x)
-        cap.append(0)
-
-    demand = 0
-    for v in range(n):
-        lo = max(0, 2 - f[v])
-        hi = top - f[v]
-        if hi < lo:
-            return False
-        if lo:
-            demand += lo
-            arc(0, 2 + v, lo)
-        if hi:
-            arc(2 + n + v, 1, hi)
-    for j in range(p, len(edges)):
-        a, b = edges[j]
-        arc(2 + a, 2 + n + b, 2)
-        arc(2 + b, 2 + n + a, 2)
-    return _max_flow(heads, to, cap, demand) == demand
+    for x, y, c in arcs:
+        if c:
+            heads[x].append(len(to))
+            heads[y].append(len(to) + 1)
+            to += (y, x)
+            cap += (c, 0)
+    if _max_flow(heads, to, cap, 2, 3, 2 * demand) < 2 * demand:
+        return None
+    back = len(to) - 2  # the arc t -> s
+    flow = cap[back + 1]
+    cap[back] = cap[back + 1] = 0
+    _max_flow(heads, to, cap, 1, 0, flow)
+    return [cap[a + 1] + cap[a + 3] for a in range(0, 4 * len(rest), 4)]
 
 
-def _max_flow(heads: list[list[int]], to: list[int], cap: list[int], limit: int) -> int:
-    """Dinic's max flow from node 0 to node 1, stopping at `limit`.  Arc a's
-    reverse is a ^ 1; `cap` is left as the residual capacities.  Blocking
-    flows are found with an explicit stack of arcs, not by recursion."""
+def _round_trails(ends: list[tuple[int, int]], q: list[int], deg: list[int]) -> None:
+    """Make every quarter-unit q[j] of edge ends[j] even, moving each odd one
+    by 1 along trails as the module docstring proves safe; `deg` holds the
+    quarter-unit degrees and is kept up to date."""
+    inc: list[list[int]] = [[] for _ in deg]
+    for j, (u, w) in enumerate(ends):
+        if q[j] & 1:
+            inc[u].append(j)
+            inc[w].append(j)
+    left = [len(js) for js in inc]
+
+    def walk(v: int, sign: int) -> None:
+        deg[v] += sign
+        while left[v]:
+            j = inc[v].pop()
+            if not q[j] & 1:  # already moved, from its other end
+                continue
+            q[j] += sign
+            u, w = ends[j]
+            left[u] -= 1
+            left[w] -= 1
+            v = w if v == u else u
+            sign = -sign
+        deg[v] -= sign
+
+    for v in range(len(deg)):
+        if left[v] & 1:
+            walk(v, -1)
+    for v in sorted(range(len(deg)), key=lambda v: deg[v] < 6):
+        if left[v]:
+            walk(v, -1 if deg[v] >= 6 else 1)
+
+
+def _max_flow(
+    heads: list[list[int]], to: list[int], cap: list[int], source: int, sink: int, limit: int
+) -> int:
+    """Dinic's max flow from `source` to `sink`, stopping at `limit`.  Arc a's
+    reverse is a ^ 1; `cap` is left as the residual capacities.  Each phase's
+    search stops at the sink's level, and blocking flows are found with an
+    explicit stack of arcs, not by recursion."""
     size = len(heads)
     flow = 0
     while flow < limit:
         level = [-1] * size
-        level[0] = 0
-        queue = [0]
+        level[source] = 0
+        queue = [source]
         for x in queue:
+            below = level[x] + 1
             for a in heads[x]:
                 y = to[a]
                 if cap[a] and level[y] < 0:
-                    level[y] = level[x] + 1
+                    level[y] = below
                     queue.append(y)
-        if level[1] < 0:
+            if level[sink] >= 0:
+                break
+        else:
             break
         nxt = [0] * size
         path: list[int] = []
-        x = 0
-        while flow < limit:
-            if x == 1:
-                push = min(limit - flow, min(cap[a] for a in path))
+        x = source
+        while True:
+            if x == sink:
+                push = limit - flow
+                for a in path:
+                    if cap[a] < push:
+                        push = cap[a]
                 for a in path:
                     cap[a] -= push
                     cap[a ^ 1] += push
                 flow += push
                 if flow == limit:
-                    break
+                    return flow
                 cut = next(j for j, a in enumerate(path) if not cap[a])
                 del path[cut:]
-                x = to[path[-1]] if path else 0
+                x = to[path[-1]] if path else source
                 continue
             out = heads[x]
-            while nxt[x] < len(out):
-                a = out[nxt[x]]
-                if cap[a] and level[to[a]] == level[x] + 1:
+            i = nxt[x]
+            below = level[x] + 1
+            while i < len(out):
+                a = out[i]
+                if cap[a] and level[to[a]] == below:
                     break
-                nxt[x] += 1
-            else:
-                if x == 0:
+                i += 1
+            else:  # x leads nowhere in this phase
+                if x == source:
                     break
                 level[x] = -1
                 a = path.pop()
                 x = to[a ^ 1]
                 nxt[x] += 1
                 continue
+            nxt[x] = i
             path.append(a)
             x = to[a]
     return flow

@@ -523,7 +523,7 @@ def extract_component_factor_detailed(
 ) -> tuple[FactorCertificate | None, HalfIntegralAssignment | None, RuleTrace | None]:
     """(certificate, assignment, trace), all None iff no half-integral
     [1, k+1/2] assignment exists; otherwise every certificate component lies
-    in the family k fixes.  The assignment is the search's, unrewritten."""
+    in the family k fixes.  The assignment is the flow engine's, unrewritten."""
     h = find_fractional_factor(g, k)
     if h is None:
         return None, None, None

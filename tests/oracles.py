@@ -1,0 +1,102 @@
+"""Independent test oracles for half-integral [1, k+1/2] weightings: brute
+force over every {0, 1/2, 1} vector, and the exact depth-first search the
+factor engine once was, whose first answer the reducer's pinned traces use."""
+
+from __future__ import annotations
+
+from itertools import product
+
+from factorsmith.factors import HalfIntegralAssignment, verify_fractional
+from factorsmith.graphs import Graph
+
+
+def brute_completable(g: Graph, h: list[int], p: int, k: int) -> bool:
+    """With edges[:p] fixed at h[:p], enumerate every {0, 1/2, 1} value of
+    the remaining edges."""
+    fixed = [0] * g.n
+    for (u, v), x in zip(g.edges[:p], h[:p]):
+        fixed[u] += x
+        fixed[v] += x
+    rest = g.edges[p:]
+    for vals in product((0, 1, 2), repeat=len(rest)):
+        units = fixed[:]
+        for (u, v), x in zip(rest, vals):
+            units[u] += x
+            units[v] += x
+        if all(2 <= s <= 2 * k + 1 for s in units):
+            return True
+    return False
+
+
+def brute_least_units(g: Graph, ks: tuple[int, ...]) -> dict[int, int | None]:
+    """For each k in `ks`, the least total half-units of a [1, k+1/2]
+    weighting of g, or None if it has none; one pass over every
+    {0, 1/2, 1} vector."""
+    best: dict[int, int | None] = dict.fromkeys(ks)
+    for vals in product((0, 1, 2), repeat=g.num_edges):
+        units = [0] * g.n
+        for (u, v), x in zip(g.edges, vals):
+            units[u] += x
+            units[v] += x
+        if min(units, default=2) < 2:
+            continue
+        most, total = max(units, default=0), sum(vals)
+        for k in ks:
+            if most <= 2 * k + 1 and (best[k] is None or total < best[k]):
+                best[k] = total
+    return best
+
+
+def reference_search(g: Graph, k: int) -> HalfIntegralAssignment | None:
+    """The lexicographically greatest half-integral [1, k+1/2] edge weighting
+    over the sorted edge list, or None if none exists.
+
+    Exact depth-first search, trying half-units 2, 1, 0 on each edge in turn.
+    A value is pruned when it lifts an end past 2k+1 half-units, or when an
+    end could no longer reach 2 half-units with all its later edges at 2.  At
+    a vertex's last edge that capacity is zero, so the same test rejects a
+    vertex left below 2.  The search keeps its position in arrays rather than
+    on the call stack, so long paths and cycles need no deeper recursion.
+    Worst case exponential in ||G||."""
+    if k < 1:
+        raise ValueError(f"parameter k must be >= 1, got {k}")
+    top = 2 * k + 1
+    edges = g.edges
+    m = len(edges)
+    # half-units each vertex can still gain from the edges after the current one
+    spare = [2 * g.degree(v) for v in range(g.n)]
+    if any(s < 2 for s in spare):
+        return None
+    units = [0] * g.n
+    h = [0] * m
+    i = 0
+    entering = True
+    while 0 <= i < m:
+        u, v = edges[i]
+        if entering:
+            spare[u] -= 2
+            spare[v] -= 2
+            c = min(2, top - units[u], top - units[v])
+        else:  # the edges after i have no completion: take back edge i's value
+            units[u] -= h[i]
+            units[v] -= h[i]
+            c = h[i] - 1
+        while c >= 0 and (units[u] + c + spare[u] < 2 or units[v] + c + spare[v] < 2):
+            c -= 1
+        if c >= 0:
+            h[i] = c
+            units[u] += c
+            units[v] += c
+            i += 1
+            entering = True
+        else:
+            spare[u] += 2
+            spare[v] += 2
+            i -= 1
+            entering = False
+    if i < 0:
+        return None
+    assignment = HalfIntegralAssignment(g, dict(zip(edges, h)))
+    if not verify_fractional(g, k, assignment):
+        raise AssertionError("constructed assignment failed its own verification")
+    return assignment

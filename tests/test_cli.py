@@ -40,32 +40,25 @@ def run(tmp_path, capsys, text: str, *args: str) -> tuple[int, str, str]:
 @pytest.mark.parametrize(
     "g6, k, lines",
     [
+        ("Fh_GG", 1, ["# Fh_GG: 0 rewrite(s)", "# components: P5, P2"]),
+        ("Gi_GGG", 2, ["# Gi_GGG: 0 rewrite(s)", "# components: K1,1, K1,2, K1,2"]),
+        ("Cp", 1, ["# Cp: 0 rewrite(s)", "# components: P2, P2"]),
         (
-            "Fh_GG",
+            "DLo",
             1,
             [
-                "# Fh_GG: 1 rewrite(s)",
-                "R8 loc=(3,2,1,0,4,5,6) removed=[4-5] recolored=[0-4:red,0-1:blue]",
-                "# components: P5, P2",
+                "# DLo: 1 rewrite(s)",
+                "R4 loc=(0,3,2,1,4) removed=[0-4] recolored=[0-3:red,1-4:red]",
+                "# components: P5",
             ],
         ),
         (
-            "Gi_GGG",
+            "Bw",
             2,
             [
-                "# Gi_GGG: 2 rewrite(s)",
-                "S5 loc=(1,0,4,5) removed=[4-5] recolored=[]",
-                "S7 loc=(4,0,1) removed=[0-1] recolored=[]",
-                "# components: K1,1, K1,2, K1,2",
-            ],
-        ),
-        (
-            "Cp",
-            1,
-            [
-                "# Cp: 1 rewrite(s)",
-                "R7 loc=(1,0,2,3) removed=[0-2] recolored=[]",
-                "# components: P2, P2",
+                "# Bw: 1 rewrite(s)",
+                "S4 loc=(0,1,2) removed=[0-2] recolored=[0-1:red,1-2:red]",
+                "# components: K1,2",
             ],
         ),
     ],
@@ -77,15 +70,15 @@ def test_factor_trace(tmp_path, capsys, g6, k, lines):
 
 
 def test_factor_dot_draws_certified_factor(tmp_path, capsys):
-    """The DOT output highlights the certificate's edges: R8 removed 4-5 from
-    the fractional assignment, so it is drawn as a non-factor edge."""
+    """The DOT output highlights the certificate's edges: the fractional
+    assignment leaves 1-2 at 0, so it is drawn as a non-factor edge."""
     code, out, _ = run(tmp_path, capsys, "Fh_GG", "factor", "--k", "1", "--emit", "dot")
     assert code == EXIT_OK
-    assert "  4 -- 5 [style=dashed, color=gray];" in out.splitlines()
+    assert "  1 -- 2 [style=dashed, color=gray];" in out.splitlines()
     highlighted = {
         line.split("[")[0].strip() for line in out.splitlines() if "--" in line and "dashed" not in line
     }
-    assert highlighted == {"0 -- 1", "0 -- 4", "1 -- 2", "2 -- 3", "5 -- 6"}
+    assert highlighted == {"0 -- 1", "0 -- 4", "2 -- 3", "4 -- 5", "5 -- 6"}
 
 
 def _certificate_from_json(g: Graph, k: int, record: dict) -> FactorCertificate:
@@ -371,8 +364,8 @@ def test_verify_jobs_same_records(capsys):
 
 
 def test_verify_gnp_mid_seed_92(capsys):
-    """gnp(16, 1/4) seed 92 has a factor at k = 1 that the search without
-    the completion oracle took more than 8 s to find."""
+    """gnp(16, 1/4) seed 92 has a factor at k = 1 that the depth-first
+    search without a completion oracle took more than 8 s to find."""
     t0 = time.perf_counter()
     assert main(["verify", "--gnp", "16,1/4,1", "--seed", "92", "--k", "1,2"]) == EXIT_OK
     assert time.perf_counter() - t0 < 5.0
@@ -414,7 +407,7 @@ def test_factor_reports_engine_errors(tmp_path, capsys, monkeypatch):
     code, out, err = run(tmp_path, capsys, "Bw\nCp", "factor", "--k", "1", "--emit", "trace")
     assert code == EXIT_NEGATIVE
     assert err == "error: Bw: rule R3 at (0,1,2) touches (0, 1), outside the support\n"
-    assert out.splitlines()[0] == "# Cp: 1 rewrite(s)"
+    assert out.splitlines()[0] == "# Cp: 0 rewrite(s)"
 
 
 def _self_check_fails_on_triangles(g, k):
@@ -441,7 +434,7 @@ def test_factor_reports_engine_self_check_failures(tmp_path, capsys, monkeypatch
     code, out, err = run(tmp_path, capsys, "Bw\nCp", "factor", "--k", "1", "--emit", "trace")
     assert code == EXIT_NEGATIVE
     assert err == "error: Bw: AssertionError: completion oracle contradicted the search\n"
-    assert out.splitlines()[0] == "# Cp: 1 rewrite(s)"
+    assert out.splitlines()[0] == "# Cp: 0 rewrite(s)"
 
 
 def _condition_fails_on_triangles(g, c):

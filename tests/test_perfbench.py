@@ -1,5 +1,5 @@
 """The benchmark harness's view of the program: the names it traces resolve,
-and the assignment it digests is the factor search's own."""
+and the assignment it digests is the factor engine's own."""
 
 import ast
 import importlib

@@ -4,7 +4,8 @@ The corpus is every labelled graph with n <= 5 and every free tree with
 n <= 11, each at k = 1, 2, 3, plus two gnp(16, 1/4) graphs at k = 1 that make
 the rare rules R2 and R5 fire.  The digest and the fire counts pin the exact
 rewrite sequence, so a change to rule order, candidate choice or trace text
-shows up here.
+shows up here.  They pin `minimize`, not the factor engine: the rewrites
+start from the fixed assignment of `oracles.reference_search`.
 """
 
 import hashlib
@@ -15,12 +16,19 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from factorsmith import reducer
+from factorsmith import factors, reducer
 from factorsmith.conditions import check_iso_condition
-from factorsmith.corpus import enumerate_exhaustive, free_trees_upto, random_gnp
+from factorsmith.corpus import (
+    enumerate_exhaustive,
+    free_trees_upto,
+    random_expansion_base,
+    random_gnp,
+)
 from factorsmith.factors import HalfIntegralAssignment, find_fractional_factor
-from factorsmith.families import OTHER, P2, star
+from factorsmith.families import OTHER, P2, classify_component, expand_base_tree, star
 from factorsmith.graphs import Graph, encode_graph6
 from factorsmith.reducer import (
     ComponentEntry,
@@ -31,6 +39,7 @@ from factorsmith.reducer import (
     minimize,
     verify_certificate,
 )
+from oracles import reference_search
 
 CORPUS_CHECKS = 4607
 CORPUS_DIGEST = "b05c9d9f6aba63e92a40b52a24c1e1c5426ce8f8379cefc86caa94d55e915ec1"
@@ -54,7 +63,9 @@ def _corpus():
 
 @cache
 def _results():
-    return [(g, k, extract_component_factor_detailed(g, k)) for g, k in _corpus()]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reducer, "find_fractional_factor", reference_search)
+        return [(g, k, extract_component_factor_detailed(g, k)) for g, k in _corpus()]
 
 
 def _record(g, k, cert, trace) -> str:
@@ -260,3 +271,66 @@ class TestVerifyCertificate:
         assert not verify_certificate(p3, cert(2, P2))
         assert not verify_certificate(p3, cert(1, star(2)))
         assert not verify_certificate(p3, cert(1, OTHER))
+
+
+@cache
+def _gnp_3000() -> Graph:
+    return random_gnp(3000, Fraction(12, 3000), 1)
+
+
+def _certified_with_count(g: Graph, k: int) -> FactorCertificate:
+    """The certificate of g at k, after checking that it re-verifies, that
+    its trace is at most ||G|| steps, and that the factor engine ran at most
+    two max flows for it."""
+    calls = []
+    real = factors._max_flow
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factors, "_max_flow", counted)
+        cert, _h, trace = extract_component_factor_detailed(g, k)
+    assert cert is not None and verify_certificate(g, cert)
+    assert len(trace) <= g.num_edges
+    assert len(calls) <= 2
+    return cert
+
+
+class TestScale:
+    """Graphs with thousands of vertices are normal input: each is certified
+    with work counted, not timed.  The T(2k+1) members also check the
+    certificate end to end, since a wrong rewrite would split the tree."""
+
+    @pytest.mark.parametrize("k, n", [(1, 1665), (2, 2135), (3, 2727)])
+    def test_expansion_member(self, k, n):
+        t = expand_base_tree(random_expansion_base(k, 1000, 1), k)
+        assert t.n == n
+        cert = _certified_with_count(t, k)
+        assert [e.cls for e in cert.components] == [classify_component(t, k)]
+        assert cert.components[0].cls.kind == ("cubic_expansion" if k == 1 else "tree_expansion")
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=4, max_value=200),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_drawn_expansion_member(self, k, size, seed):
+        """Hypothesis members: the factor side only.  The condition side
+        stays with the members of n <= 20 in test_families."""
+        t = expand_base_tree(random_expansion_base(k, size, seed), k)
+        cert = _certified_with_count(t, k)
+        assert [e.cls for e in cert.components] == [classify_component(t, k)]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_gnp_3000(self, k):
+        _certified_with_count(_gnp_3000(), k)
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["P5000", "C5000"])
+    def test_long_path_and_cycle(self, closed):
+        n = 5000
+        g = Graph(n, [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if closed else []))
+        cert = _certified_with_count(g, 1)
+        assert {e.cls for e in cert.components} == {P2}
