@@ -19,7 +19,7 @@ from factorsmith.factors import (
     verify_fractional,
 )
 from factorsmith.graphs import Graph
-from oracles import brute_completable, brute_least_units
+from oracles import brute_completable, brute_least_units, reference_search
 from treeutil import half_degree_units
 
 K2 = Graph(2, [(0, 1)])
@@ -194,8 +194,32 @@ class TestVerifyFractional:
 
 class TestCompletionOracle:
     """The flow engine answers the completion question for the empty prefix:
-    whether any weighting exists, against brute force, Theorem 1 and the
-    quarter-unit relaxation, and how light the one it returns is."""
+    whether any weighting exists, against the reference search, brute force,
+    Theorem 1 and the quarter-unit relaxation, and how light the one it
+    returns is."""
+
+    @pytest.mark.parametrize("seed", [0, 16])
+    def test_same_units_as_reference_exhaustive(self, seed):
+        """Against the depth-first reference search on every labelled graph
+        with n <= 5 at k = 1, 2, 3, with its vertices relabelled by a
+        permutation drawn from `seed` (0: as enumerated): the same verdict,
+        no more half-units in all than the reference's answer, and the same
+        total as on the graph as enumerated, since both totals are least."""
+        for n in range(1, 6):
+            perm = list(range(n))
+            if seed:
+                random.Random(seed + n).shuffle(perm)
+            for g in enumerate_exhaustive(n):
+                relabelled = Graph(n, [(perm[u], perm[w]) for u, w in g.edges])
+                for k in (1, 2, 3):
+                    h = find_fractional_factor(relabelled, k)
+                    ref = reference_search(relabelled, k)
+                    assert (h is None) == (ref is None), (g, k)
+                    if h is None:
+                        continue
+                    total = sum(h.units.values())
+                    assert total <= sum(ref.units.values()), (g, k)
+                    assert total == sum(find_fractional_factor(g, k).units.values()), (g, k)
 
     def test_matches_brute_completions(self):
         """Every labelled graph with n <= 5 at k = 1, 2, 3: None exactly when
