@@ -76,28 +76,33 @@ def find_fractional_factor(g: Graph, k: int) -> HalfIntegralAssignment | None:
     """Half-integral [1, k+1/2] edge weighting, or None if none exists.
 
     A leaf reaches 2 half-units only through its one edge, so every pendant
-    edge carries 2; a vertex then above 2k+1 has no factor.  The other edges
-    take the least feasible flow on B(G) for each vertex's remaining window,
-    rounded along trails (see the module docstring): two max flows in all."""
+    edge carries 2.  The refusal comes first and reads the masks alone: a
+    vertex with more than k leaf neighbours would sit above 2k+1, so there is
+    no factor, and no edge list or flow network is built.  Otherwise the
+    other edges take the least feasible flow on B(G) for each vertex's
+    remaining window, rounded along trails (see the module docstring): two
+    max flows in all."""
     if k < 1:
         raise ValueError(f"parameter k must be >= 1, got {k}")
     top = 2 * k + 1
     n, adj = g.n, g.adj
     if not all(adj):
         return None
+    leaves = 0
+    for v, m in enumerate(adj):
+        if not m & m - 1:
+            leaves |= 1 << v
+    fixed = [2 if leaves >> v & 1 else 2 * (m & leaves).bit_count() for v, m in enumerate(adj)]
+    if max(fixed, default=0) > top:
+        return None
     units: dict[tuple[int, int], int] = {}
-    fixed = [0] * n
     rest = []
     for e in g.edges:
         u, w = e
-        if adj[u] & adj[u] - 1 and adj[w] & adj[w] - 1:
-            rest.append(e)
-        else:  # a leaf's only edge
+        if leaves >> u & 1 or leaves >> w & 1:
             units[e] = 2
-            fixed[u] += 2
-            fixed[w] += 2
-    if max(fixed, default=0) > top:
-        return None
+        else:
+            rest.append(e)
     if rest:
         q = _least_flow(n, rest, fixed, top)
         if q is None:

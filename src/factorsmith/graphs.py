@@ -10,8 +10,7 @@ share across workers.
 from __future__ import annotations
 
 import re
-from binascii import b2a_base64
-from math import isqrt
+from binascii import a2b_base64, b2a_base64
 from typing import Iterable
 
 
@@ -44,6 +43,14 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self._adj = tuple(adj)
+
+    @classmethod
+    def _from_masks(cls, n: int, adj: list[int]) -> Graph:
+        """The graph with these symmetric, loop-free masks, taken unchecked."""
+        g = object.__new__(cls)
+        g.n = n
+        g._adj = tuple(adj)
+        return g
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -84,14 +91,17 @@ class Graph:
 # accepted, so encode(parse(s)) == s.  The body is the upper triangle of the
 # adjacency matrix column by column: pair (i, j), i < j, is bit
 # j(j-1)/2 + i, packed six bits a byte from the most significant bit and
-# zero-padded.  A byte "?" holds no edge, so decoding visits only the others.
+# zero-padded.  base64 cuts a bit stream into the same 6-bit groups, so the
+# decoder mirrors the encoder: it maps the body back to base64, decodes it
+# and bit-reverses each byte, then reads each column's j bits off a window
+# refilled from those bytes.  Reading is linear in the body, with one mask
+# update per edge on top, and no edge list is built.
 
 _G6_INVALID = re.compile(r"[^?-~]")
-_G6_NONZERO = re.compile(rb"[^?]")
 _REVERSE_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-_BASE64_TO_G6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
-)
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_BASE64_TO_G6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_G6_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
 
 
 def _graph6_size(n: int) -> bytes:
@@ -137,18 +147,36 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(raw) - start > nbytes:
         raise GraphFormatError(f"trailing data in graph6 string at position {start + nbytes}")
-    edges = []
-    for m in _G6_NONZERO.finditer(raw, start):
-        pos = m.start()
-        val, base = raw[pos] - 63, 6 * (pos - start)
-        for t in range(6):
-            if val & 32 >> t:
-                b = base + t
-                if b >= nbits:
-                    raise GraphFormatError("nonzero padding bits in graph6 body")
-                j = (1 + isqrt(8 * b + 1)) // 2
-                edges.append((b - j * (j - 1) // 2, j))
-    return Graph(n, edges)
+    # the padding is the low 6*nbytes - nbits bits of the last group
+    if nbits and (raw[-1] - 63) & (1 << 6 * nbytes - nbits) - 1:
+        raise GraphFormatError("nonzero padding bits in graph6 body")
+    body = raw[start:].translate(_G6_TO_BASE64)
+    stream = a2b_base64(body + b"A" * (-len(body) & 3)).translate(_REVERSE_BITS)
+    return Graph._from_masks(n, _masks_from_columns(n, stream))
+
+
+def _masks_from_columns(n: int, stream: bytes) -> list[int]:
+    """Neighbour masks from the body's bits, read from bit 0 of `stream`
+    taken as little-endian: column j, the j bits after the first j(j-1)/2,
+    is j's lower neighbours, and each of them gets bit j in its own mask."""
+    adj = [0] * n
+    window = held = pos = 0
+    for j in range(1, n):
+        if held < j:  # refill at least j bits, so each shift costs O(j)
+            step = (j >> 3) + 64
+            window |= int.from_bytes(stream[pos : pos + step], "little") << held
+            held += 8 * step
+            pos += step
+        col = window & (1 << j) - 1
+        window >>= j
+        held -= j
+        adj[j] = col
+        bit = 1 << j
+        while col:
+            i = col.bit_length() - 1
+            adj[i] |= bit
+            col ^= 1 << i
+    return adj
 
 
 def encode_graph6(g: Graph) -> str:

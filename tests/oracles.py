@@ -1,6 +1,7 @@
 """Independent test oracles for half-integral [1, k+1/2] weightings: brute
-force over every {0, 1/2, 1} vector, and the exact depth-first search the
-factor engine once was, whose first answer the reducer's pinned traces use."""
+force over every {0, 1/2, 1} vector, an exact dynamic programme on trees,
+and the exact depth-first search the factor engine once was, whose first
+answer the reducer's pinned traces use."""
 
 from __future__ import annotations
 
@@ -45,6 +46,39 @@ def brute_least_units(g: Graph, ks: tuple[int, ...]) -> dict[int, int | None]:
             if most <= 2 * k + 1 and (best[k] is None or total < best[k]):
                 best[k] = total
     return best
+
+
+def tree_least_units(g: Graph, k: int) -> int | None:
+    """The least total half-units of a [1, k+1/2] weighting of the tree g,
+    or None if it has none.  Exact: rooted at 0, best[v][x] is the least
+    total below v when v's edge to its parent carries x half-units, found by
+    a knapsack over v's children on the half-units they give v, capped at
+    2k+1."""
+    top = 2 * k + 1
+    parent = [-1] * g.n
+    order = [0]
+    for v in order:
+        for w in g.neighbors(v):
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    assert len(order) == g.n == g.num_edges + 1, "not a tree"
+    inf = float("inf")
+    best = [[inf] * 3 for _ in range(g.n)]
+    for v in reversed(order):
+        at = [0] + [inf] * top  # at[s]: least total below v with s half-units at v
+        for c in g.neighbors(v):
+            if c == parent[v]:
+                continue
+            nxt = [inf] * (top + 1)
+            for s, cost in enumerate(at):
+                for y in range(min(2, top - s) + 1):
+                    nxt[s + y] = min(nxt[s + y], cost + best[c][y] + y)
+            at = nxt
+        for x in range(3):
+            best[v][x] = min(at[max(0, 2 - x) : top + 1 - x])
+    least = best[0][0]
+    return None if least == inf else least
 
 
 def reference_search(g: Graph, k: int) -> HalfIntegralAssignment | None:

@@ -19,7 +19,7 @@ from factorsmith.factors import (
     verify_fractional,
 )
 from factorsmith.graphs import Graph
-from oracles import brute_completable, brute_least_units, reference_search
+from oracles import brute_completable, brute_least_units, reference_search, tree_least_units
 from treeutil import half_degree_units
 
 K2 = Graph(2, [(0, 1)])
@@ -249,6 +249,18 @@ class TestCompletionOracle:
         h = find_fractional_factor(g, k)
         assert (None if h is None else sum(h.units.values())) == brute_least_units(g, (k,))[k]
 
+    @pytest.mark.parametrize("n", [18, 30])
+    def test_least_units_on_trees(self, n):
+        """Trees are bipartite, so the answer is least: its total equals the
+        tree programme's on `random_tree(n, s)` for s < 100 at k = 1, 2.
+        This needs the flow from t back to s; the feasible flow alone lands
+        above the least on some of these."""
+        for s in range(100):
+            t = random_tree(n, s)
+            for k in (1, 2):
+                h = find_fractional_factor(t, k)
+                assert (None if h is None else sum(h.units.values())) == tree_least_units(t, k), (s, k)
+
     def test_quarter_completions_round(self):
         """An integral flow on the double cover is a completion in quarter
         units (x_e = (y_uw + y_wu)/2 half-units).  The engine is exact only
@@ -407,6 +419,24 @@ class TestFlow:
         star = Graph(k + 1, [(0, i) for i in range(1, k + 1)])
         assert find_fractional_factor(star, k).units == dict.fromkeys(star.edges, 2)
         assert calls == []
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_overloaded_leaf_centre_is_refused_from_the_masks(self, monkeypatch, k):
+        """K1,k+1, and a spider with k+1 legs of length 1 and two of length 3:
+        the centre has k+1 leaf neighbours, so the engine says None before it
+        lists an edge or runs a flow."""
+        star = Graph(k + 2, [(0, i) for i in range(1, k + 2)])
+        legs = [(0, i) for i in range(1, k + 2)]
+        for a in (k + 2, k + 5):
+            legs += [(0, a), (a, a + 1), (a + 1, a + 2)]
+        spider = Graph(k + 8, legs)
+        calls = counted_flows(monkeypatch)
+        listed = []
+        edges = Graph.edges
+        monkeypatch.setattr(Graph, "edges", property(lambda g: listed.append(g) or edges.fget(g)))
+        assert find_fractional_factor(star, k) is None
+        assert find_fractional_factor(spider, k) is None
+        assert calls == [] and listed == []
 
     def test_isolated_vertex_and_empty_graph(self):
         assert find_fractional_factor(Graph(3, [(0, 1)]), 1) is None

@@ -1,9 +1,11 @@
 """Graph primitives, graph6 round trips, edge lists, DOT."""
 
 import pickle
+import re
 import time
 import tracemalloc
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,15 @@ from factorsmith.graphs import (
 from treeutil import degree_sequence
 
 
+def reference_graph6_size(n: int) -> str:
+    """The shortest graph6 header for n vertices."""
+    if n <= 62:
+        return chr(n + 63)
+    if n <= 258047:
+        return "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+    return "~~" + "".join(chr((n >> shift & 63) + 63) for shift in (30, 24, 18, 12, 6, 0))
+
+
 def reference_encode_graph6(g: Graph) -> str:
     """Independent straight-from-the-format encoder used as the oracle."""
     bits = ""
@@ -32,15 +43,54 @@ def reference_encode_graph6(g: Graph) -> str:
             bits += "1" if g.adj[i] >> j & 1 else "0"
     while len(bits) % 6:
         bits += "0"
-    if g.n <= 62:
-        out = chr(g.n + 63)
-    elif g.n <= 258047:
-        out = "~" + "".join(chr((g.n >> shift & 63) + 63) for shift in (12, 6, 0))
-    else:
-        out = "~~" + "".join(chr((g.n >> shift & 63) + 63) for shift in (30, 24, 18, 12, 6, 0))
+    out = reference_graph6_size(g.n)
     for i in range(0, len(bits), 6):
         out += chr(int(bits[i : i + 6], 2) + 63)
     return out
+
+
+def reference_parse_graph6(text: str) -> Graph:
+    """Independent per-bit decoder used as the oracle: each set bit b of the
+    body is the pair (b - j(j-1)/2, j) of the column j that holds it.  It
+    raises the same GraphFormatError messages as `parse_graph6`."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[10:]
+    if not s:
+        raise GraphFormatError("empty graph6 string")
+    if s[0] in ":;":
+        raise GraphFormatError("sparse6 input is not supported, only graph6")
+    if s[0] == "&":
+        raise GraphFormatError("digraph6 input is not supported, only graph6")
+    bad = re.search(r"[^?-~]", s)
+    if bad:
+        raise GraphFormatError(f"invalid graph6 byte {bad.group()!r} at position {bad.start()}")
+    prefix = 2 if s.startswith("~~") else 1 if s[0] == "~" else 0
+    start = prefix + (1, 3, 6)[prefix]
+    if len(s) < start:
+        raise GraphFormatError(f"truncated graph6 header: need {start} bytes, got {len(s)}")
+    n = 0
+    for ch in s[prefix:start]:
+        n = n << 6 | ord(ch) - 63
+    if s[:start] != reference_graph6_size(n):
+        raise GraphFormatError(f"graph6 header for n={n} is not the shortest one")
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(s) - start < nbytes:
+        raise GraphFormatError(f"truncated graph6 body: need {nbytes} bytes for n={n}, got {len(s) - start}")
+    if len(s) - start > nbytes:
+        raise GraphFormatError(f"trailing data in graph6 string at position {start + nbytes}")
+    edges = []
+    for pos in range(start, len(s)):
+        val, base = ord(s[pos]) - 63, 6 * (pos - start)
+        for t in range(6):
+            if val & 32 >> t:
+                b = base + t
+                if b >= nbits:
+                    raise GraphFormatError("nonzero padding bits in graph6 body")
+                j = (1 + isqrt(8 * b + 1)) // 2
+                edges.append((b - j * (j - 1) // 2, j))
+    return Graph(n, edges)
 
 
 def graphs_strategy(max_n=12):
@@ -70,6 +120,18 @@ def pair_lists_strategy(max_n=12):
 
     return build()
 
+
+MALFORMED_GRAPH6 = [
+    "",  # empty
+    ":Bw",  # sparse6
+    "&A_",  # digraph6
+    "~~~",  # truncated long-form header
+    "~??_?",  # n = 32 in a long-form header: not the shortest one
+    "B",  # truncated body
+    "Bw_",  # trailing data
+    "B\x1f",  # out-of-range byte
+    ">>graph6<<",  # header with no graph
+]
 
 K2 = Graph(2, [(0, 1)])
 P3 = Graph(3, [(0, 1), (1, 2)])
@@ -166,31 +228,55 @@ class TestGraph6:
         assert parse_graph6(encode_graph6(g)) == g
         assert encode_graph6(g) == reference_encode_graph6(g)
 
+    def test_decoder_matches_reference_exhaustive(self):
+        """The mask decoder and the per-bit one agree on every labelled
+        graph with n <= 5."""
+        for n in range(6):
+            for g in enumerate_exhaustive(n) if n else [Graph(0)]:
+                text = encode_graph6(g)
+                assert parse_graph6(text).adj == reference_parse_graph6(text).adj == g.adj
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_strategy(max_n=70))
+    def test_decoder_matches_reference_random(self, g):
+        """Up to n = 70, across the long-form header that starts at 63."""
+        text = encode_graph6(g)
+        assert parse_graph6(text).adj == reference_parse_graph6(text).adj == g.adj
+
+    def test_dense_parse_builds_no_edge_list(self):
+        """K1500 has 1,124,250 edges; its masks take about 0.4 MB, and the
+        parse peaks far below what a list of its pairs would take."""
+        n = 1500
+        text = reference_graph6_size(n) + "~" * (n * (n - 1) // 12)
+        tracemalloc.start()
+        try:
+            g = parse_graph6(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        full = (1 << n) - 1
+        assert g.n == n and all(m == full ^ 1 << v for v, m in enumerate(g.adj))
+        assert peak < 8 << 20
+
     def test_header_prefix_stripped(self):
         assert parse_graph6(">>graph6<<A_") == K2
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "",  # empty
-            ":Bw",  # sparse6
-            "&A_",  # digraph6
-            "~~~",  # truncated long-form header
-            "~??_?",  # n = 32 in a long-form header: not the shortest one
-            "B",  # truncated body
-            "Bw_",  # trailing data
-            "B\x1f",  # out-of-range byte
-            ">>graph6<<",  # header with no graph
-        ],
-    )
+    @pytest.mark.parametrize("bad", MALFORMED_GRAPH6)
     def test_malformed_rejected(self, bad):
-        with pytest.raises(GraphFormatError):
+        """Each malformed input keeps the error the per-bit decoder gives."""
+        with pytest.raises(GraphFormatError) as exc:
             parse_graph6(bad)
+        with pytest.raises(GraphFormatError) as ref:
+            reference_parse_graph6(bad)
+        assert str(exc.value) == str(ref.value)
 
     def test_nonzero_padding_rejected(self):
-        # n=2 needs 1 bit; the remaining 5 padding bits must be zero
-        with pytest.raises(GraphFormatError):
-            parse_graph6("A" + chr(63 + 0b111111))
+        """n=2 needs 1 bit, so the remaining 5 padding bits must be zero;
+        likewise the last padding bit of n = 3, 5 and 65."""
+        for bad in ["A" + chr(63 + 0b111111), "Bx", "Do~", "~?@@" + "?" * 346 + "@"]:
+            for parse in (parse_graph6, reference_parse_graph6):
+                with pytest.raises(GraphFormatError, match="^nonzero padding bits in graph6 body$"):
+                    parse(bad)
 
     def test_long_header_round_trip(self):
         text = "~??~" + "?" * 326  # 63 vertices, 1953 bits
@@ -229,12 +315,15 @@ class TestGraph6:
     @given(st.text(alphabet="?@AB_o~}:&\x1f", max_size=12))
     def test_fuzz_only_format_errors(self, text):
         """Any input either parses to a graph that re-encodes to it, or
-        raises GraphFormatError."""
+        raises GraphFormatError; either way as the per-bit decoder does."""
         try:
             g = parse_graph6(text)
-        except GraphFormatError:
+        except GraphFormatError as exc:
+            with pytest.raises(GraphFormatError, match=f"^{re.escape(str(exc))}$"):
+                reference_parse_graph6(text)
             return
         assert encode_graph6(g) == text.strip()
+        assert reference_parse_graph6(text) == g
 
 
 class TestEdgeList:

@@ -280,20 +280,29 @@ def _gnp_3000() -> Graph:
 
 def _certified_with_count(g: Graph, k: int) -> FactorCertificate:
     """The certificate of g at k, after checking that it re-verifies, that
-    its trace is at most ||G|| steps, and that the factor engine ran at most
-    two max flows for it."""
+    its trace is at most ||G|| steps, that `minimize` built one `_State` per
+    step plus one at the fixpoint, and that the factor engine ran at most two
+    max flows for it."""
     calls = []
     real = factors._max_flow
+    built = []
 
     def counted(*args):
         calls.append(None)
         return real(*args)
 
+    class CountedState(reducer._State):
+        def __init__(self, h, k):
+            built.append(None)
+            super().__init__(h, k)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(factors, "_max_flow", counted)
+        mp.setattr(reducer, "_State", CountedState)
         cert, _h, trace = extract_component_factor_detailed(g, k)
     assert cert is not None and verify_certificate(g, cert)
     assert len(trace) <= g.num_edges
+    assert len(built) == len(trace) + 1
     assert len(calls) <= 2
     return cert
 
