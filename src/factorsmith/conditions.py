@@ -3,8 +3,21 @@
 check_iso_condition decides whether iso(G-S) <= c*|S| for every S, where
 iso counts vertices outside S whose whole neighbourhood lies inside S.
 A violating S must satisfy c*|S| < iso(G-S) <= n - |S|, so only sizes s
-with s*(p+q) < n*q can violate, for c = p/q.  For each such s in turn, an
-explicit-stack depth-first walk of the combination tree visits the s-sets:
+with s*(p+q) < n*q can violate, for c = p/q.
+
+Sizes 0 and 1 are read off the neighbour masks, and most violations are
+found there.  iso(G) counts the vertices whose mask is 0, so S = {} violates
+iff one exists, and it isolates exactly those.  Without isolated vertices,
+a vertex outside {v} is isolated in G-v iff its only neighbour is v, so
+iso(G-v) is the number of v's neighbours of degree 1; {v} violates iff that
+number times q exceeds p, and it isolates exactly those leaves.  Taking v
+in ascending order makes the first such {v} the lexicographically smallest
+violator of size 1, so both answers are the ones the walk below would give.
+When size 1 lies outside the range above, iso(G-v) <= n - 1 <= c, and no
+{v} violates either.
+
+From size 2 on, for each s in range in turn, an explicit-stack depth-first
+walk of the combination tree visits the s-sets:
 a node holds S as an increasing stack, its children append one vertex
 greater than the top, and a branch stops once fewer vertices remain than
 it still needs.  Children are taken in increasing order, so the leaves come
@@ -28,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from factorsmith.graphs import Graph
+from factorsmith.graphs import Graph, leaf_mask, mask_to_list
 
 TOUGHNESS_MAX_N = 20
 
@@ -69,22 +82,30 @@ def check_iso_condition(g: Graph, c: Fraction) -> ConditionWitness | None:
     """None iff iso(G-S) <= c*|S| for all S (including S = empty set);
     otherwise the lexicographically smallest violating S of minimum size.
 
-    One walk per size s = 0..max_size over the s-subsets in lexicographic
-    order (see the module docstring).  Entering v into S drops iso by one if
-    v was isolated, decrements need[w] for each neighbour w and counts w as
-    isolated when its need reaches 0 outside S; leaving undoes exactly that.
-    A leaf at depth s violates iff iso*q > p*s for c = p/q."""
+    S = {} and S = {v} are decided from `g.adj` and the leaf mask, with no
+    neighbour list built (see the module docstring for why that answer is
+    exact and comes first).  Then one walk per size s = 2..max_size over
+    the s-subsets in lexicographic order.  Entering v into S drops iso by
+    one if v was isolated, decrements need[w] for each neighbour w and
+    counts w as isolated when its need reaches 0 outside S; leaving undoes
+    exactly that.  A leaf at depth s violates iff iso*q > p*s for c = p/q."""
     c = Fraction(c)
     if c <= 0:
         raise ValueError(f"condition ratio must be positive, got {c}")
-    n = g.n
+    n, adj = g.n, g.adj
     p, q = c.numerator, c.denominator
+    if not all(adj):
+        return ConditionWitness(frozenset(), frozenset(v for v, m in enumerate(adj) if not m))
+    leaves = leaf_mask(adj)
+    for v, m in enumerate(adj):
+        if (m & leaves).bit_count() * q > p:
+            return ConditionWitness(frozenset((v,)), frozenset(mask_to_list(m & leaves)))
     nbrs = [g.neighbors(v) for v in range(n)]
     need = [len(ns) for ns in nbrs]
     in_s = [False] * n
-    iso = need.count(0)
+    iso = 0  # no mask is 0, or S = {} would have violated
     # the largest s with s*(1+c) < n, i.e. s*(p+q) < n*q
-    for size in range((n * q - 1) // (p + q) + 1):
+    for size in range(2, (n * q - 1) // (p + q) + 1):
         stack: list[int] = []
         v = 0
         while True:

@@ -55,7 +55,7 @@ class Graph:
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Sorted (u, v) pairs with u < v: each vertex's neighbours above it."""
-        return tuple((u, v) for u, m in enumerate(self._adj) for v in _mask_to_list(m >> u + 1 << u + 1))
+        return tuple((u, v) for u, m in enumerate(self._adj) for v in mask_to_list(m >> u + 1 << u + 1))
 
     @property
     def adj(self) -> tuple[int, ...]:
@@ -71,7 +71,7 @@ class Graph:
 
     def neighbors(self, v: int) -> list[int]:
         """v's neighbours in ascending order."""
-        return _mask_to_list(self._adj[v])
+        return mask_to_list(self._adj[v])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
@@ -91,17 +91,20 @@ class Graph:
 # accepted, so encode(parse(s)) == s.  The body is the upper triangle of the
 # adjacency matrix column by column: pair (i, j), i < j, is bit
 # j(j-1)/2 + i, packed six bits a byte from the most significant bit and
-# zero-padded.  base64 cuts a bit stream into the same 6-bit groups, so the
-# decoder mirrors the encoder: it maps the body back to base64, decodes it
-# and bit-reverses each byte, then reads each column's j bits off a window
-# refilled from those bytes.  Reading is linear in the body, with one mask
-# update per edge on top, and no edge list is built.
+# zero-padded.  base64 cuts a bit stream into the same 6-bit groups.  The
+# encoder writes each column's j bits into a window that it flushes to bytes
+# and base64-encodes; the decoder mirrors it: it maps the body back to
+# base64, decodes it and bit-reverses each byte, then reads each column's j
+# bits off a window refilled from those bytes.  Both are linear in the body,
+# with one mask update per edge on top when reading, and no edge list is
+# built.
 
 _G6_INVALID = re.compile(r"[^?-~]")
 _REVERSE_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _BASE64_TO_G6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
 _G6_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
+_FLUSH_BITS = 1536  # 64 groups of 24 bits: graphs with n <= 56 never flush
 
 
 def _graph6_size(n: int) -> bytes:
@@ -180,16 +183,27 @@ def _masks_from_columns(n: int, stream: bytes) -> list[int]:
 
 
 def encode_graph6(g: Graph) -> str:
-    # Column j's lower neighbours, shifted to bit j(j-1)/2, give the body's
-    # bit string read from bit 0.  Reversing each little-endian byte puts it
-    # in stream order, most significant bit first, and base64 cuts such a
-    # stream into the same 6-bit groups that graph6 does.
-    stream = base = 0
+    # Column j's lower neighbours, put at bit `held` of a window, give the
+    # body's bit string read from bit 0.  Once the window holds
+    # _FLUSH_BITS bits, its whole 3-byte groups move to `out`, so each column
+    # costs O(j + _FLUSH_BITS) and no column copies the body built so far.
+    # Reversing each little-endian byte puts the bits in stream order, most
+    # significant bit first, and base64 cuts such a stream into the same
+    # 6-bit groups that graph6 does; a flush ends on a group boundary of both.
+    out = bytearray()
+    window = held = 0
     for j, m in enumerate(g.adj):
-        stream |= (m & (1 << j) - 1) << base
-        base += j
-    raw = stream.to_bytes(-(-base // 24) * 3, "little").translate(_REVERSE_BITS)
-    body = b2a_base64(raw, newline=False).translate(_BASE64_TO_G6)[: (base + 5) // 6]
+        if held >= _FLUSH_BITS:
+            cut = held - held % 24
+            out += (window & (1 << cut) - 1).to_bytes(cut >> 3, "little")
+            window >>= cut
+            held -= cut
+        window |= (m & (1 << j) - 1) << held
+        held += j
+    out += window.to_bytes(-(-held // 24) * 3, "little")
+    nbits = g.n * (g.n - 1) // 2
+    raw = out.translate(_REVERSE_BITS)
+    body = b2a_base64(raw, newline=False).translate(_BASE64_TO_G6)[: (nbits + 5) // 6]
     return (_graph6_size(g.n) + body).decode("ascii")
 
 
@@ -296,11 +310,21 @@ def connected_components(n: int, adj: tuple[int, ...] | list[int]) -> list[list[
                 m ^= low
             frontier = nxt & ~comp
         seen |= comp
-        comps.append(_mask_to_list(comp))
+        comps.append(mask_to_list(comp))
     return comps
 
 
-def _mask_to_list(mask: int) -> list[int]:
+def leaf_mask(adj: tuple[int, ...] | list[int]) -> int:
+    """Bitmask of the vertices of degree exactly 1, from bitmask adjacency."""
+    leaves = 0
+    for v, m in enumerate(adj):
+        if m and not m & m - 1:
+            leaves |= 1 << v
+    return leaves
+
+
+def mask_to_list(mask: int) -> list[int]:
+    """The set bits of `mask`, ascending."""
     out = []
     while mask:
         low = mask & -mask

@@ -16,6 +16,7 @@ from factorsmith.conditions import (
     parse_ratio,
 )
 from factorsmith.corpus import enumerate_exhaustive, random_gnp, random_tree
+from factorsmith.factors import find_fractional_factor
 from factorsmith.graphs import Graph
 
 K13 = Graph(4, [(0, 1), (0, 2), (0, 3)])
@@ -225,6 +226,116 @@ class TestCheckCondition:
                 continue
             assert w.isolated == iso_after_removal(g, w.removed)
             assert len(w.isolated) * c.denominator > c.numerator * len(w.removed)
+
+
+def spider(j: int, legs: list[int], last: bool = False) -> Graph:
+    """A centre with j leaves and one path of each length in `legs`; the
+    centre is vertex 0, or with `last` every label is reversed so that it
+    is the largest."""
+    pairs = [(0, i) for i in range(1, j + 1)]
+    top = j
+    for length in legs:
+        prev = 0
+        for top in range(top + 1, top + length + 1):
+            pairs.append((prev, top))
+            prev = top
+    n = top + 1
+    return Graph(n, [(n - 1 - u, n - 1 - v) if last else (u, v) for u, v in pairs])
+
+
+def counted_neighbors(monkeypatch) -> list:
+    """Record each `Graph.neighbors` call through a wrapper."""
+    calls = []
+    real = Graph.neighbors
+
+    def counted(g, v):
+        calls.append(v)
+        return real(g, v)
+
+    monkeypatch.setattr(Graph, "neighbors", counted)
+    return calls
+
+
+class TestLocalObstructions:
+    """S = {} and S = {v} are decided from the masks before the walk; these
+    plant each kind and compare with the combinations scan."""
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_leaf_centre(self, j):
+        """For j >= 2 the centre of j leaves is the only vertex with more
+        than one leaf neighbour: it violates at c = j - 1/2, alone and
+        first, and no single vertex does at c = j + 1/2.  For j = 1 a leg's
+        other end may come first, and the scan alone decides."""
+        below, above = Fraction(2 * j - 1, 2), Fraction(2 * j + 1, 2)
+        for legs in ([], [2], [2, 3]):
+            for last in (False, True):
+                g = spider(j, legs, last)
+                centre = g.n - 1 if last else 0
+                leaves = frozenset(v for v in range(g.n) if g.adj[v] == 1 << centre)
+                assert len(leaves) == j
+                if j >= 2:
+                    assert check_iso_condition(g, below) == ConditionWitness(frozenset({centre}), leaves)
+                    w = check_iso_condition(g, above)
+                    assert w is None or len(w.removed) >= 2
+                for c in RATIOS + [below, above]:
+                    assert check_iso_condition(g, c) == reference_witness(g, c), (g, c)
+
+    def test_isolated_vertex_at_every_position(self):
+        for n in range(1, 8):
+            for pos in range(n):
+                rest = [v for v in range(n) if v != pos]
+                for g in (Graph(n, zip(rest, rest[1:])), Graph(n, [(0, 1)] if pos > 1 else [])):
+                    expected = ConditionWitness(frozenset(), frozenset(v for v in range(n) if not g.adj[v]))
+                    assert pos in expected.isolated
+                    for c in RATIOS:
+                        assert check_iso_condition(g, c) == reference_witness(g, c) == expected, (g, c)
+
+    def test_minimum_witness_of_size_two_enters_the_walk(self, monkeypatch):
+        """K2,5 has no leaf, and removing one hub isolates nothing; the two
+        hubs together isolate all five others."""
+        g = Graph(7, [(u, w) for u in range(2) for w in range(2, 7)])
+        calls = counted_neighbors(monkeypatch)
+        for c in RATIOS:
+            assert check_iso_condition(g, c) == reference_witness(g, c), c
+        expected = ConditionWitness(frozenset({0, 1}), frozenset(range(2, 7)))
+        assert check_iso_condition(g, Fraction(3, 2)) == expected
+        assert calls
+
+
+class TestWorkCounts:
+    """A witness of size 0 or 1 is read off the masks: no neighbour list
+    is built, at any n."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_leaf_centre_in_a_large_tree(self, seed, monkeypatch):
+        g = random_tree(3000, seed)
+        c = Fraction(3, 2)
+        calls = counted_neighbors(monkeypatch)
+        w = check_iso_condition(g, c)
+        assert calls == []
+        (v,) = w.removed
+        assert w.isolated == iso_after_removal(g, w.removed) and 2 * len(w.isolated) > 3
+        deg = [m.bit_count() for m in g.adj]
+        leaf_nbrs = [0] * g.n
+        for a, b in g.edges:
+            leaf_nbrs[a] += deg[b] == 1
+            leaf_nbrs[b] += deg[a] == 1
+        assert min(u for u in range(g.n) if 2 * leaf_nbrs[u] > 3) == v
+        # the factor engine refuses the same centre, also without an edge list
+        listed = []
+        edges = Graph.edges
+        monkeypatch.setattr(Graph, "edges", property(lambda h: listed.append(h) or edges.fget(h)))
+        assert find_fractional_factor(g, 1) is None
+        assert listed == [] and calls == []
+
+    def test_isolated_vertex_in_a_large_graph(self, monkeypatch):
+        n, lone = 5000, 2718
+        rest = [v for v in range(n) if v != lone]
+        g = Graph(n, zip(rest, rest[1:] + rest[:1]))
+        calls = counted_neighbors(monkeypatch)
+        for c in (Fraction(1, 2), Fraction(3, 2)):
+            assert check_iso_condition(g, c) == ConditionWitness(frozenset(), frozenset({lone}))
+        assert calls == []
 
 
 class TestToughness:

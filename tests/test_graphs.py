@@ -93,10 +93,10 @@ def reference_parse_graph6(text: str) -> Graph:
     return Graph(n, edges)
 
 
-def graphs_strategy(max_n=12):
+def graphs_strategy(max_n=12, min_n=0):
     @st.composite
     def build(draw):
-        n = draw(st.integers(min_value=0, max_value=max_n))
+        n = draw(st.integers(min_value=min_n, max_value=max_n))
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         mask = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
         return Graph(n, (p for i, p in enumerate(pairs) if mask >> i & 1))
@@ -228,6 +228,13 @@ class TestGraph6:
         assert parse_graph6(encode_graph6(g)) == g
         assert encode_graph6(g) == reference_encode_graph6(g)
 
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_strategy(max_n=70, min_n=50))
+    def test_encoder_matches_reference_across_flush_and_long_header(self, g):
+        """n = 57 is the first size whose window flushes before its last
+        column, and n = 63 the first with the long header."""
+        assert encode_graph6(g) == reference_encode_graph6(g)
+
     def test_decoder_matches_reference_exhaustive(self):
         """The mask decoder and the per-bit one agree on every labelled
         graph with n <= 5."""
@@ -283,7 +290,7 @@ class TestGraph6:
         assert encode_graph6(Graph(63)) == text
         assert parse_graph6(text) == Graph(63)
 
-    @pytest.mark.parametrize("n", [63, 64, 100, 130])
+    @pytest.mark.parametrize("n", [56, 57, 63, 64, 100, 130, 200])
     def test_long_form_matches_reference(self, n):
         g = random_gnp(n, Fraction(1, 2), n)
         assert encode_graph6(g) == reference_encode_graph6(g)
