@@ -255,7 +255,7 @@ def _corpus_from_args(args) -> tuple[str, Iterator[Graph]]:
     chosen = [
         name
         for name in ("exhaustive", "gnp", "trees", "paths_cycles", "file", "all_trees", "expansion_base")
-        if getattr(args, name, None) is not None
+        if getattr(args, name) is not None
     ]
     if len(chosen) != 1:
         raise ValueError("choose exactly one corpus source")
@@ -368,6 +368,8 @@ def _add_corpus_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trees", default=None, metavar="n,count")
     p.add_argument("--paths-cycles", dest="paths_cycles", type=int, default=None, metavar="N")
     p.add_argument("--file", default=None, metavar="PATH", help="graph6 lines or one edge list")
+    p.add_argument("--all-trees", type=int, metavar="N", help="all free trees with <= N vertices")
+    p.add_argument("--expansion-base", metavar="k,size,seed", help="random base of T(2k+1), k >= 1")
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -399,8 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit corpus graphs as graph6")
     _add_corpus_args(p)
-    p.add_argument("--all-trees", type=int, metavar="N", help="all free trees with <= N vertices")
-    p.add_argument("--expansion-base", metavar="k,size,seed", help="random base of T(2k+1), k >= 1")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("convert", help="convert between graph formats")

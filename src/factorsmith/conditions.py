@@ -10,11 +10,18 @@ found there.  iso(G) counts the vertices whose mask is 0, so S = {} violates
 iff one exists, and it isolates exactly those.  Without isolated vertices,
 a vertex outside {v} is isolated in G-v iff its only neighbour is v, so
 iso(G-v) is the number of v's neighbours of degree 1; {v} violates iff that
-number times q exceeds p, and it isolates exactly those leaves.  Taking v
-in ascending order makes the first such {v} the lexicographically smallest
-violator of size 1, so both answers are the ones the walk below would give.
-When size 1 lies outside the range above, iso(G-v) <= n - 1 <= c, and no
-{v} violates either.
+whole number exceeds p/q, that is p // q, and it isolates exactly those
+leaves.  `graphs.leaf_centre` takes v in ascending order, so the first such
+{v} is the lexicographically smallest violator of size 1, and both answers
+are the ones the walk below would give.  When size 1 lies outside the range
+above, iso(G-v) <= n - 1 <= c, and no {v} violates either.
+
+Every vertex x of a minimum violator S has more than c neighbours among the
+vertices I = iso(G-S) it isolates.  Taking x out of S frees at most the
+|N(x) & I| vertices of I next to x, the rest of I stays isolated, and S - x
+does not violate, as S has minimum size.  So with c = p/q,
+q(|I| - |N(x) & I|) <= p(|S| - 1) < q|I| - p, whence |N(x) & I| > c.  A
+vertex with at most c neighbours is never in the answer.
 
 From size 2 on, for each s in range in turn, an explicit-stack depth-first
 walk of the combination tree visits the s-sets:
@@ -41,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from factorsmith.graphs import Graph, leaf_mask, mask_to_list
+from factorsmith.graphs import Graph, leaf_centre, mask_to_list
 
 TOUGHNESS_MAX_N = 20
 
@@ -88,18 +95,20 @@ def check_iso_condition(g: Graph, c: Fraction) -> ConditionWitness | None:
     the s-subsets in lexicographic order.  Entering v into S drops iso by
     one if v was isolated, decrements need[w] for each neighbour w and
     counts w as isolated when its need reaches 0 outside S; leaving undoes
-    exactly that.  A leaf at depth s violates iff iso*q > p*s for c = p/q."""
-    c = Fraction(c)
-    if c <= 0:
+    exactly that.  A leaf at depth s violates iff iso*q > p*s for c = p/q.
+    Every vertex of the answer has more than c neighbours in its
+    `isolated` set (module docstring)."""
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    p, q = c.numerator, c.denominator
+    if p <= 0:
         raise ValueError(f"condition ratio must be positive, got {c}")
     n, adj = g.n, g.adj
-    p, q = c.numerator, c.denominator
     if not all(adj):
         return ConditionWitness(frozenset(), frozenset(v for v, m in enumerate(adj) if not m))
-    leaves = leaf_mask(adj)
-    for v, m in enumerate(adj):
-        if (m & leaves).bit_count() * q > p:
-            return ConditionWitness(frozenset((v,)), frozenset(mask_to_list(m & leaves)))
+    leaves, v = leaf_centre(adj, p // q)
+    if v is not None:
+        return ConditionWitness(frozenset((v,)), frozenset(mask_to_list(adj[v] & leaves)))
     nbrs = [g.neighbors(v) for v in range(n)]
     need = [len(ns) for ns in nbrs]
     in_s = [False] * n

@@ -38,7 +38,7 @@ that is a parity problem, as for b-matchings.
 
 from __future__ import annotations
 
-from factorsmith.graphs import Graph, edge, leaf_mask
+from factorsmith.graphs import Graph, edge, leaf_centre
 
 
 class HalfIntegralAssignment:
@@ -78,23 +78,23 @@ def find_fractional_factor(g: Graph, k: int) -> HalfIntegralAssignment | None:
     A leaf reaches 2 half-units only through its one edge, so every pendant
     edge carries 2.  The refusal comes first and reads the masks alone: a
     vertex with more than k leaf neighbours would sit above 2k+1, so there is
-    no factor, and no edge list or flow network is built.  The leaves come
-    from `graphs.leaf_mask`, as in `check_iso_condition`, so this refuses
-    exactly where that check's witness at c = k+1/2 has size 0 or 1: an
-    isolated vertex, or such a vertex v as S = {v}.  Otherwise the other
-    edges take the least feasible flow on B(G) for each vertex's remaining
-    window, rounded along trails (see the module docstring): two max flows
-    in all."""
+    no factor, and no edge list or flow network is built.  That vertex comes
+    from `graphs.leaf_centre` with the bound k, the whole part of k+1/2 that
+    `check_iso_condition` passes it at c = k+1/2, so this refuses exactly
+    where that check's witness has size 0 or 1: an isolated vertex, or such
+    a vertex v as S = {v}.  Otherwise the other edges take the least feasible
+    flow on B(G) for each vertex's remaining window, rounded along trails
+    (see the module docstring): two max flows in all."""
     if k < 1:
         raise ValueError(f"parameter k must be >= 1, got {k}")
     top = 2 * k + 1
     n, adj = g.n, g.adj
     if not all(adj):
         return None
-    leaves = leaf_mask(adj)
-    fixed = [2 if leaves >> v & 1 else 2 * (m & leaves).bit_count() for v, m in enumerate(adj)]
-    if max(fixed, default=0) > top:
+    leaves, centre = leaf_centre(adj, k)
+    if centre is not None:
         return None
+    fixed = [2 if leaves >> v & 1 else 2 * (m & leaves).bit_count() for v, m in enumerate(adj)]
     units: dict[tuple[int, int], int] = {}
     rest = []
     for e in g.edges:

@@ -88,9 +88,10 @@ class Graph:
 # McKay's graph6 (formats.txt).  Every byte is a 6-bit group plus 63.  The
 # vertex count comes first: one group for n <= 62, "~" and three groups for
 # n <= 258047, "~~" and six groups above that.  Only the shortest header is
-# accepted, so encode(parse(s)) == s.  The body is the upper triangle of the
-# adjacency matrix column by column: pair (i, j), i < j, is bit
-# j(j-1)/2 + i, packed six bits a byte from the most significant bit and
+# accepted, so encode(parse(s)) == s; a one-group header always is one, so
+# only a "~" header is compared with the encoder's.  The body is the upper
+# triangle of the adjacency matrix column by column: pair (i, j), i < j, is
+# bit j(j-1)/2 + i, packed six bits a byte from the most significant bit and
 # zero-padded.  base64 cuts a bit stream into the same 6-bit groups.  The
 # encoder writes each column's j bits into a window that it flushes to bytes
 # and base64-encodes; the decoder mirrors it: it maps the body back to
@@ -133,15 +134,18 @@ def parse_graph6(text: str) -> Graph:
     if bad:
         raise GraphFormatError(f"invalid graph6 byte {bad.group()!r} at position {bad.start()}")
     raw = s.encode("ascii")
-    prefix = 2 if raw.startswith(b"~~") else 1 if raw[0] == 126 else 0
-    start = prefix + (1, 3, 6)[prefix]
-    if len(raw) < start:
-        raise GraphFormatError(f"truncated graph6 header: need {start} bytes, got {len(raw)}")
-    n = 0
-    for byte in raw[prefix:start]:
-        n = n << 6 | byte - 63
-    if raw[:start] != _graph6_size(n):
-        raise GraphFormatError(f"graph6 header for n={n} is not the shortest one")
+    if raw[0] != 126:  # one byte holds n <= 62, and is always the shortest header
+        n, start = raw[0] - 63, 1
+    else:
+        prefix = 2 if raw.startswith(b"~~") else 1
+        start = 4 * prefix
+        if len(raw) < start:
+            raise GraphFormatError(f"truncated graph6 header: need {start} bytes, got {len(raw)}")
+        n = 0
+        for byte in raw[prefix:start]:
+            n = n << 6 | byte - 63
+        if raw[:start] != _graph6_size(n):
+            raise GraphFormatError(f"graph6 header for n={n} is not the shortest one")
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(raw) - start < nbytes:
@@ -314,13 +318,23 @@ def connected_components(n: int, adj: tuple[int, ...] | list[int]) -> list[list[
     return comps
 
 
-def leaf_mask(adj: tuple[int, ...] | list[int]) -> int:
-    """Bitmask of the vertices of degree exactly 1, from bitmask adjacency."""
-    leaves = 0
+def leaf_centre(adj: tuple[int, ...] | list[int], most: int) -> tuple[int, int | None]:
+    """(leaves, v) from bitmask adjacency: the bitmask of the vertices of
+    degree exactly 1, and the first vertex with more than `most` of them as
+    neighbours, or None.  Only the leaves' neighbours are tried, in
+    ascending order."""
+    leaves = centres = 0
     for v, m in enumerate(adj):
-        if m and not m & m - 1:
+        if m.bit_count() == 1:
             leaves |= 1 << v
-    return leaves
+            centres |= m
+    while centres:
+        low = centres & -centres
+        v = low.bit_length() - 1
+        if (adj[v] & leaves).bit_count() > most:
+            return leaves, v
+        centres ^= low
+    return leaves, None
 
 
 def mask_to_list(mask: int) -> list[int]:

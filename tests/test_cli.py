@@ -628,6 +628,20 @@ def test_gen_all_trees(capsys):
     assert all(is_tree(t) for t in trees)
 
 
+def test_verify_takes_gen_corpora(capsys):
+    """verify reads the same sources as gen: every free tree with n <= 7 at
+    k = 1, 2, and one T(5) base at k = 1, 2, 3, with graph ids named after
+    the source."""
+    assert main(["verify", "--all-trees", "7", "--k", "1,2"]) == EXIT_OK
+    assert capsys.readouterr().out == "25 graphs, 50 checks, 0 disagreements, 0 failures\n"
+    code, report = _verify_json(capsys, "--expansion-base", "2,12,1", "--k", "1,2,3")
+    assert code == EXIT_OK and report["summary"]["agreements"] == 3
+    assert {r["graph_id"] for r in report["graphs"]} == {"expansion_base:0"}
+    assert main(["verify", "--expansion-base", "2,12"]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: expansion-base spec is k,size,seed, got '2,12'\n"
+
+
 def test_check_rechecks_the_witness(tmp_path, capsys, monkeypatch):
     """check re-evaluates S as verify does: S = {} leaves the edgeless graph
     a different isolated set, and isolates nothing in K3."""

@@ -217,6 +217,23 @@ class TestCheckCondition:
                 for c in (Fraction(3, 2), Fraction(5, 2)):
                     assert (check_iso_condition(g, c) is None) == cut_verdict(g, c), (g, c)
 
+    def test_witness_vertices_each_isolate_more_than_c(self):
+        """Every vertex x of the answer S has more than c neighbours in
+        S.isolated, the minimum-violator property the module docstring
+        proves, on every labelled graph with n <= 6."""
+        witnesses = 0
+        for n in range(1, 7):
+            for g in enumerate_exhaustive(n):
+                for c in sorted(RATIOS + [Fraction(2)]):
+                    w = check_iso_condition(g, c)
+                    if w is None:
+                        continue
+                    witnesses += 1
+                    isolated = sum(1 << v for v in w.isolated)
+                    for x in w.removed:
+                        assert (g.adj[x] & isolated).bit_count() > c, (g, c, x)
+        assert witnesses == 91_157
+
     def test_witness_is_actually_violating(self):
         for seed in range(50):
             g = random_gnp(8, Fraction(1, 4), seed)

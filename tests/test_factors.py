@@ -438,6 +438,22 @@ class TestFlow:
         assert find_fractional_factor(spider, k) is None
         assert calls == [] and listed == []
 
+    def test_refusal_is_the_small_witness_exhaustive(self, monkeypatch):
+        """On every labelled graph with n <= 6 at k = 1, 2, 3, the engine
+        says None before any max flow exactly where the condition's witness
+        at c = k+1/2 has size 0 or 1."""
+        calls = counted_flows(monkeypatch)
+        checks = 0
+        for n in range(1, 7):
+            for g in enumerate_exhaustive(n):
+                for k in (1, 2, 3):
+                    w = check_iso_condition(g, Fraction(2 * k + 1, 2))
+                    calls.clear()
+                    refused = find_fractional_factor(g, k) is None and not calls
+                    assert refused == (w is not None and len(w.removed) <= 1), (g, k)
+                    checks += 1
+        assert checks == 101_601
+
     def test_isolated_vertex_and_empty_graph(self):
         assert find_fractional_factor(Graph(3, [(0, 1)]), 1) is None
         assert find_fractional_factor(Graph(0), 1).units == {}

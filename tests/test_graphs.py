@@ -243,6 +243,32 @@ class TestGraph6:
                 text = encode_graph6(g)
                 assert parse_graph6(text).adj == reference_parse_graph6(text).adj == g.adj
 
+    def test_decoder_matches_reference_at_every_header_size(self):
+        """Every one-byte header, n <= 62, and the first "~" one, n = 63,
+        on a random and on the complete graph of each size."""
+        for n in range(64):
+            complete = Graph(n, [(i, j) for j in range(n) for i in range(j)])
+            for g in (random_gnp(n, Fraction(1, 2), n), complete):
+                text = encode_graph6(g)
+                assert text[0] == ("~" if n == 63 else chr(n + 63))
+                assert parse_graph6(text).adj == reference_parse_graph6(text).adj == g.adj
+
+    @pytest.mark.parametrize("n,start,nbytes", [(62, 1, 316), (63, 4, 326)])
+    def test_body_errors_on_both_sides_of_the_long_header(self, n, start, nbytes):
+        """The last one-byte header and the first "~" one: a body one byte
+        short, one byte long, or with a padding bit set keeps its message,
+        and the per-bit decoder's."""
+        text = encode_graph6(random_gnp(n, Fraction(1, 2), n))
+        assert len(text) == start + nbytes
+        for bad, message in [
+            (text[:-1], f"truncated graph6 body: need {nbytes} bytes for n={n}, got {nbytes - 1}"),
+            (text + "?", f"trailing data in graph6 string at position {start + nbytes}"),
+            (text[:-1] + chr(ord(text[-1]) + 1), "nonzero padding bits in graph6 body"),
+        ]:
+            for parse in (parse_graph6, reference_parse_graph6):
+                with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+                    parse(bad)
+
     @settings(max_examples=100, deadline=None)
     @given(graphs_strategy(max_n=70))
     def test_decoder_matches_reference_random(self, g):
