@@ -32,11 +32,11 @@ out in lexicographic order, the order of itertools.combinations; the first
 violating leaf is therefore the lexicographically smallest violating S of
 minimum size.
 
-The walk keeps need[v], the number of v's neighbours not in S, and the
-number of vertices outside S with need 0.  Putting a vertex into S or
-taking it out touches only its neighbours, so a step costs O(deg) instead
-of a rescan of all n vertices.  All comparisons are integer
-cross-multiplications, exact like rationals.
+The walk keeps S and I = iso(G-S) as masks.  Putting v into S takes v out
+of I and adds each neighbour w outside S with adj[w] & ~S == 0; each stack
+entry saves both masks as they were before its vertex entered, so leaving
+is one pop and the witness is read off the masks.  All comparisons are
+integer cross-multiplications, exact like rationals.
 
 isolated_toughness walks independent sets instead: I = iso(G-S) is
 independent with N(I) inside S, and removing N(I) isolates all of I, so
@@ -89,61 +89,57 @@ def check_iso_condition(g: Graph, c: Fraction) -> ConditionWitness | None:
     """None iff iso(G-S) <= c*|S| for all S (including S = empty set);
     otherwise the lexicographically smallest violating S of minimum size.
 
-    S = {} and S = {v} are decided from `g.adj` and the leaf mask, with no
-    neighbour list built (see the module docstring for why that answer is
-    exact and comes first).  Then one walk per size s = 2..max_size over
-    the s-subsets in lexicographic order.  Entering v into S drops iso by
-    one if v was isolated, decrements need[w] for each neighbour w and
-    counts w as isolated when its need reaches 0 outside S; leaving undoes
-    exactly that.  A leaf at depth s violates iff iso*q > p*s for c = p/q.
-    Every vertex of the answer has more than c neighbours in its
-    `isolated` set (module docstring)."""
+    S = {} and S = {v} are decided from `g.adj` and the leaf mask (see the
+    module docstring for why that answer is exact and comes first).  Only
+    then does `_walk_removal_sets` try the larger sets.  Every vertex of
+    the answer has more than c neighbours in its `isolated` set (module
+    docstring)."""
     if not isinstance(c, Fraction):
         c = Fraction(c)
     p, q = c.numerator, c.denominator
     if p <= 0:
         raise ValueError(f"condition ratio must be positive, got {c}")
-    n, adj = g.n, g.adj
+    adj = g.adj
     if not all(adj):
         return ConditionWitness(frozenset(), frozenset(v for v, m in enumerate(adj) if not m))
     leaves, v = leaf_centre(adj, p // q)
     if v is not None:
         return ConditionWitness(frozenset((v,)), frozenset(mask_to_list(adj[v] & leaves)))
-    nbrs = [g.neighbors(v) for v in range(n)]
-    need = [len(ns) for ns in nbrs]
-    in_s = [False] * n
-    iso = 0  # no mask is 0, or S = {} would have violated
+    return _walk_removal_sets(adj, p, q)
+
+
+def _walk_removal_sets(adj: tuple[int, ...], p: int, q: int) -> ConditionWitness | None:
+    """The first S by size from 2 up, then lexicographically, with
+    iso(G-S)*q > p*|S|, in a graph without isolated vertices.  A stack
+    entry (v, S, I) holds the masks of S and I = iso(G-S) from before v
+    entered (module docstring)."""
+    n = len(adj)
     # the largest s with s*(1+c) < n, i.e. s*(p+q) < n*q
     for size in range(2, (n * q - 1) // (p + q) + 1):
-        stack: list[int] = []
+        stack: list[tuple[int, int, int]] = []
+        s = iso = 0  # no mask is 0, so G itself isolates nothing
         v = 0
         while True:
             depth = len(stack)
             if depth == size:
-                if iso * q > p * size:
-                    return ConditionWitness(frozenset(stack), iso_after_removal(g, stack))
+                if iso.bit_count() * q > p * size:
+                    return ConditionWitness(frozenset(mask_to_list(s)), frozenset(mask_to_list(iso)))
             elif n - v >= size - depth:
-                if need[v] == 0:
-                    iso -= 1
-                in_s[v] = True
-                for w in nbrs[v]:
-                    need[w] -= 1
-                    if need[w] == 0 and not in_s[w]:
-                        iso += 1
-                stack.append(v)
+                stack.append((v, s, iso))
+                s |= 1 << v
+                iso &= ~s
+                out = adj[v] & ~s
+                while out:
+                    low = out & -out
+                    out ^= low
+                    if adj[low.bit_length() - 1] & ~s == 0:
+                        iso |= low
                 v += 1
                 continue
             if not stack:
                 break
-            u = stack.pop()
-            for w in nbrs[u]:
-                if need[w] == 0 and not in_s[w]:
-                    iso -= 1
-                need[w] += 1
-            in_s[u] = False
-            if need[u] == 0:
-                iso += 1
-            v = u + 1
+            v, s, iso = stack.pop()
+            v += 1
     return None
 
 

@@ -24,6 +24,8 @@ from factorsmith.reducer import (
     FactorCertificate,
     FixpointUnclassified,
     InvalidColoredFactor,
+    RuleStep,
+    RuleTrace,
     extract_component_factor_detailed,
     verify_certificate,
 )
@@ -664,7 +666,8 @@ def test_check_reports_condition_engine_failures(tmp_path, capsys, monkeypatch):
 
 
 def _tampered(part):
-    """The real extraction with its assignment or certificate replaced."""
+    """The real extraction with its assignment, certificate or trace replaced;
+    the trace by one with more rewrites than the graph has edges."""
 
     def extract(g, k):
         cert, h, trace = extract_component_factor_detailed(g, k)
@@ -672,16 +675,39 @@ def _tampered(part):
             return cert, h, trace
         if part == "assignment":
             return cert, HalfIntegralAssignment(g, {e: 0 for e in g.edges}), trace
+        if part == "trace":
+            return cert, h, RuleTrace([RuleStep("R1", (), {})] * (g.num_edges + 1))
         return FactorCertificate(k, cert.components[1:]), h, trace
 
     return extract
 
 
-@pytest.mark.parametrize("part", ["assignment", "certificate"])
+REVALIDATION_ERRORS = {
+    "assignment": "assignment failed re-validation",
+    "certificate": "certificate failed re-validation",
+    "trace": "rewrite count exceeded edge budget",
+}
+
+
+@pytest.mark.parametrize("part", REVALIDATION_ERRORS)
 def test_factor_rechecks_the_answer(tmp_path, capsys, monkeypatch, part):
     """factor prints no certificate that fails its re-validation."""
     monkeypatch.setattr(cli, "extract_component_factor_detailed", _tampered(part))
     code, out, err = run(tmp_path, capsys, "Cp\nB?", "factor", "--k", "1")
     assert code == EXIT_NEGATIVE
     assert out == "B?: no factor (condition fails)\n"
-    assert err == f"error: Cp: {part} failed re-validation\n"
+    assert err == f"error: Cp: {REVALIDATION_ERRORS[part]}\n"
+
+
+def test_verify_rechecks_the_trace_length(tmp_path, capsys, monkeypatch):
+    """A trace longer than ||G|| is the record's error, next to a valid certificate."""
+    monkeypatch.setattr(cli, "extract_component_factor_detailed", _tampered("trace"))
+    path = tmp_path / "input.g6"
+    path.write_text("Cp\nB?\n", encoding="ascii")
+    code, report = _verify_json(capsys, "--file", str(path), "--k", "1")
+    assert code == EXIT_NEGATIVE
+    assert [(r["has_factor"], r["trace_length"], r["error"]) for r in report["graphs"]] == [
+        (True, 4, "rewrite count exceeded edge budget"),  # Cp has 3 edges
+        (False, None, None),
+    ]
+    assert report["summary"]["failures"] == 1

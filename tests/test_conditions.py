@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factorsmith import conditions
 from factorsmith.conditions import (
+    TOUGHNESS_MAX_N,
     ConditionWitness,
     check_iso_condition,
     iso_after_removal,
     isolated_toughness,
     parse_ratio,
 )
-from factorsmith.corpus import enumerate_exhaustive, random_gnp, random_tree
+from factorsmith.corpus import enumerate_exhaustive, free_trees_upto, random_gnp, random_tree
 from factorsmith.factors import find_fractional_factor
 from factorsmith.graphs import Graph
 
@@ -207,6 +209,26 @@ class TestCheckCondition:
         g = random_gnp(n, p, seed)
         assert check_iso_condition(g, c) == reference_witness(g, c)
 
+    def test_free_tree_witness_identity(self):
+        """Same S and isolated set as the combinations scan on every free
+        tree with n <= 12 at every ratio; on trees the walk decides far
+        more often than on the small labelled graphs."""
+        checks = walked = 0
+        for g in free_trees_upto(12):
+            for c in RATIOS:
+                w = check_iso_condition(g, c)
+                assert w == reference_witness(g, c), (g, c)
+                checks += 1
+                walked += w is not None and len(w.removed) >= 2
+        assert (checks, walked) == (5922, 107)
+
+    def test_int_ratio_is_the_equal_fraction(self):
+        for n in range(1, 6):
+            for g in enumerate_exhaustive(n):
+                for c in (1, 2, 3):
+                    assert check_iso_condition(g, c) == check_iso_condition(g, Fraction(c)), (g, c)
+        assert check_iso_condition(K13, 2) == ConditionWitness(frozenset({0}), frozenset({1, 2, 3}))
+
     def test_cut_verdict_agrees(self):
         for n in range(1, 6):
             for g in enumerate_exhaustive(n):
@@ -260,16 +282,16 @@ def spider(j: int, legs: list[int], last: bool = False) -> Graph:
     return Graph(n, [(n - 1 - u, n - 1 - v) if last else (u, v) for u, v in pairs])
 
 
-def counted_neighbors(monkeypatch) -> list:
-    """Record each `Graph.neighbors` call through a wrapper."""
+def counted_walks(monkeypatch) -> list:
+    """Record each call of the walk over removal sets of size >= 2."""
     calls = []
-    real = Graph.neighbors
+    real = conditions._walk_removal_sets
 
-    def counted(g, v):
-        calls.append(v)
-        return real(g, v)
+    def counted(adj, p, q):
+        calls.append((p, q))
+        return real(adj, p, q)
 
-    monkeypatch.setattr(Graph, "neighbors", counted)
+    monkeypatch.setattr(conditions, "_walk_removal_sets", counted)
     return calls
 
 
@@ -311,7 +333,7 @@ class TestLocalObstructions:
         """K2,5 has no leaf, and removing one hub isolates nothing; the two
         hubs together isolate all five others."""
         g = Graph(7, [(u, w) for u in range(2) for w in range(2, 7)])
-        calls = counted_neighbors(monkeypatch)
+        calls = counted_walks(monkeypatch)
         for c in RATIOS:
             assert check_iso_condition(g, c) == reference_witness(g, c), c
         expected = ConditionWitness(frozenset({0, 1}), frozenset(range(2, 7)))
@@ -320,14 +342,14 @@ class TestLocalObstructions:
 
 
 class TestWorkCounts:
-    """A witness of size 0 or 1 is read off the masks: no neighbour list
-    is built, at any n."""
+    """A witness of size 0 or 1 is read off the masks: the walk over
+    larger removal sets is never entered, at any n."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_leaf_centre_in_a_large_tree(self, seed, monkeypatch):
         g = random_tree(3000, seed)
         c = Fraction(3, 2)
-        calls = counted_neighbors(monkeypatch)
+        calls = counted_walks(monkeypatch)
         w = check_iso_condition(g, c)
         assert calls == []
         (v,) = w.removed
@@ -349,7 +371,7 @@ class TestWorkCounts:
         n, lone = 5000, 2718
         rest = [v for v in range(n) if v != lone]
         g = Graph(n, zip(rest, rest[1:] + rest[:1]))
-        calls = counted_neighbors(monkeypatch)
+        calls = counted_walks(monkeypatch)
         for c in (Fraction(1, 2), Fraction(3, 2)):
             assert check_iso_condition(g, c) == ConditionWitness(frozenset(), frozenset({lone}))
         assert calls == []
@@ -389,6 +411,10 @@ class TestToughness:
     def test_brute_agreement_trees(self, n, seed):
         g = random_tree(n, seed)
         assert isolated_toughness(g) == brute_toughness(g)
+
+    def test_size_guard(self):
+        with pytest.raises(ValueError, match=f"n <= {TOUGHNESS_MAX_N}, got n = {TOUGHNESS_MAX_N + 1}"):
+            isolated_toughness(Graph(TOUGHNESS_MAX_N + 1))
 
     @pytest.mark.parametrize(
         "g, value",
