@@ -2,9 +2,13 @@
 
 Streams are deterministic: the random generators run on SplitMix64, a fixed,
 documented 64-bit mixer, so a (generator, seed) pair reproduces the same
-graphs on any machine.  Exhaustive enumeration is labeled (no isomorphism
-reduction); the free-tree enumerator is the one exception, since the tests
-of the family recognizer need every tree shape exactly once.
+graphs on any machine.  The i-th SplitMix64 draw is mix(seed + i * gamma),
+so `SplitMix64.below` computes a chunk of draws at once, each in its own
+128-bit lane of one Python int.  `random_gnp` draws all of a graph's pairs
+that way, and its graphs are the ones that one `next_u64` call per pair
+gives.  Exhaustive enumeration is labeled (no isomorphism reduction); the
+free-tree enumerator is the one exception, since the tests of the family
+recognizer need every tree shape exactly once.
 `random_expansion_base` draws bases for the one construction of T(2k+1) at
 every k >= 1.
 """
@@ -14,7 +18,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, compress
 from typing import Iterator
 
 from factorsmith.families import is_expansion_base
@@ -24,6 +28,27 @@ EXHAUSTIVE_MAX_N = 7
 
 _MIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+
+
+def _lane_steps(lanes: int) -> tuple[int, int]:
+    """1 and (i + 1) * gamma in each 128-bit lane i < lanes, for lanes a power
+    of two.  Built by doubling: lane m + i of the ramp is lane i plus m."""
+    ones = ramp = m = 1
+    while m < lanes:
+        ramp |= (ramp + m * ones) << 128 * m
+        ones |= ones << 128 * m
+        m *= 2
+    return ones, _MIX_GAMMA * ramp
+
+
+# SplitMix64.below holds a chunk of up to _CHUNK draws in one int, draw i in
+# its 128-bit lane, bits 128i..128i+127.  _ONES has 1 in every lane, _LANE the
+# low 64 bits of every lane, _STEPS holds (i + 1) * gamma in lane i, and
+# _STRIDE moves every lane on by one chunk of draws.
+_CHUNK = 512
+_ONES, _STEPS = _lane_steps(_CHUNK)
+_LANE = _MASK64 * _ONES
+_STRIDE = (_CHUNK * _MIX_GAMMA & _MASK64) * _ONES
 
 
 class SplitMix64:
@@ -40,6 +65,41 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
+
+    def below(self, count: int, limit: int) -> list[int]:
+        """The offsets i < count, ascending, at which the next `count` draws
+        of `next_u64` are below `limit`, for 0 <= limit <= 2^64.  The state
+        moves on by `count` draws, as `count` calls of `next_u64` move it.
+
+        Draw i is mix(state + (i + 1) * gamma), so a chunk of draws is
+        computed together, one per 128-bit lane of an int.  Each step of the
+        mixer is one big-int operation, masked back to the low 64 bits of
+        every lane: a 64-bit value times a 64-bit multiplier fits its lane,
+        so no carry crosses into the next one.  Each lane of
+        (2^64 + limit - 1) * ONES - z then lies in [0, 2^65), and its bit 64,
+        the low bit of the lane's ninth byte, is set exactly when z < limit.
+        """
+        if count < 0 or not 0 <= limit <= 1 << 64:
+            raise ValueError(f"need count >= 0 and 0 <= limit <= 2^64, got {count}, {limit}")
+        kept: list[int] = []
+        lanes = min(count, _CHUNK)
+        cut = (1 << 128 * lanes) - 1
+        ones, stride = _ONES & cut, _STRIDE & cut
+        x = (self._state * ones + (_STEPS & cut)) & _LANE  # lane i: state + (i + 1) * gamma
+        top = (limit + _MASK64) * ones
+        for base in range(0, count, _CHUNK):
+            if count - base < lanes:  # a short last chunk
+                lanes = count - base
+                cut = (1 << 128 * lanes) - 1
+                x, top = x & cut, top & cut
+            z = (((x ^ (x >> 30)) & _LANE) * 0xBF58476D1CE4E5B9) & _LANE
+            z = (((z ^ (z >> 27)) & _LANE) * 0x94D049BB133111EB) & _LANE
+            z = (z ^ (z >> 31)) & _LANE
+            flags = (top - z).to_bytes(16 * lanes, "little")[8::16]
+            kept.extend(compress(range(base, base + lanes), flags))
+            x = (x + stride) & _LANE
+        self._state = (self._state + count * _MIX_GAMMA) & _MASK64
+        return kept
 
     def randrange(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection."""
@@ -63,14 +123,34 @@ def enumerate_exhaustive(n: int) -> Iterator[Graph]:
 
 def random_gnp(n: int, p: Fraction, seed: int) -> Graph:
     """G(n, p) with p exact: a pair is kept when its 64-bit draw x is below
-    the one integer limit ceil(p * 2^64), which is x < p * 2^64."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
+    the one integer limit ceil(p * 2^64), which is x < p * 2^64.
+
+    The pairs take the draws of SplitMix64(seed) in `combinations` order.
+    `SplitMix64.below` computes them a chunk at a time, each in its own
+    128-bit lane of one int, and returns the flat indices of the kept pairs.
+    Draw i is mix(seed + (i + 1) * gamma) however it is computed, so the
+    graphs are the ones that one `next_u64` call per pair gives.  The
+    indices map to (u, v) along a running row end, straight into the
+    neighbour masks: no list of all pairs is built.
+    """
+    if not isinstance(p, Fraction):
+        p = Fraction(p)
+    if not 0 <= p.numerator <= p.denominator:
         raise ValueError(f"edge probability must be in [0,1], got {p}")
-    rng = SplitMix64(seed)
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
     limit = -((-p.numerator << 64) // p.denominator)
-    edges = [(u, v) for u, v in combinations(range(n), 2) if rng.next_u64() < limit]
-    return Graph(n, edges)
+    adj = [0] * n
+    u, base, end = 0, -1, n - 1  # row u's pairs end at flat index `end`; v = t - base
+    for t in SplitMix64(seed).below(n * (n - 1) // 2, limit):
+        while t >= end:
+            u += 1
+            base = end - u - 1
+            end += n - 1 - u
+        v = t - base
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph._from_masks(n, adj)
 
 
 def random_tree(n: int, seed: int) -> Graph:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from factorsmith.cli import main
 from factorsmith.corpus import (
+    _CHUNK,
     SplitMix64,
     enumerate_exhaustive,
     free_trees,
@@ -33,6 +34,48 @@ FREE_TREES_16_DIGEST = "285f00e70cc4e68b811c4d6cff3b3a9245f01f63b0f4693706f1d85b
 # the small-dense benchmark corpus: pins the draws, the construction and the
 # encoder
 SMALL_DENSE_DIGEST = "e37f98149618b53d1cc166aa0e63fd7126ab1d98a8b2eab5fa01b3e3d16f4fc6"
+
+# sha256 of the graph6 lines of more random_gnp corpora, as (n, p, seed)
+# calls, each taken from the generator that made one next_u64 call per pair
+GNP_DIGESTS = {
+    # the gnp-mid benchmark corpus and its held-out seeds
+    "gnp-mid": (
+        [(16, "1/4", s) for s in (*range(100), *range(50000, 50100))],
+        "0c85ff4d1d38c014b3c74f17ff8687c81884b5bca6e1fb88d373b9f641ac0ba4",
+    ),
+    # each graph's pairs fill 4 or 5 chunks of SplitMix64.below, the last one
+    # short by a different amount at each n
+    "n60-70": (
+        [(n, "1/3", s) for n in range(60, 71) for s in range(10)],
+        "09a2c5ca76a772c63207317d7d3218d812f207685b3add23ce62c76fccd0b8a4",
+    ),
+    # the input of test_factors' TestScale
+    "n3000": ([(3000, "12/3000", 1)], "115ec5c79b4bff67005affe65b02a08c2a3601b67bcede034999b8671529f413"),
+}
+
+
+def _digest(graphs) -> str:
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update((encode_graph6(g) + "\n").encode("ascii"))
+    return digest.hexdigest()
+
+
+def _seed_of_first_draw(x: int) -> int:
+    """The seed whose first SplitMix64 draw is x: the mixer's steps undone
+    in reverse, each multiplier by its inverse mod 2^64 and each xor-shift
+    by applying it again until every bit is fixed."""
+
+    def unshift(y: int, shift: int) -> int:
+        x = y
+        for _ in range(64 // shift):
+            x = y ^ (x >> shift)
+        return x
+
+    mask = (1 << 64) - 1
+    x = unshift(x, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & mask
+    x = unshift(x, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask
+    return (unshift(x, 30) - 0x9E3779B97F4A7C15) & mask
 
 
 class TestExhaustive:
@@ -66,26 +109,41 @@ class TestGnp:
         assert len(outs) > 1
 
     def test_small_dense_corpus_digest(self):
-        digest = hashlib.sha256()
-        for s in range(3000):
-            digest.update((encode_graph6(random_gnp(7, Fraction(1, 2), s)) + "\n").encode("ascii"))
-        assert digest.hexdigest() == SMALL_DENSE_DIGEST
+        assert _digest(random_gnp(7, Fraction(1, 2), s) for s in range(3000)) == SMALL_DENSE_DIGEST
+
+    @pytest.mark.parametrize("name", sorted(GNP_DIGESTS))
+    def test_corpus_digests(self, name):
+        calls, want = GNP_DIGESTS[name]
+        assert _digest(random_gnp(n, Fraction(p), s) for n, p, s in calls) == want
 
     def test_probability_validated(self):
-        with pytest.raises(ValueError):
-            random_gnp(5, Fraction(3, 2), 0)
+        for p in (Fraction(3, 2), Fraction(-1, 3)):
+            with pytest.raises(ValueError, match=rf"^edge probability must be in \[0,1\], got {p}$"):
+                random_gnp(5, p, 0)
+
+    def test_vertex_count_validated(self):
+        """n < 0 is refused with Graph's message, after p is checked."""
+        with pytest.raises(ValueError, match=r"^vertex count must be non-negative, got -1$"):
+            random_gnp(-1, Fraction(1, 2), 0)
+        with pytest.raises(ValueError, match="edge probability"):
+            random_gnp(-1, Fraction(2), 0)
 
     @pytest.mark.parametrize("p", ["0", "1/3", "1/2", "2/7", "12/3000", "5/7", "1"])
-    def test_keep_boundary(self, monkeypatch, p):
+    def test_keep_boundary(self, p):
         """A pair is kept exactly when its draw x has x * den < num * 2^64,
         also at the two draws around ceil(p * 2^64), where a floor limit
-        would keep one draw too few."""
+        would keep one draw too few.  Each seed is found by inverting the
+        mixer.  -1 (at p = 0) and 2^64 (at p = 1) are not draws;
+        test_extremes covers those two ratios."""
         p = Fraction(p)
         limit = -((-p.numerator << 64) // p.denominator)  # ceil(p * 2^64)
         for x in (limit - 1, limit):
-            monkeypatch.setattr(SplitMix64, "next_u64", lambda self, x=x: x)
+            if not 0 <= x < 1 << 64:
+                continue
+            seed = _seed_of_first_draw(x)
+            assert SplitMix64(seed).next_u64() == x
             keep = x * p.denominator < p.numerator << 64
-            assert random_gnp(2, p, 0).num_edges == keep
+            assert random_gnp(2, p, seed).num_edges == keep
 
 
 class TestSplitMix:
@@ -94,6 +152,22 @@ class TestSplitMix:
         rng = SplitMix64(0)
         assert rng.next_u64() == 0xE220A8397B1DCDAF
         assert rng.next_u64() == 0x6E789E6AA1B965F4
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=(1 << 64) - 1))
+    @pytest.mark.parametrize("limit", [0, 1, 1 << 63, (1 << 64) - 1, 1 << 64])
+    @pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    def test_below_is_the_scalar_stream(self, count, limit, seed):
+        """The lanes give the offsets that one next_u64 call per draw gives,
+        and leave the state where those calls leave it."""
+        lanes, scalar = SplitMix64(seed), SplitMix64(seed)
+        assert lanes.below(count, limit) == [i for i in range(count) if scalar.next_u64() < limit]
+        assert lanes.next_u64() == scalar.next_u64()
+
+    def test_below_argument_errors(self):
+        for count, limit in ((-1, 0), (1, -1), (1, (1 << 64) + 1)):
+            with pytest.raises(ValueError):
+                SplitMix64(0).below(count, limit)
 
     def test_randrange_bounds(self):
         rng = SplitMix64(42)
@@ -174,10 +248,7 @@ class TestFreeTrees:
             assert is_tree(t)
 
     def test_stream_digest_upto_16(self):
-        digest = hashlib.sha256()
-        for t in free_trees_upto(16):
-            digest.update((encode_graph6(t) + "\n").encode("ascii"))
-        assert digest.hexdigest() == FREE_TREES_16_DIGEST
+        assert _digest(free_trees_upto(16)) == FREE_TREES_16_DIGEST
 
 
 class TestPathsCycles:
