@@ -69,10 +69,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self._adj[v].bit_count()
 
-    def neighbors(self, v: int) -> list[int]:
-        """v's neighbours in ascending order."""
-        return mask_to_list(self._adj[v])
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
 

@@ -23,16 +23,21 @@ go by their sorted vertex tuples.  Cycles go by the vertex lists
 `_order_cycle` writes, which start at the smallest vertex and move toward
 its smaller cycle neighbour: the triangle 0-2-3, listed (0, 2, 3), comes
 before the 5-cycle 0-5-1-6-4, listed (0, 4, 6, 1, 5), though the sorted
-tuple (0, 1, 4, 5, 6) is smaller.  The even-cycle rule takes the smallest
-list among the single even cycles and one even cycle from each larger
-block.  Order is load-bearing in one place: the odd-cycle branch rule
-assumes no two branch vertices are adjacent, which holds because the
-branch-edge deletion rule precedes it in the table.
+tuple (0, 1, 4, 5, 6) is smaller.  All cycles come from one breadth-first
+spanning forest of the support and its fundamental cycles (Paton, CACM
+12(9), 1969), taken in ascending order of their non-tree edges.  If one
+shares an edge with an earlier one, the even-cycle rule takes the first even
+cycle among the two and their symmetric difference; otherwise the
+fundamental cycles are all the cycles there are, and it takes the smallest
+even list.  Order is load-bearing in two places.  The odd-cycle rules read
+the cycle list, which is complete only in a state where the even-cycle rule
+did not fire; they come after it in the table.  And the odd-cycle branch
+rule assumes no two branch vertices are adjacent, which holds because the
+branch-edge deletion rule precedes it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -119,8 +124,9 @@ def from_assignment(g: Graph, k: int, h: HalfIntegralAssignment) -> HalfIntegral
 
 class _State:
     """Per-iteration view of the assignment's support: adjacency and degrees,
-    plus the block, cycle and chain scans, each computed at most once per
-    state."""
+    plus the cycle and chain scans, each computed at most once per state.
+    `cycles` is every cycle of the support in each state where
+    `find_even_cycle` returns None, the only states the odd-cycle rules see."""
 
     def __init__(self, h: HalfIntegralAssignment, k: int):
         self.k = k
@@ -136,67 +142,61 @@ class _State:
         self.deg = [len(a) for a in self.adj]
 
     @cached_property
-    def blocks(self) -> list[dict[int, list[int]]]:
-        """Biconnected blocks other than bridges, by an iterative DFS, each as
-        its own adjacency {vertex: ascending block neighbours}: an edge whose
-        ends lie in one block lies in that block."""
+    def _cycle_scan(self) -> tuple[list[set[tuple[int, int]]], set[tuple[int, int]] | None]:
+        """The fundamental cycles of a breadth-first spanning forest as edge
+        sets, up to the first one that shares an edge with an earlier one,
+        and then an even cycle from that clash (else None).
+
+        With C the clashing cycle and D the earliest it meets, C and D share
+        one tree path, so C ^ D is a cycle of length |C| + |D| - 2|C & D|:
+        even when both are odd.  With no clash the fundamental cycles are
+        edge-disjoint, so every cycle of the support is one of them."""
         n, adj = self.n, self.adj
-        disc = [-1] * n
-        low = [0] * n
-        edges: list[tuple[int, int]] = []
-        out: list[dict[int, list[int]]] = []
-        timer = 0
+        parent = [-1] * n
+        depth = [-1] * n
         for s in range(n):
-            if disc[s] != -1 or not adj[s]:
+            if depth[s] != -1:
                 continue
-            disc[s] = low[s] = timer
-            timer += 1
-            stack = [(s, -1, iter(adj[s]))]
-            while stack:
-                u, parent, nbrs = stack[-1]
-                for v in nbrs:
-                    if v == parent:
-                        continue
-                    if disc[v] == -1:
-                        edges.append((u, v))
-                        disc[v] = low[v] = timer
-                        timer += 1
-                        stack.append((v, u, iter(adj[v])))
-                        break
-                    if disc[v] < disc[u]:
-                        edges.append((u, v))
-                        if disc[v] < low[u]:
-                            low[u] = disc[v]
-                else:
-                    stack.pop()
-                    if parent == -1:
-                        continue
-                    if low[u] < low[parent]:
-                        low[parent] = low[u]
-                    if low[u] >= disc[parent]:
-                        verts: set[int] = set()
-                        while True:
-                            e = edges.pop()
-                            verts.update(e)
-                            if e == (parent, u):
-                                break
-                        if len(verts) > 2:
-                            out.append({v: [w for w in adj[v] if w in verts] for v in verts})
-        return out
+            depth[s] = 0
+            queue = [s]
+            for u in queue:
+                for v in adj[u]:
+                    if depth[v] == -1:
+                        depth[v] = depth[u] + 1
+                        parent[v] = u
+                        queue.append(v)
+        owner: dict[tuple[int, int], int] = {}
+        found: list[set[tuple[int, int]]] = []
+        for u in range(n):
+            for v in adj[u]:
+                if v < u or parent[v] == u or parent[u] == v:
+                    continue
+                cyc = {(u, v)}
+                a, b = u, v
+                while a != b:
+                    if depth[a] < depth[b]:
+                        a, b = b, a
+                    cyc.add(edge(a, parent[a]))
+                    a = parent[a]
+                met = [owner[e] for e in cyc if e in owner]
+                if met:
+                    d = found[min(met)]
+                    return found, next(c for c in (cyc, d, cyc ^ d) if len(c) % 2 == 0)
+                owner.update(dict.fromkeys(cyc, len(found)))
+                found.append(cyc)
+        return found, None
 
     @cached_property
     def cycles(self) -> list[list[int]]:
-        """Blocks that are single cycles, as ordered vertex lists starting at
-        the smallest vertex, moving toward its smaller cycle neighbour."""
-        return sorted(_order_cycle(nbr) for nbr in self.blocks if max(map(len, nbr.values())) == 2)
+        """The fundamental cycles in `_order_cycle` form, sorted."""
+        return sorted(map(_order_cycle, self._cycle_scan[0]))
 
     def find_even_cycle(self) -> list[int] | None:
-        """The smallest of one even cycle per block, or None.  Blocks that are
-        single even cycles qualify directly; a block with extra edges always
-        contains an even cycle (an ear over any odd cycle closes one)."""
-        found = [cyc for cyc in self.cycles if len(cyc) % 2 == 0]
-        found += (_even_cycle_in_block(nbr) for nbr in self.blocks if max(map(len, nbr.values())) > 2)
-        return min(found, default=None)
+        """The even cycle of a clash, else the smallest even cycle, or None."""
+        clash = self._cycle_scan[1]
+        if clash is not None:
+            return _order_cycle(clash)
+        return min((cyc for cyc in self.cycles if len(cyc) % 2 == 0), default=None)
 
     @cached_property
     def chains(self) -> list[tuple[int, list[int], int]]:
@@ -204,106 +204,21 @@ class _State:
         return sorted(degree2_chains(self.adj), key=lambda ch: sorted((ch[0], ch[2], *ch[1])))
 
 
-def _order_cycle(nbr: dict[int, list[int]]) -> list[int]:
-    """The single-cycle block with adjacency `nbr` as a vertex list, from its
-    smallest vertex toward that vertex's smaller neighbour."""
+def _order_cycle(edges: set[tuple[int, int]]) -> list[int]:
+    """The cycle with these edges as a vertex list, from its smallest vertex
+    toward that vertex's smaller neighbour."""
+    nbr: dict[int, list[int]] = {}
+    for u, v in edges:
+        nbr.setdefault(u, []).append(v)
+        nbr.setdefault(v, []).append(u)
     start = min(nbr)
-    cur = nbr[start][0]
-    order = [start, cur]
-    prev = start
-    while len(order) < len(nbr):
-        nxt = next(w for w in nbr[cur] if w != prev)
-        order.append(nxt)
-        prev, cur = cur, nxt
+    order = [start]
+    prev, cur = start, min(nbr[start])
+    while cur != start:
+        order.append(cur)
+        a, b = nbr[cur]
+        prev, cur = cur, b if a == prev else a
     return order
-
-
-def _even_cycle_in_block(nbr: dict[int, list[int]]) -> list[int]:
-    """Even cycle inside the 2-connected block with adjacency `nbr`, which
-    has more edges than vertices."""
-    # fundamental cycles from a DFS tree; return the first even one
-    root = min(nbr)
-    parent = {root: None}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in nbr[v]:
-            if w not in parent:
-                parent[w] = v
-                stack.append(w)
-    fallback: list[int] | None = None
-    # the non-tree edges (u, v), u < v, in sorted order
-    for u, v in ((u, v) for u in sorted(nbr) for v in nbr[u] if u < v):
-        if parent[v] == u or parent[u] == v:
-            continue
-        cyc = _tree_cycle(u, v, parent)
-        if len(cyc) % 2 == 0:
-            return cyc
-        if fallback is None:
-            fallback = cyc
-    # all fundamental cycles odd: attach an ear over one of them
-    assert fallback is not None
-    cyc = fallback
-    on_cycle = set(cyc)
-    cyc_edges = _cycle_edges(cyc)
-    for a in sorted(on_cycle):
-        path = _ear_from(a, on_cycle, cyc_edges, nbr)
-        if path is None:
-            continue
-        b = path[-1]
-        ia, ib = cyc.index(a), cyc.index(b)
-        if ia > ib:
-            ia, ib = ib, ia
-            path = list(reversed(path))
-        # path now runs cyc[ia] .. cyc[ib]; splice it with each arc of the
-        # cycle.  The two candidate cycles have lengths of opposite parity,
-        # so exactly one is even.
-        arc1 = cyc[ia : ib + 1]  # cyc[ia] -> cyc[ib] forward
-        arc2 = cyc[ib:] + cyc[: ia + 1]  # cyc[ib] -> around -> cyc[ia]
-        ear_interior = path[1:-1]
-        cand1 = arc1 + list(reversed(ear_interior))  # ..ib, ear back to ia
-        cand2 = arc2 + ear_interior  # ..ia, ear forward to ib
-        for cand in (cand1, cand2):
-            if len(cand) % 2 == 0:
-                return cand
-    raise AssertionError("block with extra edges must contain an even cycle")
-
-
-def _tree_cycle(u: int, v: int, parent: dict) -> list[int]:
-    """The cycle closed by the non-tree edge uv, from u up and down to v."""
-    up = []
-    a = u
-    while a is not None:
-        up.append(a)
-        a = parent[a]
-    index = {x: j for j, x in enumerate(up)}
-    down = [v]
-    while down[-1] not in index:
-        down.append(parent[down[-1]])
-    return up[: index[down[-1]]] + list(reversed(down))
-
-
-def _ear_from(a: int, on_cycle: set[int], cyc_edges: set, nbr: dict) -> list[int] | None:
-    """Shortest path from a back to the cycle avoiding cycle edges and not
-    passing through cycle vertices; None if this start vertex has no ear."""
-    prev = {a: None}
-    q = deque([a])
-    while q:
-        v = q.popleft()
-        for w in nbr[v]:
-            if v in on_cycle and w in on_cycle and edge(v, w) in cyc_edges:
-                continue
-            if w in prev:
-                continue
-            prev[w] = v
-            if w in on_cycle:
-                path = [w]
-                while path[-1] is not None:
-                    path.append(prev[path[-1]])
-                path.pop()
-                return list(reversed(path))
-            q.append(w)
-    return None
 
 
 # --- rewrites -----------------------------------------------------------------

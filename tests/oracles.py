@@ -1,14 +1,15 @@
-"""Independent test oracles for half-integral [1, k+1/2] weightings: brute
+"""Independent test oracles.  For half-integral [1, k+1/2] weightings: brute
 force over every {0, 1/2, 1} vector, an exact dynamic programme on trees,
 and the exact depth-first search the factor engine once was, whose first
-answer the reducer's pinned traces use."""
+answer the reducer's pinned traces use.  For the rewrite engine's cycle
+scan: every simple cycle of a graph, by brute force."""
 
 from __future__ import annotations
 
 from itertools import product
 
 from factorsmith.factors import HalfIntegralAssignment, verify_fractional
-from factorsmith.graphs import Graph
+from factorsmith.graphs import Graph, mask_to_list
 
 
 def brute_completable(g: Graph, h: list[int], p: int, k: int) -> bool:
@@ -58,7 +59,7 @@ def tree_least_units(g: Graph, k: int) -> int | None:
     parent = [-1] * g.n
     order = [0]
     for v in order:
-        for w in g.neighbors(v):
+        for w in mask_to_list(g.adj[v]):
             if w != parent[v]:
                 parent[w] = v
                 order.append(w)
@@ -67,7 +68,7 @@ def tree_least_units(g: Graph, k: int) -> int | None:
     best = [[inf] * 3 for _ in range(g.n)]
     for v in reversed(order):
         at = [0] + [inf] * top  # at[s]: least total below v with s half-units at v
-        for c in g.neighbors(v):
+        for c in mask_to_list(g.adj[v]):
             if c == parent[v]:
                 continue
             nxt = [inf] * (top + 1)
@@ -134,3 +135,21 @@ def reference_search(g: Graph, k: int) -> HalfIntegralAssignment | None:
     if not verify_fractional(g, k, assignment):
         raise AssertionError("constructed assignment failed its own verification")
     return assignment
+
+
+def all_cycles(g: Graph) -> set[tuple[int, ...]]:
+    """Every simple cycle of g, each as the vertex tuple from its smallest
+    vertex toward that vertex's smaller cycle neighbour.  Brute force: every
+    path from s through larger vertices that closes back at s, kept in the
+    direction whose second vertex is below its last."""
+    found = set()
+    for s in range(g.n):
+        stack = [[s]]
+        while stack:
+            path = stack.pop()
+            for w in mask_to_list(g.adj[path[-1]]):
+                if w == s and len(path) >= 3 and path[1] < path[-1]:
+                    found.add(tuple(path))
+                elif w > s and w not in path:
+                    stack.append(path + [w])
+    return found

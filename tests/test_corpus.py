@@ -20,7 +20,7 @@ from factorsmith.corpus import (
     random_tree,
 )
 from factorsmith.families import expand_base_tree, is_expansion_base
-from factorsmith.graphs import Graph, encode_graph6, is_tree, parse_graph6
+from factorsmith.graphs import Graph, encode_graph6, is_tree, mask_to_list, parse_graph6
 from treeutil import degree_sequence, tree_canon
 
 # number of free trees on n vertices, n = 1..16 (OEIS A000055)
@@ -175,12 +175,22 @@ class TestSplitMix:
         assert all(0 <= d < 7 for d in draws)
         assert len(set(draws)) == 7
 
+    def test_randrange_needs_positive_bound(self):
+        for bound in (0, -1):
+            with pytest.raises(ValueError, match="^bound must be positive$"):
+                SplitMix64(0).randrange(bound)
+
 
 class TestRandomTrees:
     @settings(max_examples=60)
     @given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=500))
     def test_random_tree_is_tree(self, n, seed):
         assert is_tree(random_tree(n, seed))
+
+    def test_random_tree_needs_a_vertex(self):
+        with pytest.raises(ValueError, match="^tree needs at least one vertex$"):
+            random_tree(0, 0)
+        assert random_tree(1, 0) == Graph(1)
 
     def test_cubic_m0_is_single_edge(self):
         # the k = 1 base of the single-edge cubic tree is P4
@@ -200,7 +210,7 @@ class TestRandomTrees:
         t = random_expansion_base(1, size, seed)
         assert is_tree(t) and is_expansion_base(t, 1)
         for v in range(t.n):
-            ends = sum(1 for w in t.neighbors(v) if t.degree(w) == 1)
+            ends = sum(1 for w in mask_to_list(t.adj[v]) if t.degree(w) == 1)
             assert (t.degree(v), ends) in ((1, 0), (2, 1), (3, 0))
 
     @settings(max_examples=40, deadline=None)
@@ -237,6 +247,10 @@ class TestFreeTrees:
     def test_counts_match_classical_table(self):
         for n, want in enumerate(FREE_TREE_COUNTS, start=1):
             assert sum(1 for _ in free_trees(n)) == want
+
+    def test_needs_a_vertex(self):
+        with pytest.raises(ValueError, match="^need n >= 1$"):
+            next(free_trees(0))
 
     def test_pairwise_non_isomorphic(self):
         for n in range(1, 10):

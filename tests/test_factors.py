@@ -18,7 +18,7 @@ from factorsmith.factors import (
     find_fractional_factor,
     verify_fractional,
 )
-from factorsmith.graphs import Graph
+from factorsmith.graphs import Graph, mask_to_list
 from oracles import brute_completable, brute_least_units, reference_search, tree_least_units
 from treeutil import half_degree_units
 
@@ -101,7 +101,7 @@ class TestFractional:
             for g in enumerate_exhaustive(n):
                 leaves = [v for v in range(n) if g.degree(v) == 1]
                 pendant = [e for e in g.edges if e[0] in leaves or e[1] in leaves]
-                most = max(sum(1 for w in g.neighbors(v) if w in leaves) for v in range(n))
+                most = max(sum(1 for w in mask_to_list(g.adj[v]) if w in leaves) for v in range(n))
                 for k in (1, 2, 3):
                     h = find_fractional_factor(g, k)
                     if most > k:
@@ -161,6 +161,17 @@ class TestVerifyFractional:
             HalfIntegralAssignment(K2, {(0, 1): 2, (1, 0): 1})
         with pytest.raises(ValueError, match="twice"):
             HalfIntegralAssignment(K2, {(1, 0): 0, (0, 1): 0})
+
+    def test_parameter_and_graph_guards(self):
+        """k < 1 is refused, and so is an assignment built for another graph;
+        an equal graph built separately is the same graph."""
+        h = HalfIntegralAssignment(K2, {(0, 1): 2})
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=f"^parameter k must be >= 1, got {k}$"):
+                verify_fractional(K2, k, h)
+        with pytest.raises(ValueError, match="^assignment was built for a different graph$"):
+            verify_fractional(Graph(3, [(0, 1)]), 1, h)
+        assert verify_fractional(Graph(2, [(0, 1)]), 1, h)
 
     @pytest.mark.parametrize("value", [True, False, 2.0, 1.0, 3, -1, "2", None])
     def test_value_must_be_int_0_to_2(self, value):

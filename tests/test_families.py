@@ -12,6 +12,7 @@ from factorsmith.factors import verify_fractional
 from factorsmith.families import (
     C3,
     OTHER,
+    ComponentClass,
     P2,
     P5,
     classify_component,
@@ -22,7 +23,7 @@ from factorsmith.families import (
     star,
     tree_expansion,
 )
-from factorsmith.graphs import Graph
+from factorsmith.graphs import Graph, mask_to_list
 from factorsmith.reducer import _component_entries, extract_component_factor_detailed, verify_certificate
 from treeutil import degree_sequence, half_degree_units, pendant_half_assignment, tree_canon
 
@@ -127,6 +128,12 @@ class TestExpansionBase:
         with pytest.raises(ValueError):
             is_expansion_base(with_pendants(K13), 0)
 
+    def test_non_tree_rejected(self):
+        """A valid base with one more edge, closing a cycle, is no base."""
+        base = with_pendants(K13)
+        assert is_expansion_base(base, 1)
+        assert not is_expansion_base(Graph(base.n, [*base.edges, (4, 5)]), 1)
+
     def test_k1_base_is_cubic_with_pendants(self):
         for r in (path(2), K13, CUBIC6, CUBIC8):
             assert is_expansion_base(with_pendants(r), 1)
@@ -153,8 +160,8 @@ class TestExpandBaseTree:
                 t = expand_base_tree(base, k)
                 for b in range(t.n):
                     if t.degree(b) >= 3:
-                        pend = sum(1 for w in t.neighbors(b) if t.degree(w) == 1)
-                        mid = sum(1 for w in t.neighbors(b) if t.degree(w) == 2)
+                        pend = sum(1 for w in mask_to_list(t.adj[b]) if t.degree(w) == 1)
+                        mid = sum(1 for w in mask_to_list(t.adj[b]) if t.degree(w) == 2)
                         assert 2 * pend + mid == 2 * k + 1
 
     def test_canonical_assignment_verifies(self):
@@ -248,6 +255,16 @@ class TestClassify:
         assert classify_component(Graph(5, [(0, i) for i in range(1, 5)]), 2) == OTHER
         assert classify_component(path(5), 2) == OTHER
 
+    def test_class_invariants(self):
+        """A star needs j >= 1 and a tree expansion k >= 2."""
+        for param in (None, 0, -1):
+            with pytest.raises(ValueError, match="^star class needs j >= 1$"):
+                ComponentClass("star", param)
+        for param in (None, 1):
+            with pytest.raises(ValueError, match="^tree expansion class needs k >= 2$"):
+                ComponentClass("tree_expansion", param)
+        assert star(1).label == "K1,1" and tree_expansion(2).label == "tree-expansion(2)"
+
     def test_family_validation(self):
         """k alone fixes the family, and k < 1 fixes none."""
         for k in (0, -1):
@@ -257,7 +274,8 @@ class TestClassify:
 
 def core(t: Graph) -> list[int]:
     """The vertices of degree >= 3 or next to a leaf."""
-    return [v for v in range(t.n) if t.degree(v) >= 3 or any(t.degree(w) == 1 for w in t.neighbors(v))]
+    leaves = [t.degree(v) == 1 for v in range(t.n)]
+    return [v for v in range(t.n) if t.degree(v) >= 3 or any(leaves[w] for w in mask_to_list(t.adj[v]))]
 
 
 def forest_classifies(n: int, edges, k: int) -> bool:

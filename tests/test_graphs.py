@@ -15,10 +15,13 @@ from factorsmith.corpus import enumerate_exhaustive, random_gnp
 from factorsmith.graphs import (
     Graph,
     GraphFormatError,
+    _graph6_size,
     degree2_chains,
     edge,
     encode_graph6,
     format_edge_list,
+    is_tree,
+    mask_to_list,
     parse_edge_list,
     parse_graph6,
     to_dot,
@@ -175,8 +178,14 @@ class TestGraph:
     def test_degrees_and_neighbors(self):
         star = Graph(4, [(0, 1), (0, 2), (0, 3)])
         assert star.degree(0) == 3
-        assert list(star.neighbors(0)) == [1, 2, 3]
+        assert mask_to_list(star.adj[0]) == [1, 2, 3]
         assert degree_sequence(star) == (3, 1, 1, 1)
+
+    def test_is_tree(self):
+        """The empty graph is no tree; one vertex is."""
+        assert not is_tree(Graph(0))
+        assert is_tree(Graph(1)) and is_tree(P3)
+        assert not is_tree(C3) and not is_tree(Graph(3, [(0, 1)]))
 
     def test_masks_are_the_only_stored_form(self):
         """A parsed gnp(7, 1/2) graph holds its n and its masks, nothing more."""
@@ -213,6 +222,12 @@ class TestGraph6:
     def test_encode_known(self, graph, text):
         assert encode_graph6(graph) == text
         assert reference_encode_graph6(graph) == text
+
+    def test_size_header_limit(self):
+        """The six-group header ends at n = 2^36 - 1."""
+        assert _graph6_size((1 << 36) - 1) == b"~~" + b"~" * 6
+        with pytest.raises(ValueError, match=r"^graph6 supports n < 2\^36, got 68719476736$"):
+            _graph6_size(1 << 36)
 
     def test_round_trip_exhaustive_small(self):
         for n in range(1, 5):
@@ -421,7 +436,7 @@ class TestDegree2Chains:
         chains = 0
         for n in range(1, 7):
             for g in enumerate_exhaustive(n):
-                for a, _interior, b in degree2_chains([g.neighbors(v) for v in range(n)]):
+                for a, _interior, b in degree2_chains([mask_to_list(g.adj[v]) for v in range(n)]):
                     chains += 1
                     assert a == b or a < b, (encode_graph6(g), a, b)
         assert chains == 187623

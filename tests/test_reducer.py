@@ -39,13 +39,13 @@ from factorsmith.reducer import (
     minimize,
     verify_certificate,
 )
-from oracles import reference_search
+from oracles import all_cycles, reference_search
 
 CORPUS_CHECKS = 4607
-CORPUS_DIGEST = "b05c9d9f6aba63e92a40b52a24c1e1c5426ce8f8379cefc86caa94d55e915ec1"
+CORPUS_DIGEST = "80d867cad4ebe69cbbeff7d24b5ba35628d502a52c7ab496c3d870d1fc108e07"
 RULE_COUNTS = {
     "R1": 32, "R2": 1, "R3": 168, "R4": 112, "R5": 2, "R6": 17, "R7": 74, "R8": 21,
-    "S1": 961, "S2": 495, "S3": 352, "S4": 143, "S5": 61, "S6": 91, "S7": 2328,
+    "S1": 965, "S2": 495, "S3": 321, "S4": 173, "S5": 61, "S6": 91, "S7": 2292,
 }
 
 
@@ -128,7 +128,7 @@ class TestEquivalence:
 
 class TestMinimize:
     def test_long_cycle_leaves_recursion_limit(self):
-        """The block scan is iterative: a 5000-cycle needs no deeper stack."""
+        """The cycle scan is iterative: a 5000-cycle needs no deeper stack."""
         n = 5000
         g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
         limit = sys.getrecursionlimit()
@@ -193,6 +193,39 @@ class TestMinimize:
         ]
 
 
+def _scan_agrees(g: Graph) -> bool:
+    """Check the cycle scan of g's support, every edge at 1 half-unit,
+    against `all_cycles`; True if the scan met a clash.  With no clash,
+    `cycles` is every simple cycle and the even cycle is the smallest even
+    one; with a clash, the even cycle is an even simple cycle of g."""
+    state = reducer._State(HalfIntegralAssignment(g, dict.fromkeys(g.edges, 1)), 1)
+    cycles = all_cycles(g)
+    even = state.find_even_cycle()
+    clash = state._cycle_scan[1] is not None
+    if clash:
+        assert len(even) % 2 == 0 and tuple(even) in cycles, (g, even)
+    else:
+        assert set(map(tuple, state.cycles)) == cycles and len(state.cycles) == len(cycles), g
+        assert even == min((list(c) for c in cycles if len(c) % 2 == 0), default=None), g
+    return clash
+
+
+class TestCycleScan:
+    """The fundamental cycles of the breadth-first forest against a brute-force
+    list of every simple cycle."""
+
+    def test_exhaustive_small(self):
+        """Every labelled graph with n <= 5: both outcomes occur."""
+        outcomes = Counter(_scan_agrees(g) for n in range(1, 6) for g in enumerate_exhaustive(n))
+        assert outcomes[True] and outcomes[False]
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_random(self, n):
+        """150 gnp graphs each at n = 7 and 8, sparse to dense."""
+        for seed in range(150):
+            _scan_agrees(random_gnp(n, Fraction(1 + seed % 3, 6), seed))
+
+
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
@@ -208,6 +241,16 @@ class TestGuards:
     def _only_rule(monkeypatch, units):
         rw = reducer.RuleStep("X", (0,), units)
         monkeypatch.setattr(reducer, "_RULES", (("X", "X", lambda st, rule: rw),))
+
+    def test_start_must_verify(self):
+        """`from_assignment` and `minimize` both refuse a start outside the
+        window: C4 with one matching edge leaves vertices 2 and 3 at 0."""
+        h = HalfIntegralAssignment(C4, {(0, 1): 2})
+        with pytest.raises(ValueError, match="^assignment does not verify at this parameter$"):
+            from_assignment(C4, 1, h)
+        with pytest.raises(reducer.InvalidColoredFactor) as info:
+            minimize(h, 1)
+        assert str(info.value) == "starting assignment is outside the [1, 3/2] window"
 
     def test_recolor_outside_support(self, monkeypatch):
         self._only_rule(monkeypatch, {(0, 1): 0, (1, 2): 2})

@@ -4,7 +4,7 @@ sequences, and the half-unit weightings the family tests check."""
 from __future__ import annotations
 
 from factorsmith.factors import HalfIntegralAssignment
-from factorsmith.graphs import Graph
+from factorsmith.graphs import Graph, mask_to_list
 
 
 def degree_sequence(g: Graph) -> tuple[int, ...]:
@@ -27,7 +27,7 @@ def pendant_half_assignment(t: Graph) -> HalfIntegralAssignment:
 
 def _rooted_canon(g: Graph, root: int, parent: int) -> tuple:
     children = sorted(
-        (_rooted_canon(g, w, root) for w in g.neighbors(root) if w != parent),
+        (_rooted_canon(g, w, root) for w in mask_to_list(g.adj[root]) if w != parent),
         reverse=True,
     )
     return tuple(children)
@@ -46,7 +46,7 @@ def _centroids(g: Graph) -> list[int]:
     while stack:
         v = stack.pop()
         order.append(v)
-        for w in g.neighbors(v):
+        for w in mask_to_list(g.adj[v]):
             if not seen[w]:
                 seen[w] = True
                 parent[w] = v
@@ -58,7 +58,7 @@ def _centroids(g: Graph) -> list[int]:
     best_w = n + 1
     for v in range(n):
         w = n - size[v]
-        for u in g.neighbors(v):
+        for u in mask_to_list(g.adj[v]):
             if parent[u] == v:
                 w = max(w, size[u])
         if w < best_w:
