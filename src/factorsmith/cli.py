@@ -154,7 +154,7 @@ def cmd_check(args) -> int:
     if c <= 0:
         return _error(f"condition ratio must be positive, got {args.c}")
     violated = False
-    for label, g in read_graphs(args.lines):
+    for label, g in args.graphs:
         witness, error = _condition(g, c)
         if error is None and witness is None:
             print(f"{label}: holds (iso(G-S) <= {c} |S| for all S)")
@@ -188,7 +188,7 @@ def cmd_factor(args) -> int:
     if k < 1:
         return _error(f"k must be >= 1, got {k}")
     negative = False
-    for label, g in read_graphs(args.lines):
+    for label, g in args.graphs:
         cert, trace, error = _factor(g, k)
         if error is not None:
             negative = True
@@ -212,7 +212,7 @@ def cmd_factor(args) -> int:
 
 
 def cmd_toughness(args) -> int:
-    for label, g in read_graphs(args.lines):
+    for label, g in args.graphs:
         value = isolated_toughness(g)
         if value is None:
             print(f"{label}: infinity")
@@ -254,7 +254,7 @@ def _corpus_from_args(args) -> tuple[str, Iterator[Graph]]:
     """The chosen corpus source's name and its (lazy) graph stream."""
     chosen = [
         name
-        for name in ("exhaustive", "gnp", "trees", "paths_cycles", "file", "all_trees", "expansion_base")
+        for name in ("exhaustive", "gnp", "trees", "paths_cycles", "file", "all_trees", "tree_expansion")
         if getattr(args, name) is not None
     ]
     if len(chosen) != 1:
@@ -269,20 +269,20 @@ def _corpus_from_args(args) -> tuple[str, Iterator[Graph]]:
     if name == "all_trees":
         return name, corpus.free_trees_upto(args.all_trees)
     spec = getattr(args, name)
-    form = {"gnp": "n,p,count", "trees": "n,count", "expansion_base": "k,size,seed"}[name]
+    form = {"gnp": "n,p,count", "trees": "n,count", "tree_expansion": "k,size,count"}[name]
     parts = [part.strip() for part in spec.split(",")]
     if len(parts) != form.count(",") + 1:
         raise ValueError(f"{name.replace('_', '-')} spec is {form}, got {spec!r}")
-    if name == "expansion_base":
-        k, size, seed = map(int, parts)
-        return name, iter([corpus.random_expansion_base(k, size, seed)])
     count = int(parts[-1])
     if count < 0:
-        raise ValueError(f"{name} count must be >= 0, got {count}")
+        raise ValueError(f"{name.replace('_', '-')} count must be >= 0, got {count}")
     seeds = range(args.seed, args.seed + count)
     if name == "gnp":
         n, p = int(parts[0]), parse_ratio(parts[1])
         return name, (corpus.random_gnp(n, p, seed) for seed in seeds)
+    if name == "tree_expansion":
+        k, size = int(parts[0]), int(parts[1])
+        return name, (corpus.random_tree_expansion(k, size, seed) for seed in seeds)
     return name, (corpus.random_tree(int(parts[0]), seed) for seed in seeds)
 
 
@@ -345,7 +345,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    for _label, g in read_graphs(args.lines):
+    for _label, g in args.graphs:
         if args.to == "g6":
             print(encode_graph6(g))
         elif args.to == "edges":
@@ -369,7 +369,7 @@ def _add_corpus_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--paths-cycles", dest="paths_cycles", type=int, default=None, metavar="N")
     p.add_argument("--file", default=None, metavar="PATH", help="graph6 lines or one edge list")
     p.add_argument("--all-trees", type=int, metavar="N", help="all free trees with <= N vertices")
-    p.add_argument("--expansion-base", metavar="k,size,seed", help="random base of T(2k+1), k >= 1")
+    p.add_argument("--tree-expansion", metavar="k,size,count", help="random members of T(2k+1), k >= 1")
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -418,14 +418,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     if "input" in args:
-        # check, factor, toughness and convert parse every graph before they
-        # answer, so a bad input exits 2 with nothing printed and an engine
-        # error never does.  They keep the lines and parse them again.  A
-        # graph past toughness's size guard is a usage error for the whole
-        # input too.
+        # check, factor, toughness and convert parse every graph once,
+        # before they answer, so a bad input exits 2 with nothing printed
+        # and an engine error never does.  A graph past toughness's size
+        # guard is a usage error for the whole input too.
         try:
-            args.lines = _read_lines(args.input)
-            for label, g in read_graphs(args.lines):
+            args.graphs = list(read_graphs(_read_lines(args.input)))
+            for label, g in args.graphs:
                 if args.command == "toughness" and g.n > TOUGHNESS_MAX_N:
                     return _error(f"{label}: isolated toughness supports n <= {TOUGHNESS_MAX_N}, got n = {g.n}")
         except (ValueError, OSError) as exc:

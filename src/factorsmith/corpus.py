@@ -9,8 +9,8 @@ that way, and its graphs are the ones that one `next_u64` call per pair
 gives.  Exhaustive enumeration is labeled (no isomorphism reduction); the
 free-tree enumerator is the one exception, since the tests of the family
 recognizer need every tree shape exactly once.
-`random_expansion_base` draws bases for the one construction of T(2k+1) at
-every k >= 1.
+`random_tree_expansion` draws members of T(2k+1) at every k >= 1: a random
+core tree R, expanded by `families.expand_core_tree`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import cache
 from itertools import combinations, combinations_with_replacement, compress
 from typing import Iterator
 
-from factorsmith.families import is_expansion_base
+from factorsmith.families import OTHER, classify_component, expand_core_tree
 from factorsmith.graphs import Graph
 
 EXHAUSTIVE_MAX_N = 7
@@ -179,57 +179,35 @@ def random_tree(n: int, seed: int) -> Graph:
     return Graph(n, edges)
 
 
-def random_expansion_base(k: int, size: int, seed: int) -> Graph:
-    """Random tree valid as an expansion base for parameter k >= 1: the
-    non-leaf core keeps odd degrees <= 2k+1 and every core vertex v obeys
-    2*(attached leaves) + core-degree(v) <= 2k+1.  At k = 1 it is a random
-    cubic tree with one pendant edge on each leaf.
+def random_tree_expansion(k: int, size: int, seed: int) -> Graph:
+    """A random member of T(2k+1), k >= 1, with at most `size` vertices.
 
-    The base has between size - 2 and size vertices; size >= 4 is required.
+    The core tree R grows from one edge: each step draws a vertex of degree
+    < 2k+1 and gives it two new leaves, so every degree stays odd.  R grows
+    to the largest even |R| with |R|(2k+3)/2 <= size, and the member is
+    `expand_core_tree(R, k)`.  At k = 1 a core of two vertices gives P5.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if size < 4:
-        raise ValueError("smallest valid base has 4 vertices (2 core + 2 leaves)")
-    g = _grow_expansion_base(k, size, SplitMix64(seed))
-    if not is_expansion_base(g, k):
-        raise AssertionError("grown tree is not an expansion base")
-    return g
-
-
-def _grow_expansion_base(k: int, size: int, rng: SplitMix64) -> Graph:
-    # Core grown by leaf pairs keeps all core degrees odd.  Every core leaf
-    # is owed one pendant leaf, so the least total is the core plus its
-    # leaves: a step at a core leaf adds 3 to it, elsewhere 4.  The core
-    # grows until no step fits in `size`, which leaves at most 2 to spare.
+    if size < 2 * k + 3:
+        raise ValueError(f"the smallest member of T({2 * k + 1}) has {2 * k + 3} vertices, got size {size}")
+    rng = SplitMix64(seed)
     edges = [(0, 1)]
-    core_deg = [1, 1]
-    leaves = 2
-    while True:
-        room = size - len(core_deg) - leaves
-        candidates = [
-            v for v, d in enumerate(core_deg) if d + 2 <= 2 * k + 1 and room >= (3 if d == 1 else 4)
-        ]
-        if not candidates:
-            break
-        v = candidates[rng.randrange(len(candidates))]
-        leaves += 1 if core_deg[v] == 1 else 2
-        core_deg[v] += 2
-        for _ in range(2):
-            edges.append((v, len(core_deg)))
-            core_deg.append(1)
-    total = len(core_deg)
-    spare = size - total - leaves
-    for v, d in enumerate(core_deg):
-        # a core leaf needs one pendant leaf; v has room for (2k+1-d)//2
-        need = 1 if d == 1 else 0
-        extra = min((2 * k + 1 - d) // 2 - need, spare)
-        count = need + (rng.randrange(extra + 1) if extra > 0 else 0)
-        spare -= count - need
-        for _ in range(count):
-            edges.append((v, total))
-            total += 1
-    return Graph(total, edges)
+    deg = [1, 1]
+    growing = [0, 1]  # the vertices of degree < 2k+1
+    for _ in range(size // (2 * k + 3) - 1):
+        i = rng.randrange(len(growing))
+        v, a = growing[i], len(deg)
+        edges += [(v, a), (v, a + 1)]
+        deg[v] += 2
+        deg += [1, 1]
+        growing += [a, a + 1]
+        if deg[v] == 2 * k + 1:
+            growing[i] = growing.pop()
+    t = expand_core_tree(Graph(len(deg), edges), k)
+    if classify_component(t, k) == OTHER:
+        raise AssertionError(f"expanded core tree is not a member of T({2 * k + 1})")
+    return t
 
 
 def paths_and_cycles(max_n: int) -> Iterator[Graph]:

@@ -1,22 +1,20 @@
-"""The component families of the two theorems: one recognizer, one
-generator and the classifier.
+"""The component families of the two theorems: one construction, one
+recognizer and the classifier.
 
 k alone fixes the target family, so the classifier takes k itself:
 {P2, C3, P5} plus T(3) for k = 1, and the stars K1,1 .. K1,k plus T(2k+1)
 for k >= 2.  The tag of a T(2k+1) member stays `cubic_expansion` at k = 1
 and `tree_expansion` at k >= 2.
 
-`is_tree_expansion(t, k)` recognizes T(2k+1) at every k >= 1 with a tree
-test, then degree and adjacency tests alone (isomorphism invariant, no
-search).
-`expand_base_tree(base, k)` builds the members the way the paper does, at
-every k >= 1: take a tree whose non-leaf core has odd degrees <= 2k+1 and
-whose core vertices each satisfy 2*(attached leaves) + core-degree <= 2k+1,
-subdivide every core edge once, then pad each core vertex with pendant edges
-until its half-integral degree reaches k + 1/2.  At k = 1 such a base is a
-cubic tree with one pendant edge on each leaf.
+A member of T(2k+1) is fixed by its core tree R alone: a tree on >= 2
+vertices whose degrees are all odd and <= 2k+1.  `expand_core_tree(R, k)`
+subdivides every edge of R once and gives each vertex of R-degree d
+(2k+1-d)/2 pendant edges, so each vertex of R reaches half-integral degree
+k + 1/2 under the weighting 1 on pendant edges and 1/2 elsewhere.  At k = 1
+R is a cubic tree.  `_expansion_shape` recognizes a member with degree and
+adjacency tests alone (isomorphism invariant, no search).
 
-P5 (from the single-edge cubic base) and the stars are not members of
+P5 (from the single-edge core at k = 1) and the stars are not members of
 T(2k+1); they are classified under their own tags, which leaves the family
 unions unchanged.
 """
@@ -70,72 +68,40 @@ def tree_expansion(k: int) -> ComponentClass:
     return ComponentClass("tree_expansion", k)
 
 
-# --- expansion bases and their expansions ------------------------------------
+# --- the members of T(2k+1), k >= 1 -------------------------------------------
 
 
-def is_expansion_base(tree: Graph, k: int) -> bool:
-    """Valid base for the construction at k >= 1: tree whose non-leaf core
-    has at least two vertices, every core degree odd and <= 2k+1, and each
-    core vertex v obeys 2*(leaves attached to v) + core-degree(v) <= 2k+1.
-    That leaf budget implies the core-degree bound, so only it is tested.
-    At k = 1 that is a cubic tree with one pendant edge on each leaf."""
-    return _core_degrees(tree, k) is not None
+def expand_core_tree(r: Graph, k: int) -> Graph:
+    """The member of T(2k+1) on the core tree r: subdivide every edge of r
+    once, then give each vertex of r-degree d (2k+1-d)/2 pendant edges.
 
-
-def _core_degrees(tree: Graph, k: int) -> dict[int, tuple[int, int]] | None:
-    """Core vertex -> (core-degree, attached leaves) of a base valid at k, or None."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not is_tree(tree):
-        return None
-    core_mask = sum(1 << v for v, m in enumerate(tree.adj) if m.bit_count() >= 2)
-    core = {}
-    for v, m in enumerate(tree.adj):
-        if core_mask >> v & 1:
-            core_deg = (m & core_mask).bit_count()
-            leaves = m.bit_count() - core_deg
-            if core_deg % 2 == 0 or 2 * leaves + core_deg > 2 * k + 1:
-                return None
-            core[v] = core_deg, leaves
-    return core if len(core) >= 2 else None
-
-
-def expand_base_tree(base: Graph, k: int) -> Graph:
-    """Subdivide every core edge once; pad each core vertex with
-    k - r - (attached leaves) pendant edges, where core-degree = 2r+1.
-
-    The output admits the pendant-red assignment (pendant edges weight 1,
-    others 1/2) in which every core vertex reaches h-degree exactly k + 1/2.
-    At k = 1 the base P4 (a single core edge) expands to P5, which
+    r must be a tree on >= 2 vertices whose degrees are all odd and
+    <= 2k+1.  The member has |r|(2k+3)/2 vertices: r's own at labels
+    0..|r|-1, then the subdivision vertices in the order of `r.edges`, then
+    the pendant ends.  At k = 1 the single edge P2 gives P5, which
     `classify_component` tags `P5`, not `cubic_expansion`.
     """
-    core = _core_degrees(base, k)
-    if core is None:
-        raise ValueError("base tree violates the expansion-base conditions")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if r.n < 2 or not is_tree(r):
+        raise ValueError(f"core tree must be a tree on >= 2 vertices, got n = {r.n}, {r.num_edges} edges")
+    deg = [m.bit_count() for m in r.adj]
+    for v, d in enumerate(deg):
+        if d % 2 == 0 or d > 2 * k + 1:
+            raise ValueError(f"core tree degrees must be odd and <= {2 * k + 1}, vertex {v} has degree {d}")
     edges: list[tuple[int, int]] = []
-    nxt = base.n
-    for u, v in base.edges:
-        if u in core and v in core:
-            edges += [(u, nxt), (nxt, v)]
-            nxt += 1
-        else:
-            edges.append((u, v))
-    for v, (core_deg, leaves) in core.items():
-        for _ in range(k - (core_deg - 1) // 2 - leaves):
+    nxt = r.n
+    for u, v in r.edges:
+        edges += [(u, nxt), (nxt, v)]
+        nxt += 1
+    for v, d in enumerate(deg):
+        for _ in range((2 * k + 1 - d) // 2):
             edges.append((v, nxt))
             nxt += 1
     return Graph(nxt, edges)
 
 
 # --- the recognizer of T(2k+1), k >= 1 ---------------------------------------
-
-
-def is_tree_expansion(t: Graph, k: int) -> bool:
-    """Recognize the trees T(2k+1), for any k >= 1: `t` is a tree of the
-    shape `_expansion_shape` tests."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return is_tree(t) and _expansion_shape(t, k)
 
 
 def _expansion_shape(t: Graph, k: int) -> bool:

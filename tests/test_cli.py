@@ -15,9 +15,9 @@ import pytest
 from factorsmith import cli
 from factorsmith.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
 from factorsmith.conditions import ConditionWitness, check_iso_condition
-from factorsmith.corpus import enumerate_exhaustive
+from factorsmith.corpus import enumerate_exhaustive, random_tree_expansion
 from factorsmith.factors import HalfIntegralAssignment
-from factorsmith.families import classify_component, is_expansion_base
+from factorsmith.families import classify_component, cubic_expansion
 from factorsmith.graphs import Graph, encode_graph6, is_tree, parse_graph6
 from factorsmith.reducer import (
     ComponentEntry,
@@ -150,16 +150,21 @@ def test_usage_error_exits_two(tmp_path, capsys):
         ["verify", "--trees", "5,-1", "--k", "1"],
         ["gen", "--gnp", "8,1/2,-3"],
         ["gen", "--all-trees", "-2"],
+        ["gen", "--tree-expansion", "1,20,-1"],
+        ["gen", "--tree-expansion", "0,20,1"],
     ):
         assert main(argv) == EXIT_ERROR
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:")
     assert main(["gen", "--gnp", "8,1/2,0"]) == EXIT_OK
     assert capsys.readouterr() == ("", "")
-    assert main(["gen", "--expansion-base=2,8"]) == EXIT_ERROR
+    assert main(["gen", "--tree-expansion=2,8"]) == EXIT_ERROR
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: expansion-base spec is k,size,seed, got '2,8'\n"
-    # the k = 1 base replaced the cubic-tree option
+    assert out == "" and err == "error: tree-expansion spec is k,size,count, got '2,8'\n"
+    assert main(["gen", "--tree-expansion=2,6,1"]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: the smallest member of T(5) has 7 vertices, got size 6\n"
+    # the tree-expansion source replaced the cubic-tree option
     assert main(["gen", "--cubic-tree", "3,1"]) == EXIT_ERROR
     assert capsys.readouterr().out == ""
     # gen takes exactly one source, as verify does
@@ -169,9 +174,14 @@ def test_usage_error_exits_two(tmp_path, capsys):
 
 
 def test_gen_k1_expansion_base(capsys):
-    assert main(["gen", "--expansion-base", "1,10,3"]) == EXIT_OK
-    (line,) = capsys.readouterr().out.splitlines()
-    assert is_expansion_base(parse_graph6(line), 1)
+    """The base-tree source is gone: gen emits members, with their seeds
+    from --seed as the other random sources take theirs."""
+    assert main(["gen", "--expansion-base", "1,10,3"]) == EXIT_ERROR
+    assert capsys.readouterr().out == ""
+    assert main(["gen", "--tree-expansion", "1,10,2", "--seed", "3"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [parse_graph6(line) for line in lines] == [random_tree_expansion(1, 10, s) for s in (3, 4)]
+    assert all(classify_component(parse_graph6(line), 1) == cubic_expansion() for line in lines)
 
 
 def test_gen_past_62_vertices(capsys):
@@ -212,9 +222,10 @@ def test_toughness_refuses_before_answering(tmp_path, capsys):
 @pytest.mark.parametrize(
     "args", [["toughness"], ["check", "--c", "3/2"], ["factor", "--k", "1"], ["convert", "--to", "g6"]]
 )
-def test_each_graph_is_parsed_twice(tmp_path, capsys, monkeypatch, args):
-    """Once in the up-front check, which also applies toughness's size
-    guard, and once to answer."""
+def test_each_graph_is_parsed_once(tmp_path, capsys, monkeypatch, args):
+    """In the up-front check, which also applies toughness's size guard;
+    the command answers from the graphs it kept.  A bad line still exits 2
+    with nothing printed, and no line after it is parsed."""
     parsed = []
 
     def counted(line):
@@ -224,7 +235,11 @@ def test_each_graph_is_parsed_twice(tmp_path, capsys, monkeypatch, args):
     monkeypatch.setattr(cli, "parse_graph6", counted)
     code, out, _ = run(tmp_path, capsys, "Dhc\nBw\nC~", *args)
     assert code in (EXIT_OK, EXIT_NEGATIVE) and out
-    assert sorted(parsed) == sorted(["Dhc", "Bw", "C~"] * 2)
+    assert parsed == ["Dhc", "Bw", "C~"]
+    parsed.clear()
+    code, out, err = run(tmp_path, capsys, "Dhc\nB?x\nC~", *args)
+    assert (code, out) == (EXIT_ERROR, "") and err.startswith("error: trailing data in graph6 string")
+    assert parsed == ["Dhc", "B?x"]
 
 
 # The command line as a child process, with this checkout's package first.
@@ -632,16 +647,30 @@ def test_gen_all_trees(capsys):
 
 def test_verify_takes_gen_corpora(capsys):
     """verify reads the same sources as gen: every free tree with n <= 7 at
-    k = 1, 2, and one T(5) base at k = 1, 2, 3, with graph ids named after
+    k = 1, 2, and one T(5) member at k = 1, 2, 3, with graph ids named after
     the source."""
     assert main(["verify", "--all-trees", "7", "--k", "1,2"]) == EXIT_OK
     assert capsys.readouterr().out == "25 graphs, 50 checks, 0 disagreements, 0 failures\n"
-    code, report = _verify_json(capsys, "--expansion-base", "2,12,1", "--k", "1,2,3")
+    code, report = _verify_json(capsys, "--tree-expansion", "2,14,1", "--k", "1,2,3")
     assert code == EXIT_OK and report["summary"]["agreements"] == 3
-    assert {r["graph_id"] for r in report["graphs"]} == {"expansion_base:0"}
-    assert main(["verify", "--expansion-base", "2,12"]) == EXIT_ERROR
+    assert {r["graph_id"] for r in report["graphs"]} == {"tree_expansion:0"}
+    assert main(["verify", "--tree-expansion", "2,12"]) == EXIT_ERROR
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: expansion-base spec is k,size,seed, got '2,12'\n"
+    assert out == "" and err == "error: tree-expansion spec is k,size,count, got '2,12'\n"
+
+
+@pytest.mark.parametrize("k, size", [(1, 20), (2, 14), (3, 18)])
+def test_verify_tree_expansion(capsys, k, size):
+    """Four members at their own k: each holds the condition at k + 1/2 and
+    is its own one-component factor, so verify agrees on all four."""
+    code, report = _verify_json(capsys, "--tree-expansion", f"{k},{size},4", "--k", str(k))
+    assert code == EXIT_OK and report["summary"]["disagreements"] == 0
+    assert [r["graph_id"] for r in report["graphs"]] == [f"tree_expansion:{i}" for i in range(4)]
+    assert [r["n"] for r in report["graphs"]] == [size] * 4
+    for r in report["graphs"]:
+        assert r["condition_holds"] and r["has_factor"]
+        (component,) = r["certificate"]["components"]
+        assert component["class"] == ("cubic-expansion" if k == 1 else f"tree-expansion({k})")
 
 
 def test_check_rechecks_the_witness(tmp_path, capsys, monkeypatch):

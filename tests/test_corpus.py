@@ -4,7 +4,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from factorsmith.cli import main
@@ -15,11 +15,11 @@ from factorsmith.corpus import (
     free_trees,
     free_trees_upto,
     paths_and_cycles,
-    random_expansion_base,
     random_gnp,
     random_tree,
+    random_tree_expansion,
 )
-from factorsmith.families import expand_base_tree, is_expansion_base
+from factorsmith.families import OTHER, P5, classify_component, cubic_expansion, tree_expansion
 from factorsmith.graphs import Graph, encode_graph6, is_tree, mask_to_list, parse_graph6
 from treeutil import degree_sequence, tree_canon
 
@@ -193,54 +193,68 @@ class TestRandomTrees:
         assert random_tree(1, 0) == Graph(1)
 
     def test_cubic_m0_is_single_edge(self):
-        # the k = 1 base of the single-edge cubic tree is P4
-        assert random_expansion_base(1, 4, 3) == Graph(4, [(0, 1), (0, 2), (1, 3)])
+        # below 10 vertices the k = 1 core is the single edge, and its member P5
+        for size in range(5, 10):
+            assert random_tree_expansion(1, size, 3) == Graph(5, [(0, 2), (1, 2), (0, 3), (1, 4)])
 
     def test_cubic_m1_is_three_star(self):
-        # the three-star with a pendant edge on each leaf
-        t = random_expansion_base(1, 7, 0)
-        assert degree_sequence(t) == (3, 2, 2, 2, 1, 1, 1)
+        # the three-star core: one degree-3 vertex, three subdivisions, three pendants
+        t = random_tree_expansion(1, 10, 0)
+        assert degree_sequence(t) == (3, 2, 2, 2, 2, 2, 2, 1, 1, 1)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=4, max_value=40), st.integers(min_value=0, max_value=500))
+    @given(st.integers(min_value=5, max_value=60), st.integers(min_value=0, max_value=500))
     def test_cubic_degrees(self, size, seed):
-        """At k = 1 a base is a cubic tree R plus one pendant edge on each
-        leaf of R: a vertex of R has degree 3 and no leaf, or degree 2 and
-        one leaf."""
-        t = random_expansion_base(1, size, seed)
-        assert is_tree(t) and is_expansion_base(t, 1)
+        """At k = 1 the core is a cubic tree R: a vertex of R has degree 3
+        and no leaf, or degree 2 and one leaf; every other vertex has
+        degree 2 and two neighbours in R, or is a leaf."""
+        t = random_tree_expansion(1, size, seed)
+        assert is_tree(t)
         for v in range(t.n):
             ends = sum(1 for w in mask_to_list(t.adj[v]) if t.degree(w) == 1)
-            assert (t.degree(v), ends) in ((1, 0), (2, 1), (3, 0))
+            assert (t.degree(v), ends) in ((1, 0), (2, 0), (2, 1), (3, 0))
 
     @settings(max_examples=40, deadline=None)
     @given(
-        st.integers(min_value=2, max_value=4),
-        st.integers(min_value=4, max_value=14),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=5, max_value=120),
         st.integers(min_value=0, max_value=200),
     )
     def test_expansion_base_validates(self, k, size, seed):
-        base = random_expansion_base(k, size, seed)
-        assert is_expansion_base(base, k)
+        """A drawn member classifies at its own k only: P5 at k = 1 below
+        10 vertices, else the expansion tag of k."""
+        assume(size >= 2 * k + 3)
+        t = random_tree_expansion(k, size, seed)
+        assert [j for j in range(1, 6) if classify_component(t, j) != OTHER] == [k]
+        if k == 1:
+            assert classify_component(t, 1) == (P5 if size < 10 else cubic_expansion())
+        else:
+            assert classify_component(t, k) == tree_expansion(k)
 
     def test_expansion_base_honours_size(self):
-        """Every draw lands in [size - 2, size]: the core grows until no step
-        fits, and the pendants owed to core leaves are reserved up front."""
-        for k in (1, 2, 3):
-            for size in range(4, 80):
-                for seed in range(60):
-                    assert size - 2 <= random_expansion_base(k, size, seed).n <= size, (k, size, seed)
-        sizes = [expand_base_tree(random_expansion_base(k, 1000, 1), k).n for k in (1, 2, 3)]
-        assert sizes == [1665, 2135, 2727]
+        """A draw has exactly |R|(2k+3)/2 <= size vertices, for the largest
+        even |R| that fits."""
+        for k in (1, 2, 3, 4):
+            for size in range(2 * k + 3, 120):
+                for seed in range(10):
+                    t = random_tree_expansion(k, size, seed)
+                    assert t.n == size // (2 * k + 3) * (2 * k + 3) <= size, (k, size, seed)
+        sizes = [random_tree_expansion(k, 2000, 1).n for k in (1, 2, 3)]
+        assert sizes == [2000, 1995, 1998]
 
     def test_expansion_base_deterministic(self):
-        assert random_expansion_base(2, 8, 5) == random_expansion_base(2, 8, 5)
+        assert random_tree_expansion(2, 40, 5) == random_tree_expansion(2, 40, 5)
+        assert random_tree_expansion(2, 40, 5) != random_tree_expansion(2, 40, 6)
 
     def test_expansion_base_guards(self):
-        with pytest.raises(ValueError):
-            random_expansion_base(0, 8, 0)
-        with pytest.raises(ValueError):
-            random_expansion_base(2, 3, 0)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+                random_tree_expansion(k, 8, 0)
+        with pytest.raises(ValueError, match=r"^the smallest member of T\(5\) has 7 vertices, got size 6$"):
+            random_tree_expansion(2, 6, 0)
+        with pytest.raises(ValueError, match=r"^the smallest member of T\(3\) has 5 vertices, got size 4$"):
+            random_tree_expansion(1, 4, 0)
+        assert random_tree_expansion(2, 7, 0).n == 7
 
 
 class TestFreeTrees:

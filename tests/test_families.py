@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from factorsmith.conditions import check_iso_condition, iso_after_removal
-from factorsmith.corpus import free_trees_upto, random_expansion_base
+from factorsmith.corpus import free_trees_upto, random_tree_expansion
 from factorsmith.factors import verify_fractional
 from factorsmith.families import (
     C3,
@@ -17,15 +17,13 @@ from factorsmith.families import (
     P5,
     classify_component,
     cubic_expansion,
-    expand_base_tree,
-    is_expansion_base,
-    is_tree_expansion,
+    expand_core_tree,
     star,
     tree_expansion,
 )
 from factorsmith.graphs import Graph, mask_to_list
 from factorsmith.reducer import _component_entries, extract_component_factor_detailed, verify_certificate
-from treeutil import degree_sequence, half_degree_units, pendant_half_assignment, tree_canon
+from treeutil import degree_sequence, half_degree_units, is_tree_expansion, pendant_half_assignment, tree_canon
 
 K13 = Graph(4, [(0, 1), (0, 2), (0, 3)])
 CUBIC6 = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
@@ -36,14 +34,12 @@ def path(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def star_graph(j: int) -> Graph:
+    return Graph(j + 1, [(0, i) for i in range(1, j + 1)])
+
+
 def leaves(g: Graph) -> int:
     return sum(1 for v in range(g.n) if g.degree(v) == 1)
-
-
-def with_pendants(r: Graph) -> Graph:
-    """R plus one pendant edge on each leaf: the k = 1 base of a cubic tree R."""
-    ends = [v for v in range(r.n) if r.degree(v) == 1]
-    return Graph(r.n + len(ends), [*r.edges, *((v, r.n + i) for i, v in enumerate(ends))])
 
 
 @pytest.fixture(scope="module")
@@ -52,45 +48,45 @@ def trees16() -> list[Graph]:
 
 
 class TestCubicExpansion:
-    """T(3): the k = 1 construction on a cubic tree R with a pendant per leaf."""
+    """T(3): the k = 1 construction on a cubic core tree R."""
 
     def test_three_star_gives_ten_vertex_spider(self):
-        t = expand_base_tree(with_pendants(K13), 1)
+        t = expand_core_tree(K13, 1)
         assert t.n == 10
         assert degree_sequence(t) == (3, 2, 2, 2, 2, 2, 2, 1, 1, 1)
         assert is_tree_expansion(t, 1)
 
     def test_single_edge_base_gives_p5(self):
-        # the single-edge cubic tree's base is P4; P5 is classified on its own
-        t = expand_base_tree(path(4), 1)
+        # the single-edge core is P2; P5 is classified on its own
+        t = expand_core_tree(path(2), 1)
         assert degree_sequence(t) == degree_sequence(path(5))
         assert classify_component(t, 1) == P5
         assert not is_tree_expansion(t, 1)
 
     def test_non_cubic_base_rejected(self):
-        for base in (path(5), K13, with_pendants(path(3))):
-            with pytest.raises(ValueError):
-                expand_base_tree(base, 1)
+        for r in (path(3), path(4), star_graph(5)):
+            with pytest.raises(ValueError, match="^core tree degrees must be odd and <= 3, "):
+                expand_core_tree(r, 1)
 
     def test_six_vertex_base_gives_fifteen(self):
-        t = expand_base_tree(with_pendants(CUBIC6), 1)
+        t = expand_core_tree(CUBIC6, 1)
         assert t.n == 15
         assert is_tree_expansion(t, 1)
 
     def test_leaf_count_preserved(self):
         for r in (K13, CUBIC6, CUBIC8):
-            assert leaves(expand_base_tree(with_pendants(r), 1)) == leaves(r)
+            assert leaves(expand_core_tree(r, 1)) == leaves(r)
 
     def test_vertex_count_formula(self):
-        # |T| = |R| + ||R|| + leaves(R); degree-2 count = ||R|| + leaves(R)
+        # |T| = |R| + ||R|| + leaves(R) = 5|R|/2; degree-2 count = ||R|| + leaves(R)
         for r in (K13, CUBIC6, CUBIC8):
-            t = expand_base_tree(with_pendants(r), 1)
-            assert t.n == r.n + r.num_edges + leaves(r)
+            t = expand_core_tree(r, 1)
+            assert t.n == r.n + r.num_edges + leaves(r) == 5 * r.n // 2
             deg2 = sum(1 for v in range(t.n) if t.degree(v) == 2)
             assert deg2 == r.num_edges + leaves(r)
         # the 20-vertex member lies outside the scan in test_forward_backward
-        t = expand_base_tree(with_pendants(CUBIC8), 1)
-        assert t.n == 5 * CUBIC8.n // 2 == 20
+        t = expand_core_tree(CUBIC8, 1)
+        assert t.n == 20
         assert is_tree_expansion(t, 1)
 
     @pytest.mark.parametrize("g", [path(5), path(7), K13, Graph(3, [(0, 1), (1, 2), (0, 2)])])
@@ -103,61 +99,68 @@ class TestCubicExpansion:
         assert not is_tree_expansion(g, 1)
 
 
-
 class TestExpansionBase:
+    """The guards of `expand_core_tree`: the base it expands must be a tree
+    on >= 2 vertices whose degrees are all odd and <= 2k+1, and k >= 1."""
+
     def test_spec_example_two_centers(self):
-        base = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
-        assert is_expansion_base(base, 2)
+        # the single edge at k = 2: two centers, two pendant edges each
+        t = expand_core_tree(path(2), 2)
+        assert t == Graph(7, [(0, 2), (1, 2), (0, 3), (0, 4), (1, 5), (1, 6)])
 
     def test_single_core_vertex_rejected(self):
-        # path a-b-c plus a leaf on b: core = {b} only
-        assert not is_expansion_base(Graph(4, [(0, 1), (1, 2), (1, 3)]), 2)
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="^core tree must be a tree on >= 2 vertices, got n = 1, 0 edges$"):
+                expand_core_tree(Graph(1), k)
 
     def test_even_core_degree_rejected(self):
-        # path of 3 core vertices: middle has core degree 2 (even)
-        base = Graph(7, [(0, 1), (1, 2), (0, 3), (0, 4), (1, 5), (2, 6)])
-        assert not is_expansion_base(base, 2)
+        # P3's middle vertex has degree 2
+        with pytest.raises(ValueError, match="^core tree degrees must be odd and <= 5, vertex 1 has degree 2$"):
+            expand_core_tree(path(3), 2)
 
     def test_leaf_budget_enforced(self):
-        # center with 3 leaves attached: 2*3 + 1 = 7 > 5 at k=2
-        base = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)])
-        assert not is_expansion_base(base, 2)
-        assert is_expansion_base(base, 3)
+        # K1,7's centre has degree 7 > 2k+1 = 5 at k = 2; at k = 3 it has no pendant edge
+        with pytest.raises(ValueError, match="^core tree degrees must be odd and <= 5, vertex 0 has degree 7$"):
+            expand_core_tree(star_graph(7), 2)
+        t = expand_core_tree(star_graph(7), 3)
+        assert t.n == 8 * 9 // 2 and t.degree(0) == 7
+        assert is_tree_expansion(t, 3)
 
     def test_k_guard(self):
-        with pytest.raises(ValueError):
-            is_expansion_base(with_pendants(K13), 0)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+                expand_core_tree(K13, k)
 
     def test_non_tree_rejected(self):
-        """A valid base with one more edge, closing a cycle, is no base."""
-        base = with_pendants(K13)
-        assert is_expansion_base(base, 1)
-        assert not is_expansion_base(Graph(base.n, [*base.edges, (4, 5)]), 1)
+        """K1,3 with one more edge, closing a cycle, is no core tree; neither
+        is two disjoint edges."""
+        for g in (Graph(4, [*K13.edges, (1, 2)]), Graph(4, [(0, 1), (2, 3)])):
+            with pytest.raises(ValueError, match="^core tree must be a tree on >= 2 vertices, got n = 4, "):
+                expand_core_tree(g, 1)
 
     def test_k1_base_is_cubic_with_pendants(self):
+        """At k = 1 the core is a cubic tree, and each of its leaves gets one
+        pendant edge, each degree-3 vertex none."""
         for r in (path(2), K13, CUBIC6, CUBIC8):
-            assert is_expansion_base(with_pendants(r), 1)
-        assert not is_expansion_base(K13, 1)
-        # a leaf of R with two pendants, and a degree-3 vertex of R with one
-        assert not is_expansion_base(Graph(5, [(0, 1), (0, 2), (0, 3), (1, 4)]), 1)
-        assert not is_expansion_base(Graph(8, [*with_pendants(K13).edges, (0, 7)]), 1)
+            t = expand_core_tree(r, 1)
+            for v in range(r.n):
+                ends = sum(1 for w in mask_to_list(t.adj[v]) if t.degree(w) == 1)
+                assert (r.degree(v), ends) in ((1, 1), (3, 0))
 
 
 class TestExpandBaseTree:
+    """T(2k+1) at k >= 2, built on the core tree R."""
+
     def test_spec_arithmetic_k2(self):
-        # two centers, two leaves each: no pendants added, one subdivision
-        base = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
-        t = expand_base_tree(base, 2)
-        assert t.n == 7
+        # K1,3 at k = 2: three subdivisions, one pendant on the centre, two on each leaf
+        t = expand_core_tree(K13, 2)
+        assert t.n == 4 * 7 // 2 == 14
         assert is_tree_expansion(t, 2)
 
     def test_budget_equation_everywhere(self):
-        from factorsmith.corpus import random_expansion_base
-
         for k in (2, 3):
             for seed in range(25):
-                base = random_expansion_base(k, 10, seed)
-                t = expand_base_tree(base, k)
+                t = random_tree_expansion(k, 30, seed)
                 for b in range(t.n):
                     if t.degree(b) >= 3:
                         pend = sum(1 for w in mask_to_list(t.adj[b]) if t.degree(w) == 1)
@@ -165,11 +168,9 @@ class TestExpandBaseTree:
                         assert 2 * pend + mid == 2 * k + 1
 
     def test_canonical_assignment_verifies(self):
-        from factorsmith.corpus import random_expansion_base
-
         for k in (2, 3):
             for seed in range(25):
-                t = expand_base_tree(random_expansion_base(k, 9, seed), k)
+                t = random_tree_expansion(k, 30, seed)
                 h = pendant_half_assignment(t)
                 assert verify_fractional(t, k, h)
                 # core vertices sit exactly at the ceiling k + 1/2
@@ -179,14 +180,13 @@ class TestExpandBaseTree:
 
     def test_invalid_base_rejected(self):
         with pytest.raises(ValueError):
-            expand_base_tree(path(3), 2)
-
+            expand_core_tree(path(3), 2)
 
 
 class TestTreeExpansionRecognizer:
     def test_star_rejected(self):
         for j in (2, 3, 5):
-            assert not is_tree_expansion(Graph(j + 1, [(0, i) for i in range(1, j + 1)]), 2)
+            assert not is_tree_expansion(star_graph(j), 2)
 
     def test_adjacent_branches_rejected(self):
         # two adjacent degree-3 vertices
@@ -200,14 +200,14 @@ class TestTreeExpansionRecognizer:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_forward_backward(self, trees16, k):
-        """Every base in the scan that expands to <= 16 vertices builds
-        exactly the members the recognizer accepts, plus P5 at k = 1.  An
-        expansion is at least as large as its base, so no base outside the
-        scan builds a tree inside it."""
+        """The core trees R in the scan whose expansion has <= 16 vertices
+        build exactly the members the recognizer accepts, plus P5 at k = 1.
+        An expansion is larger than its core, so no core outside the scan
+        builds a tree inside it."""
         generated = set()
-        for base in trees16:
-            if is_expansion_base(base, k):
-                t = expand_base_tree(base, k)
+        for r in trees16:
+            if r.n >= 2 and all(r.degree(v) % 2 == 1 and r.degree(v) <= 2 * k + 1 for v in range(r.n)):
+                t = expand_core_tree(r, k)
                 if t.n <= 16:
                     generated.add(tree_canon(t))
         accepted = {tree_canon(t) for t in trees16 if is_tree_expansion(t, k)}
@@ -218,15 +218,9 @@ class TestTreeExpansionRecognizer:
         assert generated == accepted
 
     def test_members_belong_to_their_own_k_only(self):
-        from factorsmith.corpus import random_expansion_base
-
-        members = {1: [expand_base_tree(with_pendants(r), 1) for r in (K13, CUBIC6, CUBIC8)]}
+        members = {1: [expand_core_tree(r, 1) for r in (K13, CUBIC6, CUBIC8)]}
         for k in (2, 3):
-            members[k] = [
-                expand_base_tree(random_expansion_base(k, size, seed), k)
-                for size in (4, 9, 20)
-                for seed in range(5)
-            ]
+            members[k] = [random_tree_expansion(k, size, seed) for size in (14, 20, 40) for seed in range(5)]
         for k, trees in members.items():
             for t in trees:
                 assert [j for j in range(1, 5) if is_tree_expansion(t, j)] == [k]
@@ -237,8 +231,8 @@ class TestClassify:
         assert classify_component(Graph(2, [(0, 1)]), 1) == P2
         assert classify_component(Graph(3, [(0, 1), (1, 2), (0, 2)]), 1) == C3
         assert classify_component(path(5), 1) == P5
-        assert classify_component(expand_base_tree(with_pendants(K13), 1), 1) == cubic_expansion()
-        assert classify_component(expand_base_tree(path(4), 1), 1) == P5
+        assert classify_component(expand_core_tree(K13, 1), 1) == cubic_expansion()
+        assert classify_component(expand_core_tree(path(2), 1), 1) == P5
 
     def test_f1_rejects(self):
         assert classify_component(path(3), 1) == OTHER
@@ -247,8 +241,7 @@ class TestClassify:
     def test_f2_members(self):
         assert classify_component(Graph(2, [(0, 1)]), 2) == star(1)
         assert classify_component(Graph(3, [(0, 1), (0, 2)]), 2) == star(2)
-        base = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
-        assert classify_component(expand_base_tree(base, 2), 2) == tree_expansion(2)
+        assert classify_component(expand_core_tree(path(2), 2), 2) == tree_expansion(2)
 
     def test_f2_rejects(self):
         assert classify_component(Graph(3, [(0, 1), (1, 2), (0, 2)]), 2) == OTHER
@@ -285,15 +278,14 @@ def forest_classifies(n: int, edges, k: int) -> bool:
 
 @pytest.fixture(scope="module")
 def expansion_members() -> dict[int, list[Graph]]:
-    """The distinct expansions of random bases with at most 20 vertices."""
+    """The distinct labelled members that `random_tree_expansion` draws on
+    cores of at most 8 vertices at k = 1 and 6 at k = 2, 3: 20, 21 and 27
+    vertices at most.  The exhaustive condition check grows fast past these
+    sizes: over a second a member at k = 1 on 25 vertices."""
     members = {}
-    for k in (1, 2, 3):
-        trees = {
-            expand_base_tree(random_expansion_base(k, size, seed), k)
-            for size in range(4, 40)
-            for seed in range(25)
-        }
-        members[k] = sorted((t for t in trees if t.n <= 20), key=lambda t: (t.n, t.edges))
+    for k, cap in ((1, 20), (2, 21), (3, 27)):
+        trees = {random_tree_expansion(k, size, seed) for size in range(2 * k + 3, cap + 1) for seed in range(25)}
+        members[k] = sorted(trees, key=lambda t: (t.n, t.edges))
     return members
 
 
@@ -304,7 +296,7 @@ class TestTheorem:
     and at k = 1 no proper part of it is a factor (minimality)."""
 
     def test_member_counts(self, expansion_members):
-        assert {k: len(ts) for k, ts in expansion_members.items()} == {1: 25, 2: 21, 3: 27}
+        assert {k: len(ts) for k, ts in expansion_members.items()} == {1: 25, 2: 10, 3: 10}
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_converse(self, expansion_members, k):

@@ -6,9 +6,9 @@ import importlib
 from fractions import Fraction
 from pathlib import Path
 
-from factorsmith.corpus import enumerate_exhaustive, random_gnp
+from factorsmith.corpus import enumerate_exhaustive, random_gnp, random_tree_expansion
 from factorsmith.factors import find_fractional_factor
-from factorsmith.families import classify_component, expand_base_tree
+from factorsmith.families import classify_component
 from factorsmith.graphs import Graph
 from factorsmith.reducer import extract_component_factor_detailed
 
@@ -43,14 +43,12 @@ def test_digested_assignment_is_the_search_answer():
 
 
 def test_class_names_are_the_classifier_tags():
-    k13_base = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)])  # K1,3 plus a pendant per leaf
-    base = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
     members = [
         (Graph(2, [(0, 1)]), 1),
         (Graph(3, [(0, 1), (1, 2), (0, 2)]), 1),
         (Graph(5, [(i, i + 1) for i in range(4)]), 1),
         (Graph(3, [(0, 1), (0, 2)]), 2),
-        (expand_base_tree(k13_base, 1), 1),
-        (expand_base_tree(base, 2), 2),
+        (random_tree_expansion(1, 10, 0), 1),  # the core K1,3
+        (random_tree_expansion(2, 7, 0), 2),  # the core P2
     ]
     assert [classify_component(t, k).kind for t, k in members] == list(_table("CLASSES"))

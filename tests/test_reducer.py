@@ -24,11 +24,11 @@ from factorsmith.conditions import check_iso_condition
 from factorsmith.corpus import (
     enumerate_exhaustive,
     free_trees_upto,
-    random_expansion_base,
     random_gnp,
+    random_tree_expansion,
 )
 from factorsmith.factors import HalfIntegralAssignment, find_fractional_factor
-from factorsmith.families import OTHER, P2, classify_component, expand_base_tree, star
+from factorsmith.families import OTHER, P2, classify_component, star
 from factorsmith.graphs import Graph, encode_graph6
 from factorsmith.reducer import (
     ComponentEntry,
@@ -357,7 +357,8 @@ class TestScale:
 
     @pytest.mark.parametrize("k, n", [(1, 1665), (2, 2135), (3, 2727)])
     def test_expansion_member(self, k, n):
-        t = expand_base_tree(random_expansion_base(k, 1000, 1), k)
+        # each n is |R|(2k+3)/2 for an even |R|: 666, 610 and 606
+        t = random_tree_expansion(k, n, 1)
         assert t.n == n
         cert = _certified_with_count(t, k)
         assert [e.cls for e in cert.components] == [classify_component(t, k)]
@@ -366,13 +367,13 @@ class TestScale:
     @settings(max_examples=30, deadline=None)
     @given(
         st.integers(min_value=1, max_value=3),
-        st.integers(min_value=4, max_value=200),
+        st.integers(min_value=9, max_value=200),
         st.integers(min_value=0, max_value=10**6),
     )
     def test_drawn_expansion_member(self, k, size, seed):
         """Hypothesis members: the factor side only.  The condition side
-        stays with the members of n <= 20 in test_families."""
-        t = expand_base_tree(random_expansion_base(k, size, seed), k)
+        stays with the small members in test_families."""
+        t = random_tree_expansion(k, size, seed)
         cert = _certified_with_count(t, k)
         assert [e.cls for e in cert.components] == [classify_component(t, k)]
 

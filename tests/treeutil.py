@@ -1,15 +1,23 @@
 """Test helpers: AHU canonical forms of trees rooted at centroids, degree
-sequences, and the half-unit weightings the family tests check."""
+sequences, membership in T(2k+1), and the half-unit weightings the family
+tests check."""
 
 from __future__ import annotations
 
 from factorsmith.factors import HalfIntegralAssignment
+from factorsmith.families import classify_component, cubic_expansion, tree_expansion
 from factorsmith.graphs import Graph, mask_to_list
 
 
 def degree_sequence(g: Graph) -> tuple[int, ...]:
     """Vertex degrees, largest first."""
     return tuple(sorted((g.degree(v) for v in range(g.n)), reverse=True))
+
+
+def is_tree_expansion(t: Graph, k: int) -> bool:
+    """t is a member of T(2k+1): the classifier gives it the expansion tag
+    of k.  P5, a star or a member at another k gets another tag."""
+    return classify_component(t, k) == (cubic_expansion() if k == 1 else tree_expansion(k))
 
 
 def half_degree_units(h: HalfIntegralAssignment, v: int) -> int:
