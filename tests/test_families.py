@@ -308,7 +308,10 @@ class TestTheorem:
         for t in expansion_members[k]:
             s = core(t)
             assert 2 * len(iso_after_removal(t, s)) == (2 * k + 1) * len(s), t
-            assert check_iso_condition(t, Fraction(k)) is not None, t
+            witness = check_iso_condition(t, Fraction(k))
+            # the witness is re-evaluated, not trusted
+            assert iso_after_removal(t, witness.removed) == witness.isolated, t
+            assert len(witness.isolated) > k * len(witness.removed), t
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_member_is_its_own_factor(self, expansion_members, k):
