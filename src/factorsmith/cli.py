@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator
@@ -277,13 +276,27 @@ def _corpus_from_args(args) -> tuple[str, Iterator[Graph]]:
     if count < 0:
         raise ValueError(f"{name.replace('_', '-')} count must be >= 0, got {count}")
     seeds = range(args.seed, args.seed + count)
+    # The generators' own guards run here, so a bad spec fails before any
+    # draw, whatever the count.
     if name == "gnp":
-        n, p = int(parts[0]), parse_ratio(parts[1])
+        n = int(parts[0])
+        p = corpus.check_gnp(n, parse_ratio(parts[1]))
         return name, (corpus.random_gnp(n, p, seed) for seed in seeds)
     if name == "tree_expansion":
         k, size = int(parts[0]), int(parts[1])
+        corpus.check_tree_expansion(k, size)
         return name, (corpus.random_tree_expansion(k, size, seed) for seed in seeds)
-    return name, (corpus.random_tree(int(parts[0]), seed) for seed in seeds)
+    n = int(parts[0])
+    corpus.check_tree(n)
+    return name, (corpus.random_tree(n, seed) for seed in seeds)
+
+
+def _process_pool(max_workers: int):
+    """A process pool, imported here so that runs without --jobs > 1 never
+    load concurrent.futures and multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def cmd_verify(args) -> int:
@@ -302,7 +315,7 @@ def cmd_verify(args) -> int:
     # more than there are graphs or CPUs.
     jobs = min(args.jobs, len(payloads), os.cpu_count() or 1)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with _process_pool(jobs) as pool:
             results = list(pool.map(_verify_one, payloads, chunksize=16))
     else:
         results = [_verify_one(p) for p in payloads]

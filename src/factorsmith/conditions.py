@@ -41,12 +41,15 @@ integer cross-multiplications, exact like rationals.
 isolated_toughness walks independent sets instead: I = iso(G-S) is
 independent with N(I) inside S, and removing N(I) isolates all of I, so
 min |S|/iso(G-S) over iso(G-S) >= 2 is min |N(I)|/|I| over |I| >= 2.
+
+`ConditionWitness` is a NamedTuple, so it compares equal to the plain tuple
+(removed, isolated) of the same fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from factorsmith.graphs import Graph, leaf_centre, mask_to_list
 
@@ -67,8 +70,7 @@ def parse_ratio(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class ConditionWitness:
+class ConditionWitness(NamedTuple):
     """A set S with iso(G-S) > c*|S|, plus the isolated vertices it leaves."""
 
     removed: frozenset[int]

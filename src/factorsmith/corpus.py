@@ -121,6 +121,33 @@ def enumerate_exhaustive(n: int) -> Iterator[Graph]:
         yield Graph(n, (pairs[i] for i in range(len(pairs)) if mask >> i & 1))
 
 
+# The parameter guards of the seeded generators, so that a caller can reject
+# a spec before it draws any graph.
+
+
+def check_gnp(n: int, p: Fraction) -> Fraction:
+    """p as a Fraction, if (n, p) is a valid `random_gnp` spec."""
+    if not isinstance(p, Fraction):
+        p = Fraction(p)
+    if not 0 <= p.numerator <= p.denominator:
+        raise ValueError(f"edge probability must be in [0,1], got {p}")
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
+    return p
+
+
+def check_tree(n: int) -> None:
+    if n < 1:
+        raise ValueError("tree needs at least one vertex")
+
+
+def check_tree_expansion(k: int, size: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if size < 2 * k + 3:
+        raise ValueError(f"the smallest member of T({2 * k + 1}) has {2 * k + 3} vertices, got size {size}")
+
+
 def random_gnp(n: int, p: Fraction, seed: int) -> Graph:
     """G(n, p) with p exact: a pair is kept when its 64-bit draw x is below
     the one integer limit ceil(p * 2^64), which is x < p * 2^64.
@@ -133,12 +160,7 @@ def random_gnp(n: int, p: Fraction, seed: int) -> Graph:
     indices map to (u, v) along a running row end, straight into the
     neighbour masks: no list of all pairs is built.
     """
-    if not isinstance(p, Fraction):
-        p = Fraction(p)
-    if not 0 <= p.numerator <= p.denominator:
-        raise ValueError(f"edge probability must be in [0,1], got {p}")
-    if n < 0:
-        raise ValueError(f"vertex count must be non-negative, got {n}")
+    p = check_gnp(n, p)
     limit = -((-p.numerator << 64) // p.denominator)
     adj = [0] * n
     u, base, end = 0, -1, n - 1  # row u's pairs end at flat index `end`; v = t - base
@@ -156,8 +178,7 @@ def random_gnp(n: int, p: Fraction, seed: int) -> Graph:
 def random_tree(n: int, seed: int) -> Graph:
     """Uniform labeled tree: Pruefer sequences are in bijection with the
     n^(n-2) labeled trees, and each entry is drawn uniformly by rejection."""
-    if n < 1:
-        raise ValueError("tree needs at least one vertex")
+    check_tree(n)
     if n == 1:
         return Graph(1)
     rng = SplitMix64(seed)
@@ -187,10 +208,7 @@ def random_tree_expansion(k: int, size: int, seed: int) -> Graph:
     to the largest even |R| with |R|(2k+3)/2 <= size, and the member is
     `expand_core_tree(R, k)`.  At k = 1 a core of two vertices gives P5.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if size < 2 * k + 3:
-        raise ValueError(f"the smallest member of T({2 * k + 1}) has {2 * k + 3} vertices, got size {size}")
+    check_tree_expansion(k, size)
     rng = SplitMix64(seed)
     edges = [(0, 1)]
     deg = [1, 1]

@@ -17,27 +17,35 @@ adjacency tests alone (isomorphism invariant, no search).
 P5 (from the single-edge core at k = 1) and the stars are not members of
 T(2k+1); they are classified under their own tags, which leaves the family
 unions unchanged.
+
+`ComponentClass` is a NamedTuple, so it compares equal to the plain tuple
+(kind, param) of the same fields; its constructor checks that a star has
+j >= 1 and a tree expansion k >= 2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from factorsmith.graphs import Graph, is_tree
 
 
-@dataclass(frozen=True)
-class ComponentClass:
-    """Structural class of one factor component."""
-
+class _ClassFields(NamedTuple):
     kind: str  # P2 | C3 | P5 | star | cubic_expansion | tree_expansion | other
     param: int | None = None
 
-    def __post_init__(self):
-        if self.kind == "star" and (self.param is None or self.param < 1):
+
+class ComponentClass(_ClassFields):
+    """Structural class of one factor component."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, param: int | None = None):
+        if kind == "star" and (param is None or param < 1):
             raise ValueError("star class needs j >= 1")
-        if self.kind == "tree_expansion" and (self.param is None or self.param < 2):
+        if kind == "tree_expansion" and (param is None or param < 2):
             raise ValueError("tree expansion class needs k >= 2")
+        return super().__new__(cls, kind, param)
 
     @property
     def label(self) -> str:

@@ -34,12 +34,16 @@ the cycle list, which is complete only in a state where the even-cycle rule
 did not fire; they come after it in the table.  And the odd-cycle branch
 rule assumes no two branch vertices are adjacent, which holds because the
 branch-edge deletion rule precedes it.
+
+`RuleStep`, `ComponentEntry` and `FactorCertificate` are NamedTuples, so each
+compares equal to the plain tuple of its fields; `RuleTrace`, which
+`minimize` appends to, is the one mutable class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from factorsmith.families import ComponentClass, classify_component
 from factorsmith.factors import HalfIntegralAssignment, find_fractional_factor, verify_fractional
@@ -69,8 +73,7 @@ class FixpointUnclassified(ReducerError):
         self.k = k
 
 
-@dataclass(frozen=True)
-class RuleStep:
+class RuleStep(NamedTuple):
     """One rewrite: new half-units for each support edge it touches, 0
     removing the edge.  A rule returns every edge it writes; the trace keeps
     the edges whose value changed."""
@@ -88,9 +91,20 @@ class RuleStep:
         return f"{self.rule} loc=({loc}) removed=[{removed}] recolored=[{recolored}]"
 
 
-@dataclass
 class RuleTrace:
-    steps: list[RuleStep] = field(default_factory=list)
+    """The steps `minimize` applied, in order; the one mutable value class."""
+
+    __slots__ = ("steps",)
+    __hash__ = None  # mutable
+
+    def __init__(self, steps: list[RuleStep] | None = None):
+        self.steps = [] if steps is None else steps
+
+    def __eq__(self, other):
+        return self.steps == other.steps if type(other) is RuleTrace else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"RuleTrace(steps={self.steps!r})"
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -99,15 +113,13 @@ class RuleTrace:
         return "\n".join(s.to_line() for s in self.steps) + ("\n" if self.steps else "")
 
 
-@dataclass(frozen=True)
-class ComponentEntry:
+class ComponentEntry(NamedTuple):
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     cls: ComponentClass
 
 
-@dataclass(frozen=True)
-class FactorCertificate:
+class FactorCertificate(NamedTuple):
     k: int
     components: tuple[ComponentEntry, ...]
 

@@ -184,6 +184,22 @@ def test_gen_k1_expansion_base(capsys):
     assert all(classify_component(parse_graph6(line), 1) == cubic_expansion() for line in lines)
 
 
+@pytest.mark.parametrize("command", ["gen", "verify"])
+@pytest.mark.parametrize(
+    "source, spec",
+    [("--gnp", "8,3/2"), ("--gnp", "-5,1/2"), ("--trees", "0"), ("--tree-expansion", "2,6")],
+    ids=["gnp-p", "gnp-n", "trees", "tree-expansion"],
+)
+def test_bad_spec_exits_two_at_any_count(capsys, command, source, spec):
+    """A bad random-source spec is refused before any draw: a count of 0
+    exits 2 with the message a count of 1 gives."""
+    assert main([command, f"{source}={spec},1"]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert main([command, f"{source}={spec},0"]) == EXIT_ERROR
+    assert capsys.readouterr() == ("", err)
+
+
 def test_gen_past_62_vertices(capsys):
     """Long-form graph6 carries graphs with more than 62 vertices."""
     assert main(["gen", "--paths-cycles=70"]) == EXIT_OK
@@ -536,7 +552,7 @@ def test_verify_jobs_bounded(capsys, monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "_process_pool", InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     for exhaustive, jobs, graphs in (("3", "100000", 8), ("2", "100000", 2), ("3", "3", 8), ("1", "100000", 1)):
         assert main(["verify", "--exhaustive", exhaustive, "--jobs", jobs]) == EXIT_OK
@@ -549,7 +565,7 @@ def test_verify_jobs_bounded(capsys, monkeypatch):
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_verify_jobs_below_one_exits_two(capsys, monkeypatch, jobs):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+    monkeypatch.setattr(cli, "_process_pool", None)
     assert main(["verify", "--exhaustive", "3", "--jobs", jobs]) == EXIT_ERROR
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: --jobs must be >= 1, got {jobs}\n"

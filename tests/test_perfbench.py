@@ -3,6 +3,9 @@ and the assignment it digests is the factor engine's own."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,3 +55,18 @@ def test_class_names_are_the_classifier_tags():
         (random_tree_expansion(2, 7, 0), 2),  # the core P2
     ]
     assert [classify_component(t, k).kind for t, k in members] == list(_table("CLASSES"))
+
+
+def test_start_up_skips_dataclasses_and_the_pool():
+    """The command line and the modules the benchmark loads import neither
+    dataclasses (nor the inspect module it pulls in) nor the process pool,
+    which `verify` loads only for --jobs > 1."""
+    modules = ["cli", *_table("MODULES")]
+    code = f"import sys\nfor m in {modules!r}: __import__('factorsmith.' + m)\nprint(sorted(sys.modules))"
+    src = str(RUN_PY.parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert {f"factorsmith.{m}" for m in modules} <= loaded
+    assert not {"dataclasses", "inspect", "concurrent.futures"} & loaded
