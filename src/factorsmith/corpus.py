@@ -8,9 +8,10 @@ so `SplitMix64.below` computes a chunk of draws at once, each in its own
 that way, and its graphs are the ones that one `next_u64` call per pair
 gives.  Exhaustive enumeration is labeled (no isomorphism reduction); the
 free-tree enumerator is the one exception, since the tests of the family
-recognizer need every tree shape exactly once.
-`random_tree_expansion` draws members of T(2k+1) at every k >= 1: a random
-core tree R, expanded by `families.expand_core_tree`.
+recognizer need every tree shape exactly once; it joins cached per-shape
+mask templates.  `random_tree_expansion` draws members of T(2k+1) at every
+k >= 1: a random core tree R, expanded by `families.expand_core_tree`.  Every
+generator writes its neighbour masks itself, for `Graph._from_masks`.
 """
 
 from __future__ import annotations
@@ -18,13 +19,15 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, combinations_with_replacement, compress
+from itertools import chain, combinations, combinations_with_replacement, compress
+from operator import xor
 from typing import Iterator
 
 from factorsmith.families import OTHER, classify_component, expand_core_tree
 from factorsmith.graphs import Graph
 
 EXHAUSTIVE_MAX_N = 7
+FREE_TREES_MAX_N = 20  # 1,346,024 trees; they grow about 2.6 times a vertex
 
 _MIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -113,12 +116,21 @@ class SplitMix64:
 
 
 def enumerate_exhaustive(n: int) -> Iterator[Graph]:
-    """All 2^(n(n-1)/2) labeled graphs on n vertices, each exactly once."""
+    """All 2^(n(n-1)/2) labeled graphs on n vertices, each exactly once.
+    Graph `mask` has pair i of `combinations(range(n), 2)` if bit i is set,
+    so its masks are graph mask-1's xor the pairs 0..(mask's lowest set bit)."""
     if not 1 <= n <= EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive enumeration supports 1 <= n <= {EXHAUSTIVE_MAX_N}")
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield Graph(n, (pairs[i] for i in range(len(pairs)) if mask >> i & 1))
+    steps, step = [], [0] * n  # steps[j]: the masks of pairs 0..j
+    for u, v in combinations(range(n), 2):
+        step[u] |= 1 << v
+        step[v] |= 1 << u
+        steps.append(tuple(step))
+    adj = (0,) * n
+    yield Graph._from_masks(n, adj)
+    for mask in range(1, 1 << len(steps)):
+        adj = tuple(map(xor, adj, steps[(mask & -mask).bit_length() - 1]))
+        yield Graph._from_masks(n, adj)
 
 
 # The parameter guards of the seeded generators, so that a caller can reject
@@ -179,25 +191,26 @@ def random_tree(n: int, seed: int) -> Graph:
     """Uniform labeled tree: Pruefer sequences are in bijection with the
     n^(n-2) labeled trees, and each entry is drawn uniformly by rejection."""
     check_tree(n)
+    adj = [0] * n
     if n == 1:
-        return Graph(1)
+        return Graph._from_masks(1, adj)
     rng = SplitMix64(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    edges = []
     leaf_heap = sorted(v for v in range(n) if degree[v] == 1)  # a sorted list is a heap
     for x in seq:
         leaf = heapq.heappop(leaf_heap)
-        edges.append((leaf, x))
+        adj[leaf] |= 1 << x
+        adj[x] |= 1 << leaf
         degree[x] -= 1
         if degree[x] == 1:
             heapq.heappush(leaf_heap, x)
-    u = heapq.heappop(leaf_heap)
-    v = heapq.heappop(leaf_heap)
-    edges.append((u, v))
-    return Graph(n, edges)
+    u, v = leaf_heap  # the last edge joins the two leaves left
+    adj[u] |= 1 << v
+    adj[v] |= 1 << u
+    return Graph._from_masks(n, adj)
 
 
 def random_tree_expansion(k: int, size: int, seed: int) -> Graph:
@@ -210,19 +223,17 @@ def random_tree_expansion(k: int, size: int, seed: int) -> Graph:
     """
     check_tree_expansion(k, size)
     rng = SplitMix64(seed)
-    edges = [(0, 1)]
-    deg = [1, 1]
+    adj = [2, 1]  # R's neighbour masks, from the edge 0-1
     growing = [0, 1]  # the vertices of degree < 2k+1
     for _ in range(size // (2 * k + 3) - 1):
         i = rng.randrange(len(growing))
-        v, a = growing[i], len(deg)
-        edges += [(v, a), (v, a + 1)]
-        deg[v] += 2
-        deg += [1, 1]
+        v, a = growing[i], len(adj)
+        adj[v] |= 3 << a
+        adj += [1 << v, 1 << v]
         growing += [a, a + 1]
-        if deg[v] == 2 * k + 1:
+        if adj[v].bit_count() == 2 * k + 1:
             growing[i] = growing.pop()
-    t = expand_core_tree(Graph(len(deg), edges), k)
+    t = expand_core_tree(Graph._from_masks(len(adj), adj), k)
     if classify_component(t, k) == OTHER:
         raise AssertionError(f"expanded core tree is not a member of T({2 * k + 1})")
     return t
@@ -232,88 +243,85 @@ def paths_and_cycles(max_n: int) -> Iterator[Graph]:
     """P2..P_max_n then C3..C_max_n."""
     if max_n < 2:
         raise ValueError("need max_n >= 2")
-    for n in range(2, max_n + 1):
-        yield Graph(n, [(i, i + 1) for i in range(n - 1)])
+    for n in range(2, max_n + 1):  # v's neighbours v - 1 and v + 1, where they exist
+        yield Graph._from_masks(n, [(1 << v >> 1 | 1 << v + 1) & (1 << n) - 1 for v in range(n)])
     for n in range(3, max_n + 1):
-        yield Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        yield Graph._from_masks(n, [1 << (v - 1) % n | 1 << (v + 1) % n for v in range(n)])
 
 
 # --- non-isomorphic free trees ----------------------------------------------
 #
-# Rooted shapes are canonical nested tuples (children sorted descending by
-# (size, shape)).  A free tree is counted once: rooted at its unique centroid,
-# or as an unordered pair of half-shapes joined at a bicentroid edge.
+# A free tree is counted once: rooted at its unique centroid, or as an
+# unordered pair of half-shapes joined at a bicentroid edge.  A rooted shape
+# is kept as its template: the neighbour masks of its tree, with the root at
+# 0 and the other vertices in preorder.
 #
 # A forest is a non-increasing run of positions in a universe of rooted shapes
 # ordered descending by size, listed in lexicographic order of those runs.  A
-# rooted shape on n vertices is a forest of n-1 vertices; rooted at its
+# rooted shape on n vertices is a forest of n-1 vertices under a root 0, each
+# child's template shifted to the child's offset.  `_forests` writes those
+# masks as it walks, so siblings share the masks of their common prefix; it
+# starts each step at the first shape that fits what is left, and it streams
+# its trees, so only the universe's templates are kept.  Rooted at its
 # centroid, a tree on n vertices is such a forest whose shapes have at most
 # (n-1)//2 vertices each, so free_trees takes the forests of a universe cut at
 # that size: nothing larger is built and nothing is filtered out.  The cut
 # drops only the universe's leading (largest) entries and shifts every other
 # position by the same amount, so the trees come out in the order, and with
-# the labels, of all rooted shapes on n vertices filtered for a centroid root.
+# the labels, of all rooted shapes on n vertices filtered for a centroid
+# root.  A bicentroid tree is the forest of one half's children and the other
+# half under root 0.
 
-_Shape = tuple  # recursive tuple of child shapes
 
+def _forests(total: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """The masks of every tree whose root 0 has as children a forest of
+    `total` vertices with shapes of <= `cap` vertices, in preorder."""
+    universe: list[tuple[int, ...]] = []
+    fits = [0] * (cap + 1)  # fits[s]: the first shape with <= s vertices
+    for s in range(cap, 0, -1):
+        fits[s] = len(universe)
+        universe += _rooted_shapes(s)
+    adj = [0] * (total + 1)
 
-def _forests(total: int, cap: int) -> list[_Shape]:
-    """Every forest of `total` vertices whose shapes have <= `cap` vertices."""
-    universe = [(s, sh) for s in range(cap, 0, -1) for sh in _rooted_shapes(s)]
-    out: list[_Shape] = []
-
-    def rec(start: int, remaining: int, acc: list[_Shape]) -> None:
+    def rec(start: int, remaining: int, root: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
-            out.append(tuple(acc))
+            adj[0] = root
+            yield tuple(adj)
             return
-        for i in range(start, len(universe)):
-            s, sh = universe[i]
-            if s > remaining:
-                continue
-            acc.append(sh)
-            rec(i, remaining - s, acc)
-            acc.pop()
+        at = total + 1 - remaining  # the next child's root
+        for i in range(max(start, fits[min(remaining, cap)]), len(universe)):
+            t = universe[i]
+            adj[at] = t[0] << at | 1
+            adj[at + 1 : at + len(t)] = [m << at for m in t[1:]]
+            yield from rec(i, remaining - len(t), root | 1 << at)
 
-    rec(0, total, [])
-    return out
+    return rec(0, total, 0)
 
 
 @cache
-def _rooted_shapes(n: int) -> tuple[_Shape, ...]:
+def _rooted_shapes(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_forests(n - 1, n - 1))
-
-
-def _shape_to_graph(shape: _Shape, extra_root: _Shape | None = None) -> Graph:
-    edges: list[tuple[int, int]] = []  # vertex j > 0 is the end of edges[j - 1]
-
-    def build(sub: _Shape, parent: int) -> None:
-        for child in sub:
-            cid = len(edges) + 1
-            edges.append((parent, cid))
-            build(child, cid)
-
-    build(shape, 0)
-    if extra_root is not None:
-        rid = len(edges) + 1
-        edges.append((0, rid))
-        build(extra_root, rid)
-    return Graph(len(edges) + 1, edges)
 
 
 def free_trees(n: int) -> Iterator[Graph]:
     """All free (unlabeled) trees on n vertices, one per isomorphism class."""
     if n < 1:
         raise ValueError("need n >= 1")
-    for shape in _forests(n - 1, (n - 1) // 2):
-        yield _shape_to_graph(shape)
+    if n > FREE_TREES_MAX_N:
+        raise ValueError(f"free-tree enumeration supports n <= {FREE_TREES_MAX_N}, got {n}")
+    for adj in _forests(n - 1, (n - 1) // 2):
+        yield Graph._from_masks(n, adj)
     if n % 2 == 0:
-        halves = _rooted_shapes(n // 2)
+        h = n // 2
+        halves = _rooted_shapes(h)
         for a, b in combinations_with_replacement(range(len(halves)), 2):
-            yield _shape_to_graph(halves[a], extra_root=halves[b])
+            ta, tb = halves[a], halves[b]
+            yield Graph._from_masks(n, [ta[0] | 1 << h, *ta[1:], tb[0] << h | 1, *(m << h for m in tb[1:])])
 
 
 def free_trees_upto(max_n: int) -> Iterator[Graph]:
-    if max_n < 0:
-        raise ValueError(f"need max_n >= 0, got {max_n}")
-    for n in range(1, max_n + 1):
-        yield from free_trees(n)
+    """The free trees on 1..max_n vertices; max_n is checked on the call,
+    before any tree is built."""
+    if not 0 <= max_n <= FREE_TREES_MAX_N:
+        raise ValueError(f"need 0 <= max_n <= {FREE_TREES_MAX_N}, got {max_n}")
+    return chain.from_iterable(map(free_trees, range(1, max_n + 1)))

@@ -97,16 +97,17 @@ def expand_core_tree(r: Graph, k: int) -> Graph:
     for v, d in enumerate(deg):
         if d % 2 == 0 or d > 2 * k + 1:
             raise ValueError(f"core tree degrees must be odd and <= {2 * k + 1}, vertex {v} has degree {d}")
-    edges: list[tuple[int, int]] = []
-    nxt = r.n
-    for u, v in r.edges:
-        edges += [(u, nxt), (nxt, v)]
-        nxt += 1
+    adj = list(r.adj)
+    for u, v in r.edges:  # u - w - v, w the next label
+        w = len(adj)
+        adj[u] ^= 1 << v | 1 << w
+        adj[v] ^= 1 << u | 1 << w
+        adj.append(1 << u | 1 << v)
     for v, d in enumerate(deg):
         for _ in range((2 * k + 1 - d) // 2):
-            edges.append((v, nxt))
-            nxt += 1
-    return Graph(nxt, edges)
+            adj[v] |= 1 << len(adj)
+            adj.append(1 << v)
+    return Graph._from_masks(len(adj), adj)
 
 
 # --- the recognizer of T(2k+1), k >= 1 ---------------------------------------

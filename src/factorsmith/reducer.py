@@ -492,7 +492,7 @@ def _component_entries(n: int, edges, k: int) -> list[ComponentEntry]:
 
 
 def verify_certificate(g: Graph, cert: FactorCertificate) -> bool:
-    """Partition of V, edges present in g, and every class tag re-validates."""
+    """Partition of V, edges present in g and listed once, every class tag re-validates."""
     seen: set[int] = set()
     for entry in cert.components:
         for v in entry.vertices:
@@ -503,6 +503,8 @@ def verify_certificate(g: Graph, cert: FactorCertificate) -> bool:
         return False
     for entry in cert.components:
         vset = set(entry.vertices)
+        if len({edge(u, v) for u, v in entry.edges}) != len(entry.edges):
+            return False
         for u, v in entry.edges:
             if u not in vset or v not in vset or not g.adj[u] >> v & 1:
                 return False

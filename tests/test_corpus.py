@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from factorsmith.cli import main
 from factorsmith.corpus import (
     _CHUNK,
+    FREE_TREES_MAX_N,
     SplitMix64,
     enumerate_exhaustive,
     free_trees,
@@ -53,6 +54,28 @@ GNP_DIGESTS = {
     "n3000": ([(3000, "12/3000", 1)], "115ec5c79b4bff67005affe65b02a08c2a3601b67bcede034999b8671529f413"),
 }
 
+# sha256 of the graph6 lines of enumerate_exhaustive(n), n = 1..6: pins the
+# order of the labelled graphs, as the mask at each step sets it
+EXHAUSTIVE_DIGESTS = {
+    1: "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+    2: "b7cd2a004ade86133158ffa94292f1d79a1fa154874706bf33b9e841cd3fa4cb",
+    3: "0a6a62a5b967c500e7178c8cc7c7f12631566b64f5ae11dc03c2299880ea7a0d",
+    4: "091c95b7e504710461925a57388a63bc5bd793f1659b097fb5c40978e34f34a1",
+    5: "4ac9156f6af83aee1229b9eb4bd9cd3427c1fe25a0d0eb9f642eb054b3e857b0",
+    6: "da12a4c9cfc2a185429437bc92a48813e68a9fc3a3732be2ac7efdf98a55795f",
+}
+
+# sha256 of the graph6 lines of random_tree(18, s), s < 100 then
+# 50000 <= s < 50100: the trees-mid benchmark corpus and its held-out seeds
+TREES_MID_DIGEST = "4c0061b69ae879d8bc115466398eb2c6138928a422f6e3c50c8307248117e8b4"
+
+# sha256 of the graph6 lines of paths_and_cycles(12)
+PATHS_CYCLES_12_DIGEST = "105b69d61d82b06af81daf121669fdb5f6ba063a7e49d5bd8b3e793263fcc75f"
+
+# sha256 of the graph6 lines of random_tree_expansion(k, size, s) for
+# k = 1, 2, 3, 2k+3 <= size < 40 and s < 10, in that nesting
+TREE_EXPANSION_DIGEST = "9bb95b8ec43206597f39295d7132026a2205b98d6d1fe1fd5d86951972a1ed2d"
+
 
 def _digest(graphs) -> str:
     digest = hashlib.sha256()
@@ -86,6 +109,10 @@ class TestExhaustive:
     def test_all_distinct(self):
         graphs = list(enumerate_exhaustive(3))
         assert len(set(graphs)) == 8
+
+    @pytest.mark.parametrize("n", sorted(EXHAUSTIVE_DIGESTS))
+    def test_stream_digest(self, n):
+        assert _digest(enumerate_exhaustive(n)) == EXHAUSTIVE_DIGESTS[n]
 
     def test_range_guard(self):
         with pytest.raises(ValueError):
@@ -187,6 +214,13 @@ class TestRandomTrees:
     def test_random_tree_is_tree(self, n, seed):
         assert is_tree(random_tree(n, seed))
 
+    def test_trees_mid_corpus_digest(self):
+        assert _digest(random_tree(18, s) for s in (*range(100), *range(50000, 50100))) == TREES_MID_DIGEST
+
+    def test_expansion_grid_digest(self):
+        grid = [(k, size, s) for k in (1, 2, 3) for size in range(2 * k + 3, 40) for s in range(10)]
+        assert _digest(random_tree_expansion(*args) for args in grid) == TREE_EXPANSION_DIGEST
+
     def test_random_tree_needs_a_vertex(self):
         with pytest.raises(ValueError, match="^tree needs at least one vertex$"):
             random_tree(0, 0)
@@ -278,6 +312,22 @@ class TestFreeTrees:
     def test_stream_digest_upto_16(self):
         assert _digest(free_trees_upto(16)) == FREE_TREES_16_DIGEST
 
+    def test_size_guard(self):
+        """free_trees_upto refuses a size past FREE_TREES_MAX_N on the call,
+        before any tree is built; free_trees on its first draw."""
+        assert FREE_TREES_MAX_N == 20
+        free_trees_upto(FREE_TREES_MAX_N)
+        for bad in (FREE_TREES_MAX_N + 1, 26, -1):
+            with pytest.raises(ValueError, match=rf"^need 0 <= max_n <= 20, got {bad}$"):
+                free_trees_upto(bad)
+        with pytest.raises(ValueError, match="^free-tree enumeration supports n <= 20, got 21$"):
+            next(free_trees(21))
+
+    @pytest.mark.parametrize("command", ["gen", "verify"])
+    def test_size_guard_exits_two(self, capsys, command):
+        assert main([command, "--all-trees", str(FREE_TREES_MAX_N + 1)]) == 2
+        assert capsys.readouterr() == ("", "error: need 0 <= max_n <= 20, got 21\n")
+
 
 class TestPathsCycles:
     def test_stream(self):
@@ -286,6 +336,31 @@ class TestPathsCycles:
         assert len(graphs) == 4 + 3
         assert graphs[0].num_edges == 1
         assert graphs[-1].num_edges == 5
+
+    def test_stream_digest(self):
+        assert _digest(paths_and_cycles(12)) == PATHS_CYCLES_12_DIGEST
+
+
+# Every generator writes its neighbour masks itself, and Graph._from_masks
+# takes them unchecked.  Rebuilding each graph through the validating
+# constructor from its edges gives it back only if its masks are symmetric,
+# loop-free and inside 0..n-1 (an edge past n - 1 raises).
+GENERATED = {
+    "free_trees_upto(12)": lambda: free_trees_upto(12),
+    "enumerate_exhaustive(n<=5)": lambda: (g for n in range(1, 6) for g in enumerate_exhaustive(n)),
+    "random_tree": lambda: (random_tree(n, s) for n in (1, 2, 3, 7, 18, 40) for s in range(20)),
+    "random_tree_expansion": lambda: (
+        random_tree_expansion(k, size, s) for k in (1, 2, 3) for size in (2 * k + 3, 30, 61) for s in range(10)
+    ),
+    "paths_and_cycles": lambda: paths_and_cycles(70),
+    "random_gnp": lambda: (random_gnp(n, Fraction(1, 3), s) for n in (0, 1, 2, 7, 16, 70) for s in range(10)),
+}
+
+
+@pytest.mark.parametrize("name", GENERATED)
+def test_generated_masks_are_valid(name):
+    for g in GENERATED[name]():
+        assert Graph(g.n, g.edges) == g
 
 
 class TestCorpusSpec:

@@ -302,6 +302,11 @@ class TestVerifyCertificate:
         assert verify_certificate(p4, _p2_certificate(((0, 1), ((0, 1),)), ((2, 3), ((2, 3),))))
         assert not verify_certificate(p4, _p2_certificate(((0, 1), ((1, 2),)), ((2, 3), ((2, 3),))))
 
+    def test_repeated_edge(self):
+        """A P2 that lists its edge twice, in either orientation."""
+        for twice in (((0, 1), (0, 1)), ((0, 1), (1, 0))):
+            assert not verify_certificate(self.TWO_P2, _p2_certificate(((0, 1), twice), ((2, 3), ((2, 3),))))
+
     def test_class_tag_fails_to_revalidate(self):
         """P3 is K1,2 at k = 2, so a P2 tag fails; at k = 1 it is no member,
         and even the tag "other" is refused."""
