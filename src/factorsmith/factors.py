@@ -9,14 +9,14 @@ O(support), not O(||G||).
 `find_fractional_factor` builds one in polynomial time and re-checks its
 answer with `verify_fractional`.
 
-The construction is a flow on the bipartite double cover B(G) (Anstee, "An
-algorithmic proof of Tutte's f-factor theorem", J. Algorithms 6, 1985): a
-left copy L_v and a right copy R_v of each vertex, and arcs L_u -> R_w and
-L_w -> R_u of capacity 2 for each edge uw.  If v needs lo_v to hi_v
-half-units, a flow with s -> L_v and R_v -> t each in [lo_v, hi_v] is a
-weighting and back.  A half-integral x gives one with both arcs of each edge
-at x_e; an integral flow y gives x_e = (y_uw + y_wu) / 2 half-units, whose
-total is half the flow value, within the bounds but possibly 1/2 or 3/2.
+The construction is `flows.least_flow` on the bipartite double cover B(G)
+(Anstee, "An algorithmic proof of Tutte's f-factor theorem", J. Algorithms
+6, 1985), whose arcs L_u -> R_w and L_w -> R_u carry up to 2 for each edge
+uw.  If v needs lo_v to hi_v half-units, a flow with s -> L_v and R_v -> t
+each in [lo_v, hi_v] is a weighting and back.  A half-integral x gives one
+with both arcs of each edge at x_e; an integral flow y gives
+x_e = (y_uw + y_wu) / 2 half-units, whose total is half the flow value,
+within the bounds but possibly 1/2 or 3/2.
 
 Such an x rounds to a half-integral one.  In quarter-units q_e = y_uw + y_wu
 every degree lies in [4, 4k+2], whose ends are even.  The edges with odd q_e
@@ -38,6 +38,7 @@ that is a parity problem, as for b-matchings.
 
 from __future__ import annotations
 
+from factorsmith.flows import least_flow
 from factorsmith.graphs import Graph, edge, leaf_centre
 
 
@@ -87,7 +88,6 @@ def find_fractional_factor(g: Graph, k: int) -> HalfIntegralAssignment | None:
     (see the module docstring): two max flows in all."""
     if k < 1:
         raise ValueError(f"parameter k must be >= 1, got {k}")
-    top = 2 * k + 1
     n, adj = g.n, g.adj
     if not all(adj):
         return None
@@ -104,7 +104,9 @@ def find_fractional_factor(g: Graph, k: int) -> HalfIntegralAssignment | None:
         else:
             rest.append(e)
     if rest:
-        q = _least_flow(n, rest, fixed, top)
+        # v still needs lo_v to hi_v half-units; lo_v = 0 where all of v's
+        # edges are pendant, so a vertex off `rest` needs no flow
+        q = least_flow(n, rest, [max(0, 2 - f) for f in fixed], [2 * k + 1 - f for f in fixed])
         if q is None:
             return None
         deg = [2 * f for f in fixed]
@@ -117,45 +119,6 @@ def find_fractional_factor(g: Graph, k: int) -> HalfIntegralAssignment | None:
     if not verify_fractional(g, k, assignment):
         raise AssertionError("constructed assignment failed its own verification")
     return assignment
-
-
-def _least_flow(n: int, rest: list[tuple[int, int]], fixed: list[int], top: int) -> list[int] | None:
-    """Quarter-units y_uw + y_wu of each edge of `rest` in a least feasible
-    flow on B(G) restricted to `rest`, where v needs between
-    lo_v = max(0, 2 - fixed[v]) and hi_v = top - fixed[v] more half-units;
-    None if no feasible flow exists.
-
-    Lower bounds go the standard way (Ahuja, Magnanti, Orlin, Network Flows,
-    1993, ch. 6): a bounded arc keeps capacity hi_v - lo_v, its head draws
-    lo_v from a super-source S' and its tail sends lo_v to a super-sink T',
-    and an uncapped arc t -> s closes the circulation.  A feasible flow
-    exists iff the max flow from S' to T' saturates S'.  A max flow from t
-    back to s in its residual, without that arc, then leaves the least one."""
-    # nodes: 0 = s, 1 = t, 2 = S', 3 = T', 4 + v = L_v, 4 + n + v = R_v
-    arcs = [a for u, w in rest for a in ((4 + u, 4 + n + w, 2), (4 + w, 4 + n + u, 2))]
-    demand = 0
-    for v in range(n):  # a vertex with no edge in `rest` has lo_v = 0
-        lo = max(0, 2 - fixed[v])
-        hi = top - fixed[v]
-        demand += lo
-        arcs += ((2, 4 + v, lo), (4 + n + v, 3, lo), (0, 4 + v, hi - lo), (4 + n + v, 1, hi - lo))
-    arcs += ((2, 1, demand), (0, 3, demand), (1, 0, 4 * len(rest)))
-    heads: list[list[int]] = [[] for _ in range(4 + 2 * n)]
-    to: list[int] = []
-    cap: list[int] = []
-    for x, y, c in arcs:
-        if c:
-            heads[x].append(len(to))
-            heads[y].append(len(to) + 1)
-            to += (y, x)
-            cap += (c, 0)
-    if _max_flow(heads, to, cap, 2, 3, 2 * demand) < 2 * demand:
-        return None
-    back = len(to) - 2  # the arc t -> s
-    flow = cap[back + 1]
-    cap[back] = cap[back + 1] = 0
-    _max_flow(heads, to, cap, 1, 0, flow)
-    return [cap[a + 1] + cap[a + 3] for a in range(0, 4 * len(rest), 4)]
 
 
 def _round_trails(ends: list[tuple[int, int]], q: list[int], deg: list[int]) -> None:
@@ -189,71 +152,6 @@ def _round_trails(ends: list[tuple[int, int]], q: list[int], deg: list[int]) -> 
     for v in sorted(range(len(deg)), key=lambda v: deg[v] < 6):
         if left[v]:
             walk(v, -1 if deg[v] >= 6 else 1)
-
-
-def _max_flow(
-    heads: list[list[int]], to: list[int], cap: list[int], source: int, sink: int, limit: int
-) -> int:
-    """Dinic's max flow from `source` to `sink`, stopping at `limit`.  Arc a's
-    reverse is a ^ 1; `cap` is left as the residual capacities.  Each phase's
-    search stops at the sink's level, and blocking flows are found with an
-    explicit stack of arcs, not by recursion."""
-    size = len(heads)
-    flow = 0
-    while flow < limit:
-        level = [-1] * size
-        level[source] = 0
-        queue = [source]
-        for x in queue:
-            below = level[x] + 1
-            for a in heads[x]:
-                y = to[a]
-                if cap[a] and level[y] < 0:
-                    level[y] = below
-                    queue.append(y)
-            if level[sink] >= 0:
-                break
-        else:
-            break
-        nxt = [0] * size
-        path: list[int] = []
-        x = source
-        while True:
-            if x == sink:
-                push = limit - flow
-                for a in path:
-                    if cap[a] < push:
-                        push = cap[a]
-                for a in path:
-                    cap[a] -= push
-                    cap[a ^ 1] += push
-                flow += push
-                if flow == limit:
-                    return flow
-                cut = next(j for j, a in enumerate(path) if not cap[a])
-                del path[cut:]
-                x = to[path[-1]] if path else source
-                continue
-            out = heads[x]
-            i = nxt[x]
-            below = level[x] + 1
-            while i < len(out):
-                a = out[i]
-                if cap[a] and level[to[a]] == below:
-                    break
-                i += 1
-            else:  # x leads nowhere in this phase
-                if x == source:
-                    break
-                level[x] = -1
-                a = path.pop()
-                x = to[a ^ 1]
-                nxt[x] += 1
-                continue
-            nxt[x] = i
-            path.append(a)
-            x = to[a]
-    return flow
 
 
 def verify_fractional(g: Graph, k: int, h: HalfIntegralAssignment) -> bool:

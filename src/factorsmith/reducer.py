@@ -92,19 +92,12 @@ class RuleStep(NamedTuple):
 
 
 class RuleTrace:
-    """The steps `minimize` applied, in order; the one mutable value class."""
+    """The steps `minimize` applied, in order."""
 
     __slots__ = ("steps",)
-    __hash__ = None  # mutable
 
     def __init__(self, steps: list[RuleStep] | None = None):
         self.steps = [] if steps is None else steps
-
-    def __eq__(self, other):
-        return self.steps == other.steps if type(other) is RuleTrace else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"RuleTrace(steps={self.steps!r})"
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorsmith import factors
+from factorsmith import flows
 from factorsmith.conditions import check_iso_condition
 from factorsmith.corpus import enumerate_exhaustive, random_gnp, random_tree
 from factorsmith.factors import (
@@ -20,7 +20,7 @@ from factorsmith.factors import (
 )
 from factorsmith.graphs import Graph, mask_to_list
 from oracles import brute_completable, brute_least_units, reference_search, tree_least_units
-from treeutil import half_degree_units
+from treeutil import counted_flows, half_degree_units
 
 K2 = Graph(2, [(0, 1)])
 P3 = Graph(3, [(0, 1), (1, 2)])
@@ -387,30 +387,19 @@ class TestRounding:
 
 
 class TestFlow:
-    """`_max_flow` between any two nodes, and the work the engine spends."""
-
-    @staticmethod
-    def network(arcs, size):
-        heads = [[] for _ in range(size)]
-        to, cap = [], []
-        for x, y, c in arcs:
-            heads[x].append(len(to))
-            heads[y].append(len(to) + 1)
-            to += (y, x)
-            cap += (c, 0)
-        return heads, to, cap
+    """`flows.max_flow` between any two nodes, and the work the engine spends."""
 
     def test_max_flow_between_named_nodes(self):
         """Two paths 3 -> 0 -> 2 and 3 -> 1 -> 2 of capacities 2 and 1; the
         residual capacities show the flow on each arc."""
-        heads, to, cap = self.network([(3, 0, 2), (0, 2, 5), (3, 1, 4), (1, 2, 1)], 4)
-        assert factors._max_flow(heads, to, cap, 3, 2, 10) == 3
+        heads, to, cap = flows.network([(3, 0, 2), (0, 2, 5), (3, 1, 4), (1, 2, 1)], 4)
+        assert flows.max_flow(heads, to, cap, 3, 2, 10) == 3
         assert [cap[a ^ 1] for a in range(0, 8, 2)] == [2, 2, 1, 1]
-        assert factors._max_flow(heads, to, cap, 2, 3, 10) == 3  # and all of it back
+        assert flows.max_flow(heads, to, cap, 2, 3, 10) == 3  # and all of it back
 
     def test_max_flow_stops_at_limit(self):
-        heads, to, cap = self.network([(0, 1, 5)], 2)
-        assert factors._max_flow(heads, to, cap, 0, 1, 3) == 3
+        heads, to, cap = flows.network([(0, 1, 5)], 2)
+        assert flows.max_flow(heads, to, cap, 0, 1, 3) == 3
         assert cap == [2, 3]
 
     def test_no_weighting_after_one_flow(self, monkeypatch):
@@ -468,19 +457,6 @@ class TestFlow:
     def test_isolated_vertex_and_empty_graph(self):
         assert find_fractional_factor(Graph(3, [(0, 1)]), 1) is None
         assert find_fractional_factor(Graph(0), 1).units == {}
-
-
-def counted_flows(monkeypatch) -> list:
-    """Count the engine's `_max_flow` calls through a wrapper."""
-    calls = []
-    real = factors._max_flow
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(factors, "_max_flow", counted)
-    return calls
 
 
 @pytest.mark.parametrize("seed", [92, 50086])

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorsmith import factors, reducer
+from factorsmith import reducer
 from factorsmith.conditions import check_iso_condition
 from factorsmith.corpus import (
     enumerate_exhaustive,
@@ -40,6 +40,7 @@ from factorsmith.reducer import (
     verify_certificate,
 )
 from oracles import all_cycles, reference_search
+from treeutil import counted_flows
 
 CORPUS_CHECKS = 4607
 CORPUS_DIGEST = "80d867cad4ebe69cbbeff7d24b5ba35628d502a52c7ab496c3d870d1fc108e07"
@@ -331,13 +332,7 @@ def _certified_with_count(g: Graph, k: int) -> FactorCertificate:
     its trace is at most ||G|| steps, that `minimize` built one `_State` per
     step plus one at the fixpoint, and that the factor engine ran at most two
     max flows for it."""
-    calls = []
-    real = factors._max_flow
     built = []
-
-    def counted(*args):
-        calls.append(None)
-        return real(*args)
 
     class CountedState(reducer._State):
         def __init__(self, h, k):
@@ -345,7 +340,7 @@ def _certified_with_count(g: Graph, k: int) -> FactorCertificate:
             super().__init__(h, k)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(factors, "_max_flow", counted)
+        calls = counted_flows(mp)
         mp.setattr(reducer, "_State", CountedState)
         cert, _h, trace = extract_component_factor_detailed(g, k)
     assert cert is not None and verify_certificate(g, cert)

@@ -1,9 +1,10 @@
 """Test helpers: AHU canonical forms of trees rooted at centroids, degree
-sequences, membership in T(2k+1), and the half-unit weightings the family
-tests check."""
+sequences, membership in T(2k+1), the half-unit weightings the family
+tests check, and a counter of max flows."""
 
 from __future__ import annotations
 
+from factorsmith import flows
 from factorsmith.factors import HalfIntegralAssignment
 from factorsmith.families import classify_component, cubic_expansion, tree_expansion
 from factorsmith.graphs import Graph, mask_to_list
@@ -31,6 +32,20 @@ def pendant_half_assignment(t: Graph) -> HalfIntegralAssignment:
     return HalfIntegralAssignment(
         t, {(u, v): 2 if t.degree(u) == 1 or t.degree(v) == 1 else 1 for u, v in t.edges}
     )
+
+
+def counted_flows(mp) -> list:
+    """A list that grows by one entry per `flows.max_flow` call, through a
+    wrapper that the MonkeyPatch `mp` sets."""
+    calls = []
+    real = flows.max_flow
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    mp.setattr(flows, "max_flow", counted)
+    return calls
 
 
 def _rooted_canon(g: Graph, root: int, parent: int) -> tuple:
