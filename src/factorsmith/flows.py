@@ -8,7 +8,7 @@ pairs, so arc a's reverse is a ^ 1.
 from __future__ import annotations
 
 
-def network(arcs, size: int) -> tuple[list[list[int]], list[int], list[int]]:
+def network(arcs: list[tuple[int, int, int]], size: int) -> tuple[list[list[int]], list[int], list[int]]:
     """The network on nodes 0..size-1 with each (tail, head, capacity) of
     `arcs`, in order, as a pair of arcs; capacities of 0 are left out."""
     heads: list[list[int]] = [[] for _ in range(size)]
