@@ -5,7 +5,8 @@ clean, 1 = violated / no factor / disagreement / engine error, 2 = usage or
 parse error.  A closed standard output (a reader such as `head` that stops
 early) ends a command quietly with 1.
 Every command reads graphs through `read_graphs`, which detects the format
-from the first line that is not blank or a "#" comment.
+from the first line that is not blank or a "#" comment.  A corpus source of
+gen and verify is one `_SOURCES` row.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from factorsmith import corpus
 from factorsmith.conditions import (
@@ -62,27 +62,18 @@ def _starts_edge_list(line: str) -> bool:
     return True
 
 
-def read_graphs(lines: Iterable[str]) -> Iterator[tuple[str, Graph]]:
-    """(label, graph) pairs from the lines of a text file, read one line at
-    a time; blank lines and "#" lines are skipped.  The first other line
-    fixes the format: an edge list is the whole input and one graph,
-    labelled "edges:0"; graph6 is one graph per line, labelled by the line."""
-    lines = iter(lines)
-    head = []
-    for raw in lines:
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            break
-        head.append(raw)
-    else:
+def read_graphs(lines: Iterable[str]) -> list[tuple[str, Graph]]:
+    """(label, graph) pairs from the lines of a text file; blank lines and
+    "#" lines are skipped.  The first other line fixes the format: an edge
+    list is the whole input and one graph, labelled "edges:0"; graph6 is one
+    graph per line, labelled by the line."""
+    lines = list(lines)
+    body = [line for line in map(str.strip, lines) if line and not line.startswith("#")]
+    if not body:
         raise GraphFormatError("no graphs found in input")
-    if _starts_edge_list(line):
-        yield "edges:0", parse_edge_list("".join(chain(head, [raw], lines)))
-        return
-    for raw in chain([raw], lines):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield line, parse_graph6(line)
+    if _starts_edge_list(body[0]):
+        return [("edges:0", parse_edge_list("".join(lines)))]
+    return [(line, parse_graph6(line)) for line in body]
 
 
 def _read_lines(path: str) -> list[str]:
@@ -249,48 +240,39 @@ def _verify_one(payload) -> list[dict]:
     return records
 
 
+# The corpus sources by option name: (metavar, help, make, guard).  make takes
+# the value (an int for N; a file is read whole, so a bad line fails first), or
+# for a seeded source the metavar's fields but the count (p a ratio) and a seed.
+_SOURCES = {
+    "exhaustive": ("N", "every labelled graph with exactly N vertices", corpus.enumerate_exhaustive, None),
+    "gnp": ("n,p,count", "count random G(n, p) graphs, p written as a/b", corpus.random_gnp, corpus.check_gnp),
+    "trees": ("n,count", "count random trees with n vertices", corpus.random_tree, corpus.check_tree),
+    "paths-cycles": ("N", "the paths P2..PN, then the cycles C3..CN", corpus.paths_and_cycles, None),
+    "file": ("PATH", "graph6 lines or one edge list", lambda path: [g for _, g in read_graphs(_read_lines(path))], None),
+    "all-trees": ("N", "all free trees with <= N vertices", corpus.free_trees_upto, None),
+    "tree-expansion": ("k,size,count", "random members of T(2k+1), k >= 1", corpus.random_tree_expansion,
+                       corpus.check_tree_expansion),
+}
+
+
 def _corpus_from_args(args) -> tuple[str, Iterable[Graph]]:
-    """The chosen corpus source's name and its graph stream.  A file is
-    parsed whole here, so a bad line is refused before any answer; the
-    generators are lazy."""
-    chosen = [
-        name
-        for name in ("exhaustive", "gnp", "trees", "paths_cycles", "file", "all_trees", "tree_expansion")
-        if getattr(args, name) is not None
-    ]
+    """The chosen source's name in graph ids and its stream; a guard refuses a bad spec before any draw."""
+    chosen = [name for name in _SOURCES if getattr(args, name.replace("-", "_")) is not None]
     if len(chosen) != 1:
         raise ValueError("choose exactly one corpus source")
-    name = chosen[0]
-    if name == "exhaustive":
-        return name, corpus.enumerate_exhaustive(args.exhaustive)
-    if name == "paths_cycles":
-        return name, corpus.paths_and_cycles(args.paths_cycles)
-    if name == "file":
-        return name, [g for _label, g in read_graphs(_read_lines(args.file))]
-    if name == "all_trees":
-        return name, corpus.free_trees_upto(args.all_trees)
-    spec = getattr(args, name)
-    form = {"gnp": "n,p,count", "trees": "n,count", "tree_expansion": "k,size,count"}[name]
+    name, kind = chosen[0], chosen[0].replace("-", "_")
+    (form, _help, make, guard), spec = _SOURCES[name], getattr(args, kind)
+    if guard is None:
+        return kind, make(spec)
     parts = [part.strip() for part in spec.split(",")]
     if len(parts) != form.count(",") + 1:
-        raise ValueError(f"{name.replace('_', '-')} spec is {form}, got {spec!r}")
+        raise ValueError(f"{name} spec is {form}, got {spec!r}")
     count = int(parts[-1])
     if count < 0:
-        raise ValueError(f"{name.replace('_', '-')} count must be >= 0, got {count}")
-    seeds = range(args.seed, args.seed + count)
-    # The generators' own guards run here, so a bad spec fails before any
-    # draw, whatever the count.
-    if name == "gnp":
-        n = int(parts[0])
-        p = corpus.check_gnp(n, parse_ratio(parts[1]))
-        return name, (corpus.random_gnp(n, p, seed) for seed in seeds)
-    if name == "tree_expansion":
-        k, size = int(parts[0]), int(parts[1])
-        corpus.check_tree_expansion(k, size)
-        return name, (corpus.random_tree_expansion(k, size, seed) for seed in seeds)
-    n = int(parts[0])
-    corpus.check_tree(n)
-    return name, (corpus.random_tree(n, seed) for seed in seeds)
+        raise ValueError(f"{name} count must be >= 0, got {count}")
+    fields = [parse_ratio(part) if field == "p" else int(part) for field, part in zip(form.split(","), parts[:-1])]
+    guard(*fields)
+    return kind, (make(*fields, seed) for seed in range(args.seed, args.seed + count))
 
 
 def _process_pool(max_workers: int):
@@ -359,14 +341,13 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+# The writers of convert --to, each giving the text of one graph.
+_WRITERS = {"g6": lambda g: encode_graph6(g) + "\n", "edges": format_edge_list, "dot": to_dot}
+
+
 def cmd_convert(args) -> int:
     for _label, g in args.graphs:
-        if args.to == "g6":
-            print(encode_graph6(g))
-        elif args.to == "edges":
-            sys.stdout.write(format_edge_list(g))
-        else:
-            sys.stdout.write(to_dot(g))
+        sys.stdout.write(_WRITERS[args.to](g))
     return EXIT_OK
 
 
@@ -378,13 +359,8 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_corpus_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--exhaustive", type=int, metavar="N", help="every labelled graph with exactly N vertices")
-    p.add_argument("--gnp", metavar="n,p,count", help="count random G(n, p) graphs, p written as a/b")
-    p.add_argument("--trees", metavar="n,count", help="count random trees with n vertices")
-    p.add_argument("--paths-cycles", type=int, metavar="N", help="the paths P2..PN, then the cycles C3..CN")
-    p.add_argument("--file", default=None, metavar="PATH", help="graph6 lines or one edge list")
-    p.add_argument("--all-trees", type=int, metavar="N", help="all free trees with <= N vertices")
-    p.add_argument("--tree-expansion", metavar="k,size,count", help="random members of T(2k+1), k >= 1")
+    for name, (metavar, help_text, _make, _guard) in _SOURCES.items():
+        p.add_argument(f"--{name}", type=int if metavar == "N" else None, metavar=metavar, help=help_text)
     p.add_argument("--seed", type=int, default=0, help="seed of the first random graph, counting up from there")
 
 
@@ -425,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="convert between graph formats")
     _add_input_args(p)
-    p.add_argument("--to", choices=["g6", "edges", "dot"], required=True)
+    p.add_argument("--to", choices=list(_WRITERS), required=True)
     p.set_defaults(func=cmd_convert)
 
     return ap
@@ -443,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
         # and an engine error never does.  A graph past toughness's size
         # guard is a usage error for the whole input too.
         try:
-            args.graphs = list(read_graphs(_read_lines(args.input)))
+            args.graphs = read_graphs(_read_lines(args.input))
             for label, g in args.graphs:
                 if args.command == "toughness" and g.n > TOUGHNESS_MAX_N:
                     return _error(f"{label}: isolated toughness supports n <= {TOUGHNESS_MAX_N}, got n = {g.n}")

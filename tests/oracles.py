@@ -1,7 +1,8 @@
 """Independent test oracles.  For half-integral [1, k+1/2] weightings: brute
 force over every {0, 1/2, 1} vector, an exact dynamic programme on trees,
 and the exact depth-first search the factor engine once was, whose first
-answer the reducer's pinned traces use.  For the rewrite engine's cycle
+answer the reducer's pinned traces use.  For `flows.least_flow`: every
+flow on the double cover, by brute force.  For the rewrite engine's cycle
 scan: every simple cycle of a graph, by brute force."""
 
 from __future__ import annotations
@@ -135,6 +136,29 @@ def reference_search(g: Graph, k: int) -> HalfIntegralAssignment | None:
     if not verify_fractional(g, k, assignment):
         raise AssertionError("constructed assignment failed its own verification")
     return assignment
+
+
+def least_flows(n: int, edges: list[tuple[int, int]], lo: list[int], hi: list[int]) -> set[tuple[int, ...]]:
+    """The per-edge sums y_uw + y_wu of every least feasible flow y on the
+    double cover that `flows.least_flow` describes, or the empty set if no
+    flow is feasible: each arc L_u -> R_w takes every value 0..2, and each
+    vertex v must send and receive between lo[v] and hi[v]."""
+    best: set[tuple[int, ...]] = set()
+    least = None
+    for ys in product(product(range(3), repeat=2), repeat=len(edges)):
+        out, into = [0] * n, [0] * n
+        for (u, w), (a, b) in zip(edges, ys):
+            out[u] += a
+            into[w] += a
+            out[w] += b
+            into[u] += b
+        if all(lo[v] <= out[v] <= hi[v] and lo[v] <= into[v] <= hi[v] for v in range(n)):
+            total = sum(out)
+            if least is None or total < least:
+                least, best = total, set()
+            if total == least:
+                best.add(tuple(a + b for a, b in ys))
+    return best
 
 
 def all_cycles(g: Graph) -> set[tuple[int, ...]]:

@@ -679,6 +679,33 @@ def test_gen_all_trees(capsys):
     assert all(is_tree(t) for t in trees)
 
 
+@pytest.mark.parametrize(
+    "argv, lines, digest",
+    [
+        (["--exhaustive", "3"], 8, "0a6a62a5b967c500e7178c8cc7c7f12631566b64f5ae11dc03c2299880ea7a0d"),
+        (["--gnp", "9,1/3,4", "--seed", "7"], 4, "a6a45fe1d34b58784a786e1591bc881927f245262c996801941007656c9f0c8d"),
+        (["--trees", "10,3", "--seed", "2"], 3, "6a6e02820dda995acfcbf1ade03302aebbb147fc944eae5970b24efa52f76be5"),
+        (["--paths-cycles", "6"], 9, "9eb2312701269b83209390c9941c0137caebe6ae01dbb69948b8b837e74a2dc2"),
+        (["--all-trees", "7"], 25, "a01a916153bf271a456198404d731c1352236cc7f6d171f930903c012eb12df1"),
+        (["--tree-expansion", "2,14,2", "--seed", "5"], 2, "b690d7824622c7ddb34bfddab22e01bf04ab407689a78aef0bc875d78343fcc2"),
+        (["--file", "edges.txt"], 1, "9ea90fe1b1f72ce7f9ddef33af40308b71d89794423954fb334d1b47444cf86c"),
+        (["--file", "corpus.g6"], 3, "84e10e69dc2d20852c32d472b610e2c9e0ff11dfbb4ed84d37f16ee2e40b290c"),
+    ],
+    ids=["exhaustive", "gnp", "trees", "paths-cycles", "all-trees", "tree-expansion", "file-edges", "file-g6"],
+)
+def test_gen_streams_are_pinned(tmp_path, capsys, argv, lines, digest):
+    """The sha256 of `gen` on one small spec per corpus source, so the
+    source table cannot change a stream."""
+    (tmp_path / "edges.txt").write_text("# a path and a chord\nn 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 3\n", encoding="ascii")
+    (tmp_path / "corpus.g6").write_text("# K3, 2K2 and C5\nBw\n\nCp\nDhc\n", encoding="ascii")
+    if argv[0] == "--file":
+        argv = [argv[0], str(tmp_path / argv[1])]
+    assert main(["gen", *argv]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "" and len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_takes_gen_corpora(capsys):
     """verify reads the same sources as gen: every free tree with n <= 7 at
     k = 1, 2, and one T(5) member at k = 1, 2, 3, with graph ids named after

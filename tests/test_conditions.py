@@ -144,6 +144,12 @@ class TestIsoAfterRemoval:
         with pytest.raises(ValueError):
             iso_after_removal(P4, {9})
 
+    def test_out_of_range_at_both_ends(self):
+        """n and -1 lie just outside 0..n-1."""
+        for v in (4, -1):
+            with pytest.raises(ValueError, match=f"^vertex {v} outside 0..3$"):
+                iso_after_removal(P4, {v})
+
 
 class TestCheckCondition:
     def test_isolated_vertex_fails_at_empty_set(self):

@@ -19,7 +19,7 @@ from factorsmith.factors import (
     verify_fractional,
 )
 from factorsmith.graphs import Graph, mask_to_list
-from oracles import brute_completable, brute_least_units, reference_search, tree_least_units
+from oracles import brute_completable, brute_least_units, least_flows, reference_search, tree_least_units
 from treeutil import counted_flows, half_degree_units
 
 K2 = Graph(2, [(0, 1)])
@@ -365,6 +365,13 @@ class TestRounding:
         q = rounded(inner + spokes + outer, [1, 1, 1] + [2] * 6, 1)
         assert sorted(q[:3]) == [0, 2, 2] and q[3:] == [2] * 6
 
+    def test_odd_closed_trail_starts_at_six(self):
+        """A triangle at 1 quarter-unit per edge at k = 2 whose vertex 2
+        sits at degree 6 and vertices 0 and 1 at 4: vertices at 6 or more
+        start first, so the trail moves vertex 2 down, not vertex 0 up."""
+        ends = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 5), (2, 4), (3, 5)]
+        assert rounded(ends, [1, 1, 1, 2, 2, 4, 2], 2) == [2, 0, 0, 2, 2, 4, 2]
+
     def test_open_trails_never_raise_the_total(self):
         """One open trail of length 1 (P4 at k = 1) and one of length 3 (P6
         at k = 2): each starts at -1, so the total falls by 1."""
@@ -457,6 +464,36 @@ class TestFlow:
     def test_isolated_vertex_and_empty_graph(self):
         assert find_fractional_factor(Graph(3, [(0, 1)]), 1) is None
         assert find_fractional_factor(Graph(0), 1).units == {}
+
+    def test_least_flow_against_every_flow(self):
+        """`least_flow` is None exactly when no flow fits the windows, and
+        otherwise the per-edge sums of some least flow: on 300 random window
+        sets over graphs with <= 3 edges, and on four fixed ones that catch a
+        changed network.  The first fixed set needs each arc of its edge to
+        carry 3, which capacity 2 forbids; in the last two the first max
+        flow overshoots the least flow and the second takes flow back."""
+        rng = random.Random(0)
+        cases = [
+            (2, [(0, 1)], [3, 3], [3, 3]),
+            (5, [(0, 1), (0, 3), (1, 3), (1, 4)], [2, 3, 0, 2, 2], [2, 8, 0, 3, 3]),
+            (5, [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)], [2, 1, 2, 2, 3], [5, 5, 7, 6, 7]),
+            (6, [(0, 3), (0, 5), (1, 3), (1, 4), (4, 5)], [2, 3, 0, 3, 3, 3], [3, 5, 0, 5, 4, 6]),
+        ]
+        for _ in range(300):
+            n = rng.randint(2, 4)
+            pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+            edges = sorted(rng.sample(pairs, rng.randint(1, min(3, len(pairs)))))
+            lo = [rng.randint(0, 4) for _ in range(n)]
+            cases.append((n, edges, lo, [x + rng.randint(0, 3) for x in lo]))
+        feasible = 0
+        for n, edges, lo, hi in cases:
+            best = least_flows(n, edges, lo, hi)
+            q = flows.least_flow(n, edges, lo, hi)
+            assert (q is None) == (not best), (n, edges, lo, hi)
+            if q is not None:
+                assert tuple(q) in best, (n, edges, lo, hi, q)
+                feasible += 1
+        assert feasible == 81
 
 
 @pytest.mark.parametrize("seed", [92, 50086])

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from factorsmith.conditions import check_iso_condition, iso_after_removal
-from factorsmith.corpus import free_trees_upto, random_tree_expansion
+from factorsmith.corpus import enumerate_exhaustive, free_trees_upto, random_tree_expansion
 from factorsmith.factors import verify_fractional
 from factorsmith.families import (
     C3,
@@ -21,11 +21,13 @@ from factorsmith.families import (
     star,
     tree_expansion,
 )
-from factorsmith.graphs import Graph, mask_to_list
+from factorsmith.graphs import Graph, connected_components, is_tree, mask_to_list
 from factorsmith.reducer import _component_entries, extract_component_factor_detailed, verify_certificate
 from treeutil import degree_sequence, half_degree_units, is_tree_expansion, pendant_half_assignment, tree_canon
 
 K13 = Graph(4, [(0, 1), (0, 2), (0, 3)])
+K3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
+CHAIR = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])  # K1,3 with one edge subdivided
 CUBIC6 = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
 CUBIC8 = Graph(8, [(0, 1), (1, 2), (0, 3), (0, 4), (1, 5), (2, 6), (2, 7)])
 
@@ -45,6 +47,15 @@ def leaves(g: Graph) -> int:
 @pytest.fixture(scope="module")
 def trees16() -> list[Graph]:
     return list(free_trees_upto(16))
+
+
+@pytest.fixture(scope="module")
+def cyclic6() -> list[Graph]:
+    """The connected labelled graphs with n <= 6 that are not trees."""
+    graphs = [g for n in range(1, 7) for g in enumerate_exhaustive(n) if not is_tree(g)]
+    cyclic = [g for g in graphs if len(connected_components(g.n, g.adj)) == 1]
+    assert len(cyclic) == 26034
+    return cyclic
 
 
 class TestCubicExpansion:
@@ -199,23 +210,44 @@ class TestTreeExpansionRecognizer:
             is_tree_expansion(K13, 0)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_forward_backward(self, trees16, k):
+    def test_forward_backward(self, trees16, cyclic6, k):
         """The core trees R in the scan whose expansion has <= 16 vertices
         build exactly the members the recognizer accepts, plus P5 at k = 1.
         An expansion is larger than its core, so no core outside the scan
-        builds a tree inside it."""
-        generated = set()
+        builds a tree inside it.
+
+        Then the classifier against the family built by construction: P2
+        and P5 at k = 1, K1,j for j <= k at k >= 2, and the members of
+        T(2k+1) with <= 14 vertices.  Every free tree with n <= 14 gets its
+        member's tag or OTHER, and C3 at k = 1 is the only connected
+        labelled graph with a cycle and n <= 6 that gets a tag."""
+        members = {}
         for r in trees16:
             if r.n >= 2 and all(r.degree(v) % 2 == 1 and r.degree(v) <= 2 * k + 1 for v in range(r.n)):
                 t = expand_core_tree(r, k)
                 if t.n <= 16:
-                    generated.add(tree_canon(t))
+                    members[tree_canon(t)] = t
+        generated = set(members)
         accepted = {tree_canon(t) for t in trees16 if is_tree_expansion(t, k)}
         if k == 1:
             accepted.add(tree_canon(path(5)))
         # pins the counts, so the equality cannot pass with both sides empty
         assert len(generated) == {1: 3, 2: 2, 3: 1}[k]
         assert generated == accepted
+
+        tag = cubic_expansion() if k == 1 else tree_expansion(k)
+        family = {canon: tag for canon, t in members.items() if t.n <= 14}
+        if k == 1:
+            family |= {tree_canon(path(2)): P2, tree_canon(path(5)): P5}
+        else:
+            family |= {tree_canon(star_graph(j)): star(j) for j in range(1, k + 1)}
+        assert len(family) == {1: 3, 2: 4, 3: 4}[k]
+        small = [t for t in trees16 if t.n <= 14]
+        assert len(small) == 5447
+        tags = [classify_component(t, k) for t in small]
+        assert tags == [family.get(tree_canon(t), OTHER) for t in small]
+        assert sum(tag != OTHER for tag in tags) == len(family)
+        assert [g for g in cyclic6 if classify_component(g, k) != OTHER] == ([K3] if k == 1 else [])
 
     def test_members_belong_to_their_own_k_only(self):
         members = {1: [expand_core_tree(r, 1) for r in (K13, CUBIC6, CUBIC8)]}
@@ -237,6 +269,12 @@ class TestClassify:
     def test_f1_rejects(self):
         assert classify_component(path(3), 1) == OTHER
         assert classify_component(K13, 1) == OTHER
+
+    def test_chair_is_no_member(self):
+        """The chair has P5's order and a vertex of degree 3, so it is no
+        path, star or expansion at any k."""
+        for k in (1, 2, 3):
+            assert classify_component(CHAIR, k) == OTHER
 
     def test_f2_members(self):
         assert classify_component(Graph(2, [(0, 1)]), 2) == star(1)

@@ -28,7 +28,7 @@ from factorsmith.corpus import (
     random_tree_expansion,
 )
 from factorsmith.factors import HalfIntegralAssignment, find_fractional_factor
-from factorsmith.families import OTHER, P2, classify_component, star
+from factorsmith.families import OTHER, P2, P5, classify_component, star
 from factorsmith.graphs import Graph, encode_graph6
 from factorsmith.reducer import (
     ComponentEntry,
@@ -290,6 +290,12 @@ class TestVerifyCertificate:
         twice = ((0, 1), ((0, 1),))
         assert not verify_certificate(self.TWO_P2, _p2_certificate(twice, twice, ((2, 3), ((2, 3),))))
 
+    def test_vertex_out_of_range(self):
+        """Vertex n listed in place of vertex 1, with an edge from it: a
+        refusal, before the edge test reads a neighbour mask n does not have."""
+        cert = _p2_certificate(((0, 4), ((4, 0),)), ((2, 3), ((2, 3),)))
+        assert not verify_certificate(self.TWO_P2, cert)
+
     def test_missing_vertex(self):
         cert = FactorCertificate(1, (ComponentEntry((0, 1), ((0, 1),), P2),))
         assert not verify_certificate(self.TWO_P2, cert)
@@ -320,6 +326,14 @@ class TestVerifyCertificate:
         assert not verify_certificate(p3, cert(2, P2))
         assert not verify_certificate(p3, cert(1, star(2)))
         assert not verify_certificate(p3, cert(1, OTHER))
+
+    def test_chair_is_no_p5(self):
+        """The chair, K1,3 with one edge subdivided, has P5's order but a
+        vertex of degree 3; P5 itself passes."""
+        edges = {"P5": ((0, 1), (1, 2), (2, 3), (3, 4)), "chair": ((0, 1), (0, 2), (0, 3), (3, 4))}
+        for name, es in edges.items():
+            cert = FactorCertificate(1, (ComponentEntry((0, 1, 2, 3, 4), es, P5),))
+            assert verify_certificate(Graph(5, es), cert) == (name == "P5")
 
 
 @cache
