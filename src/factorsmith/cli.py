@@ -67,13 +67,16 @@ def read_graphs(lines: Iterable[str]) -> list[tuple[str, Graph]]:
     "#" lines are skipped.  The first other line fixes the format: an edge
     list is the whole input and one graph, labelled "edges:0"; graph6 is one
     graph per line, labelled by the line."""
-    lines = list(lines)
-    body = [line for line in map(str.strip, lines) if line and not line.startswith("#")]
-    if not body:
+    lines = lines if isinstance(lines, list) else list(lines)
+    content = (line for line in map(str.strip, lines) if line and not line.startswith("#"))
+    first = next(content, None)
+    if first is None:
         raise GraphFormatError("no graphs found in input")
-    if _starts_edge_list(body[0]):
+    if _starts_edge_list(first):
         return [("edges:0", parse_edge_list("".join(lines)))]
-    return [(line, parse_graph6(line)) for line in body]
+    graphs = [(first, parse_graph6(first))]
+    graphs += ((line, parse_graph6(line)) for line in content)
+    return graphs
 
 
 def _read_lines(path: str) -> list[str]:

@@ -2,7 +2,7 @@
 
 Run from the repository root (pytest does not collect this file):
 
-    python tests/mutate.py [--jobs 2] [--timeout 300] [FUNCTION ...]
+    python tests/mutate.py [FUNCTION ...]
 
 Each mutant makes one change inside one target function: a comparison
 flipped (< and <=, > and >=, == and !=, in and not in, is and is not), an
@@ -10,12 +10,12 @@ flipped (< and <=, > and >=, == and !=, in and not in, is and is not), an
 + swapped with - or & with |.  The mutated module is written by
 `ast.unparse` into a copy of src/ and tests/ in a temporary directory, and
 the four module test files run there with -x, PYTHONPATH pointing at the
-copy, and a time limit and a 2 GiB address-space cap per mutant; the
-checkout is never edited.  A mutant
-is killed when the tests fail or run out of time.  The script prints one
-line per mutant, then the killed and surviving counts per function, and
-exits 1 if any mutant survived.  It first runs the same tests on the
-unmodified copy and exits 2 if they fail.
+copy, and a time limit of TIMEOUT seconds and a 2 GiB address-space cap
+per mutant; JOBS mutants run at once, and the checkout is never edited.
+A mutant is killed when the tests fail or run out of time.  The script
+prints one line per mutant, then the killed and surviving counts per
+function, and exits 1 if any mutant survived.  It first runs the same tests
+on the unmodified copy and exits 2 if they fail.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ CAPPED_PYTEST = (
     "import resource, sys, pytest; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
     "sys.exit(pytest.main(sys.argv[1:]))"
 )
+TIMEOUT = 300  # seconds per mutant
+JOBS = 2
 
 FLIPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq,
@@ -132,7 +134,7 @@ def mutants(module: str, name: str) -> list[tuple[str, str]]:
     return [(what, text) for _at, what, text in sorted(out, key=lambda m: m[0])]
 
 
-def run_mutant(module: str, text: str, timeout: float) -> str:
+def run_mutant(module: str, text: str) -> str:
     """killed, timeout or survived: the four test files on a copy with
     `module` replaced by `text`."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
@@ -144,7 +146,7 @@ def run_mutant(module: str, text: str, timeout: float) -> str:
         env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), PYTHONDONTWRITEBYTECODE="1")
         cmd = [sys.executable, "-c", CAPPED_PYTEST, "-x", "-q", "-p", "no:cacheprovider", *(f"tests/{f}" for f in files)]
         try:
-            done = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, timeout=timeout)
+            done = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             return "timeout"
     return "survived" if done.returncode == 0 else "killed"
@@ -153,12 +155,10 @@ def run_mutant(module: str, text: str, timeout: float) -> str:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("functions", nargs="*", help="target functions to mutate (default: all)")
-    ap.add_argument("--jobs", type=int, default=2, help="mutants run at once")
-    ap.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant")
     args = ap.parse_args()
     targets = [t for t in TARGETS if not args.functions or t[1] in args.functions]
     work = [(module, name, what, text) for module, name in targets for what, text in mutants(module, name)]
-    if run_mutant("reducer", (ROOT / "src" / "factorsmith" / "reducer.py").read_text(), args.timeout) != "survived":
+    if run_mutant("reducer", (ROOT / "src" / "factorsmith" / "reducer.py").read_text()) != "survived":
         print("the unmutated tests fail; no mutant run", flush=True)
         return 2
     print(f"{len(work)} mutants", flush=True)
@@ -166,11 +166,11 @@ def main() -> int:
 
     def one(item):
         module, name, what, text = item
-        verdict = run_mutant(module, text, args.timeout)
+        verdict = run_mutant(module, text)
         print(f"{verdict:8} {module}.{what}", flush=True)
         return name, verdict
 
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
         for name, verdict in pool.map(one, work):
             tally[name]["survived" if verdict == "survived" else "killed"] += 1
     for name, counts in tally.items():
