@@ -164,7 +164,7 @@ def cmd_check(args) -> int:
 
 def _certificate_json(cert) -> dict:
     return {
-        "family": {"kind": "F1" if cert.k == 1 else "F2", "k": cert.k},
+        "k": cert.k,
         "components": [
             {
                 "vertices": list(e.vertices),
@@ -368,7 +368,13 @@ def _add_corpus_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="factorsmith", description=__doc__)
+    ap = argparse.ArgumentParser(
+        prog="factorsmith",
+        description="Test the isolated-vertex condition iso(G-S) <= c|S|, extract certified "
+        "component factors, and check the two against each other over graph corpora.  Exit "
+        "codes: 0 = condition holds, factor found or run clean; 1 = violated, no factor, "
+        "disagreement or engine error; 2 = usage or parse error.",
+    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="test iso(G-S) <= c|S| for all S")

@@ -5,9 +5,10 @@ vertex's weighted degree lies in [1, k+1/2].  Weights are counted in integer
 half-units 0/1/2, so the window is [2, 2k+1]; no floating point anywhere.
 An assignment is its support: it stores only the edges at 1 or 2 half-units,
 and every edge it leaves out carries 0, so building or copying one costs
-O(support), not O(||G||).
-`find_fractional_factor` builds one in polynomial time and re-checks its
-answer with `verify_fractional`.
+O(support), not O(||G||).  It is plain data: `verify_fractional` alone
+judges one, keys and values included, as it stands after any edit
+(`reducer.minimize` edits one in place).  `find_fractional_factor` builds one
+in polynomial time and re-checks its answer with `verify_fractional`.
 
 The construction is `flows.least_flow` on the bipartite double cover B(G)
 (Anstee, "An algorithmic proof of Tutte's f-factor theorem", J. Algorithms
@@ -46,28 +47,14 @@ class HalfIntegralAssignment:
     """Edge weighting with values in {0, 1/2, 1}, stored as its support.
 
     `units` maps each edge of weight 1/2 or 1, as `edge(u, v)`, to its
-    half-units 1 or 2; every other edge of the graph carries 0.  The
-    constructor accepts the int values 0, 1 and 2 on edges of the graph, each
-    edge given once in either orientation, and drops the zeros."""
+    half-units 1 or 2; every other edge of the graph carries 0.  Both fields
+    are stored as given: `verify_fractional` is what checks them."""
 
     __slots__ = ("graph", "units")
 
     def __init__(self, graph: Graph, units: dict[tuple[int, int], int]):
-        n, adj = graph.n, graph.adj
-        norm: dict[tuple[int, int], int] = {}
-        for (u, v), h in units.items():
-            e = edge(u, v)
-            a, b = e
-            if not (0 <= a and b < n and adj[a] >> b & 1):
-                raise ValueError(f"assignment references non-edge {e}")
-            if u > v and e in units:
-                raise ValueError(f"assignment gives edge {e} twice")
-            if type(h) is not int or not 0 <= h <= 2:
-                raise ValueError(f"half-unit value must be the int 0, 1 or 2, got {h!r}")
-            if h:
-                norm[e] = h
         self.graph = graph
-        self.units = norm
+        self.units = units
 
     def support_edges(self) -> list[tuple[int, int]]:
         return sorted(self.units)
@@ -155,13 +142,20 @@ def _round_trails(ends: list[tuple[int, int]], q: list[int], deg: list[int]) -> 
 
 
 def verify_fractional(g: Graph, k: int, h: HalfIntegralAssignment) -> bool:
-    """Exact check: 1 <= deg^h(v) <= k + 1/2 for every vertex."""
+    """Exact check of h on its own: every key of `h.units` is an edge of g
+    as `edge(u, v)`, every value is the int 1 or 2 (no bool, no float), and
+    1 <= deg^h(v) <= k + 1/2 for every vertex."""
     if k < 1:
         raise ValueError(f"parameter k must be >= 1, got {k}")
     if h.graph is not g and h.graph != g:
         raise ValueError("assignment was built for a different graph")
-    units = [0] * g.n
-    for (u, v), val in h.units.items():
-        units[u] += val
-        units[v] += val
+    n, adj = g.n, g.adj
+    units = [0] * n
+    for e, x in h.units.items():
+        u, v = e
+        # u < n guards the index; the bit test refuses v == u and v >= n
+        if not (0 <= u < n and edge(u, v) == e and adj[u] >> v & 1 and type(x) is int and 1 <= x <= 2):
+            return False
+        units[u] += x
+        units[v] += x
     return all(2 <= s <= 2 * k + 1 for s in units)

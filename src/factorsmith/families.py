@@ -19,8 +19,9 @@ T(2k+1); they are classified under their own tags, which leaves the family
 unions unchanged.
 
 `ComponentClass` is a NamedTuple, so it compares equal to the plain tuple
-(kind, param) of the same fields; its constructor checks that a star has
-j >= 1 and a tree expansion k >= 2.
+(kind, param) of the same fields.  It is plain data: a tag counts only where
+`reducer.verify_certificate` re-classifies the component and gets the same
+tag, so a malformed one such as a star with j = 0 never certifies.
 """
 
 from __future__ import annotations
@@ -30,22 +31,11 @@ from typing import NamedTuple
 from factorsmith.graphs import Graph, is_tree
 
 
-class _ClassFields(NamedTuple):
-    kind: str  # P2 | C3 | P5 | star | cubic_expansion | tree_expansion | other
-    param: int | None = None
-
-
-class ComponentClass(_ClassFields):
+class ComponentClass(NamedTuple):
     """Structural class of one factor component."""
 
-    __slots__ = ()
-
-    def __new__(cls, kind: str, param: int | None = None):
-        if kind == "star" and (param is None or param < 1):
-            raise ValueError("star class needs j >= 1")
-        if kind == "tree_expansion" and (param is None or param < 2):
-            raise ValueError("tree expansion class needs k >= 2")
-        return super().__new__(cls, kind, param)
+    kind: str  # P2 | C3 | P5 | star | cubic_expansion | tree_expansion | other
+    param: int | None = None
 
     @property
     def label(self) -> str:

@@ -121,7 +121,7 @@ def from_assignment(g: Graph, k: int, h: HalfIntegralAssignment) -> HalfIntegral
     """A copy of the verified assignment h, for `minimize` to edit."""
     if not verify_fractional(g, k, h):
         raise ValueError("assignment does not verify at this parameter")
-    return HalfIntegralAssignment(g, h.units)
+    return HalfIntegralAssignment(g, dict(h.units))
 
 
 # --- structural scans ---------------------------------------------------------

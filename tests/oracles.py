@@ -132,7 +132,7 @@ def reference_search(g: Graph, k: int) -> HalfIntegralAssignment | None:
             entering = False
     if i < 0:
         return None
-    assignment = HalfIntegralAssignment(g, dict(zip(edges, h)))
+    assignment = HalfIntegralAssignment(g, {e: x for e, x in zip(edges, h) if x})
     if not verify_fractional(g, k, assignment):
         raise AssertionError("constructed assignment failed its own verification")
     return assignment

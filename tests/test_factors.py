@@ -143,24 +143,42 @@ class TestVerifyFractional:
         assert not verify_fractional(C3, 1, h)
 
     def test_non_edge_rejected(self):
-        with pytest.raises(ValueError):
-            HalfIntegralAssignment(P3, {(0, 1): 1, (1, 2): 1, (0, 2): 1})
+        """Every degree stays in the window, so only the key checks refuse:
+        a non-edge, and keys outside 0..n-1."""
+        h = HalfIntegralAssignment(P3, {(0, 1): 1, (1, 2): 1, (0, 2): 1})
+        assert not verify_fractional(P3, 1, h)
+        for e in ((-1, 1), (3, 4)):
+            h = HalfIntegralAssignment(P3, {(0, 1): 2, (1, 2): 2, e: 1})
+            assert not verify_fractional(P3, 2, h)
 
     def test_omitted_edge_carries_zero(self):
-        """An assignment is its support: an edge left out carries 0, and a
-        zero entry is dropped."""
+        """An assignment is its support, stored as given: an edge left out
+        carries 0, and a zero entry or a reversed key is refused."""
         h = HalfIntegralAssignment(P3, {(0, 1): 2})
         assert h.units == {(0, 1): 2} and h.support_edges() == [(0, 1)]
         assert not verify_fractional(P3, 1, h)  # vertex 2 is left at 0
         h = HalfIntegralAssignment(P3, {(1, 0): 2, (1, 2): 0})
-        assert h.units == {(0, 1): 2}
+        assert not verify_fractional(P3, 1, h)
         assert HalfIntegralAssignment(P3, {}).units == {}
 
     def test_edge_given_twice_rejected(self):
-        with pytest.raises(ValueError, match=r"edge \(0, 1\) twice"):
-            HalfIntegralAssignment(K2, {(0, 1): 2, (1, 0): 1})
-        with pytest.raises(ValueError, match="twice"):
-            HalfIntegralAssignment(K2, {(1, 0): 0, (0, 1): 0})
+        """Both degrees would be 3, inside the k = 1 window."""
+        h = HalfIntegralAssignment(K2, {(0, 1): 2, (1, 0): 1})
+        assert not verify_fractional(K2, 1, h)
+        h = HalfIntegralAssignment(K2, {(1, 0): 0, (0, 1): 0})
+        assert not verify_fractional(K2, 1, h)
+
+    def test_units_written_after_construction(self):
+        """The check reads `h.units` as it stands, as `minimize` leaves it;
+        each write below keeps every degree in the k = 2 window."""
+        h = HalfIntegralAssignment(K2, {(0, 1): 2})
+        h.units[(0, 1)] = 3
+        assert not verify_fractional(K2, 2, h)
+        for e in ((0, 2), (1, 0)):
+            h = HalfIntegralAssignment(P3, {(0, 1): 2, (1, 2): 2})
+            assert verify_fractional(P3, 2, h)
+            h.units[e] = 1
+            assert not verify_fractional(P3, 2, h)
 
     def test_parameter_and_graph_guards(self):
         """k < 1 is refused, and so is an assignment built for another graph;
@@ -173,11 +191,11 @@ class TestVerifyFractional:
             verify_fractional(Graph(3, [(0, 1)]), 1, h)
         assert verify_fractional(Graph(2, [(0, 1)]), 1, h)
 
-    @pytest.mark.parametrize("value", [True, False, 2.0, 1.0, 3, -1, "2", None])
+    @pytest.mark.parametrize("value", [0, True, False, 2.0, 1.0, 3, -1, "2", None])
     def test_value_must_be_int_0_to_2(self, value):
-        """No bool and no float: half-units are the ints 0, 1 and 2."""
-        with pytest.raises(ValueError, match="half-unit value"):
-            HalfIntegralAssignment(K2, {(0, 1): value})
+        """No zero, no bool and no float: a support edge carries the int 1
+        or 2.  At k = 2, 2.0 and 3 would keep both degrees in the window."""
+        assert not verify_fractional(K2, 2, HalfIntegralAssignment(K2, {(0, 1): value}))
 
     def test_condition_necessity_sum(self):
         # for a verified assignment, iso(G-S) <= sum of h-degrees over S

@@ -12,7 +12,6 @@ from factorsmith.factors import verify_fractional
 from factorsmith.families import (
     C3,
     OTHER,
-    ComponentClass,
     P2,
     P5,
     classify_component,
@@ -287,13 +286,9 @@ class TestClassify:
         assert classify_component(path(5), 2) == OTHER
 
     def test_class_invariants(self):
-        """A star needs j >= 1 and a tree expansion k >= 2."""
-        for param in (None, 0, -1):
-            with pytest.raises(ValueError, match="^star class needs j >= 1$"):
-                ComponentClass("star", param)
-        for param in (None, 1):
-            with pytest.raises(ValueError, match="^tree expansion class needs k >= 2$"):
-                ComponentClass("tree_expansion", param)
+        """A star's label names j, and a tree expansion's names k; a
+        malformed tag never certifies (`TestVerifyCertificate` in
+        test_reducer.py)."""
         assert star(1).label == "K1,1" and tree_expansion(2).label == "tree-expansion(2)"
 
     def test_family_validation(self):

@@ -28,7 +28,16 @@ from factorsmith.corpus import (
     random_tree_expansion,
 )
 from factorsmith.factors import HalfIntegralAssignment, find_fractional_factor
-from factorsmith.families import OTHER, P2, P5, classify_component, star
+from factorsmith.families import (
+    OTHER,
+    P2,
+    P5,
+    ComponentClass,
+    classify_component,
+    expand_core_tree,
+    star,
+    tree_expansion,
+)
 from factorsmith.graphs import Graph, encode_graph6
 from factorsmith.reducer import (
     ComponentEntry,
@@ -231,8 +240,8 @@ C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
 def _c4_matching():
-    """C4 with the perfect matching 0-1, 2-3 red and the other edges at 0."""
-    return HalfIntegralAssignment(C4, {(0, 1): 2, (2, 3): 2, (1, 2): 0, (0, 3): 0})
+    """C4 with the perfect matching 0-1, 2-3 red; the other edges carry 0."""
+    return HalfIntegralAssignment(C4, {(0, 1): 2, (2, 3): 2})
 
 
 class TestGuards:
@@ -263,6 +272,18 @@ class TestGuards:
         with pytest.raises(reducer.InvalidColoredFactor) as info:
             minimize(_c4_matching(), 1)
         assert str(info.value).startswith("X loc=(0) removed=[0-1] recolored=[] left the")
+
+    def test_value_outside_half_units(self, monkeypatch):
+        """A one-shot rule writes 3 half-units on 0-1.  That keeps C3 in the
+        k = 2 window (degrees 5, 3 and 2 from 2 everywhere), so only the
+        value check refuses it."""
+        rw = reducer.RuleStep("X", (0, 1, 2), {(0, 1): 3, (1, 2): 0})
+        once = (("X", "X", lambda st, rule: rw if (1, 2) in st.units else None),)
+        monkeypatch.setattr(reducer, "_RULES", once)
+        c3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(reducer.InvalidColoredFactor) as info:
+            minimize(HalfIntegralAssignment(c3, dict.fromkeys(c3.edges, 2)), 2)
+        assert str(info.value) == "X loc=(0,1,2) removed=[1-2] recolored=[] left the [1, 5/2] window"
 
     def test_rewrite_must_remove_an_edge(self, monkeypatch):
         self._only_rule(monkeypatch, {(0, 1): 1})
@@ -316,16 +337,24 @@ class TestVerifyCertificate:
 
     def test_class_tag_fails_to_revalidate(self):
         """P3 is K1,2 at k = 2, so a P2 tag fails; at k = 1 it is no member,
-        and even the tag "other" is refused."""
+        and even the tag "other" is refused.  A malformed tag (a star with
+        j < 1, a tree expansion with no k >= 2) is refused on a component
+        whose honest tag passes."""
         p3 = Graph(3, [(0, 1), (1, 2)])
+        member = expand_core_tree(Graph(2, [(0, 1)]), 2)
 
-        def cert(k, cls):
-            return FactorCertificate(k, (ComponentEntry((0, 1, 2), ((0, 1), (1, 2)), cls),))
+        def cert(k, cls, g=p3):
+            return FactorCertificate(k, (ComponentEntry(tuple(range(g.n)), g.edges, cls),))
 
         assert verify_certificate(p3, cert(2, star(2)))
         assert not verify_certificate(p3, cert(2, P2))
         assert not verify_certificate(p3, cert(1, star(2)))
         assert not verify_certificate(p3, cert(1, OTHER))
+        for j in (0, None):
+            assert not verify_certificate(p3, cert(2, ComponentClass("star", j)))
+        assert verify_certificate(member, cert(2, tree_expansion(2), member))
+        for k in (1, None):
+            assert not verify_certificate(member, cert(2, ComponentClass("tree_expansion", k), member))
 
     def test_chair_is_no_p5(self):
         """The chair, K1,3 with one edge subdivided, has P5's order but a
