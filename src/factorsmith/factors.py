@@ -13,11 +13,11 @@ in polynomial time and re-checks its answer with `verify_fractional`.
 The construction is `flows.least_flow` on the bipartite double cover B(G)
 (Anstee, "An algorithmic proof of Tutte's f-factor theorem", J. Algorithms
 6, 1985), whose arcs L_u -> R_w and L_w -> R_u carry up to 2 for each edge
-uw.  If v needs lo_v to hi_v half-units, a flow with s -> L_v and R_v -> t
-each in [lo_v, hi_v] is a weighting and back.  A half-integral x gives one
-with both arcs of each edge at x_e; an integral flow y gives
+uw.  A flow with s -> L_v and R_v -> t each in the one window [2, 2k+1] at
+every vertex v is a weighting and back.  A half-integral x gives one with
+both arcs of each edge at x_e; an integral flow y gives
 x_e = (y_uw + y_wu) / 2 half-units, whose total is half the flow value,
-within the bounds but possibly 1/2 or 3/2.
+within the window but possibly 1/2 or 3/2.
 
 Such an x rounds to a half-integral one.  In quarter-units q_e = y_uw + y_wu
 every degree lies in [4, 4k+2], whose ends are even.  The edges with odd q_e
@@ -63,46 +63,33 @@ class HalfIntegralAssignment:
 def find_fractional_factor(g: Graph, k: int) -> HalfIntegralAssignment | None:
     """Half-integral [1, k+1/2] edge weighting, or None if none exists.
 
-    A leaf reaches 2 half-units only through its one edge, so every pendant
-    edge carries 2.  The refusal comes first and reads the masks alone: a
-    vertex with more than k leaf neighbours would sit above 2k+1, so there is
-    no factor, and no edge list or flow network is built.  That vertex comes
-    from `graphs.leaf_centre` with the bound k, the whole part of k+1/2 that
-    `check_iso_condition` passes it at c = k+1/2, so this refuses exactly
-    where that check's witness has size 0 or 1: an isolated vertex, or such
-    a vertex v as S = {v}.  Otherwise the other edges take the least feasible
-    flow on B(G) for each vertex's remaining window, rounded along trails
-    (see the module docstring): two max flows in all."""
+    The refusal comes first and reads the masks alone, so no edge list or
+    flow network is built: an isolated vertex, or a vertex with more than k
+    leaf neighbours.  A leaf reaches 2 half-units only through its one edge,
+    so each of those edges would carry 2 and lift that vertex above 2k+1.
+    The vertex comes from `graphs.leaf_centre` with the bound k, the whole
+    part of k+1/2 that `check_iso_condition` passes it at c = k+1/2, so this
+    refuses exactly where that check's witness has size 0 or 1: an isolated
+    vertex, or such a vertex v as S = {v}.  Otherwise every edge takes the
+    least feasible flow on B(G) with the window [2, 2k+1] at every vertex,
+    rounded along trails (see the module docstring): two max flows in all.
+    A leaf's two arcs carry at most 2 each, so the window saturates them and
+    every pendant edge carries 2 with no step of its own."""
     if k < 1:
         raise ValueError(f"parameter k must be >= 1, got {k}")
-    n, adj = g.n, g.adj
-    if not all(adj):
+    adj = g.adj
+    if not all(adj) or leaf_centre(adj, k)[1] is not None:
         return None
-    leaves, centre = leaf_centre(adj, k)
-    if centre is not None:
+    edges = g.edges
+    q = least_flow(g.n, edges, 2, 2 * k + 1)
+    if q is None:
         return None
-    fixed = [2 if leaves >> v & 1 else 2 * (m & leaves).bit_count() for v, m in enumerate(adj)]
-    units: dict[tuple[int, int], int] = {}
-    rest = []
-    for e in g.edges:
-        u, w = e
-        if leaves >> u & 1 or leaves >> w & 1:
-            units[e] = 2
-        else:
-            rest.append(e)
-    if rest:
-        # v still needs lo_v to hi_v half-units; lo_v = 0 where all of v's
-        # edges are pendant, so a vertex off `rest` needs no flow
-        q = least_flow(n, rest, [max(0, 2 - f) for f in fixed], [2 * k + 1 - f for f in fixed])
-        if q is None:
-            return None
-        deg = [2 * f for f in fixed]
-        for (u, w), x in zip(rest, q):
-            deg[u] += x
-            deg[w] += x
-        _round_trails(rest, q, deg)
-        units.update((e, x // 2) for e, x in zip(rest, q) if x)
-    assignment = HalfIntegralAssignment(g, units)
+    deg = [0] * g.n
+    for (u, w), x in zip(edges, q):
+        deg[u] += x
+        deg[w] += x
+    _round_trails(edges, q, deg)
+    assignment = HalfIntegralAssignment(g, {e: x // 2 for e, x in zip(edges, q) if x})
     if not verify_fractional(g, k, assignment):
         raise AssertionError("constructed assignment failed its own verification")
     return assignment

@@ -23,26 +23,28 @@ def network(arcs: list[tuple[int, int, int]], size: int) -> tuple[list[list[int]
     return heads, to, cap
 
 
-def least_flow(n: int, edges: list[tuple[int, int]], lo: list[int], hi: list[int]) -> list[int] | None:
+def least_flow(n: int, edges: list[tuple[int, int]], lo: int, hi: int) -> list[int] | None:
     """y_uw + y_wu for each edge uw of `edges` in a least feasible flow y on
     the bipartite double cover B(G) of the graph on n vertices with those
     edges, or None if no feasible flow exists.  B(G) has a left copy L_v and
     a right copy R_v of each vertex, arcs L_u -> R_w and L_w -> R_u of
     capacity 2 for each edge uw, and arcs s -> L_v and R_v -> t that each
-    carry between lo_v = lo[v] and hi_v = hi[v].
+    carry between lo and hi, the one window of every vertex.
 
     Lower bounds go the standard way (Ahuja, Magnanti, Orlin, Network Flows,
-    1993, ch. 6): a bounded arc keeps capacity hi_v - lo_v, its head draws
-    lo_v from a super-source S' and its tail sends lo_v to a super-sink T',
-    and an uncapped arc t -> s closes the circulation.  A feasible flow
-    exists iff the max flow from S' to T' saturates S'.  A max flow from t
-    back to s in its residual, without that arc, then leaves the least one."""
+    1993, ch. 6): a bounded arc keeps capacity hi - lo, its head draws lo
+    from a super-source S' and its tail sends lo to a super-sink T', and an
+    uncapped arc t -> s closes the circulation.  A feasible flow exists iff
+    the max flow from S' to T' saturates S'.  A max flow from t back to s in
+    its residual, without that arc, then leaves the least one.  With no edge
+    there is no arc t -> s: the empty flow is feasible iff n * lo = 0."""
+    if not edges:
+        return None if n * lo else []
     # nodes: 0 = s, 1 = t, 2 = S', 3 = T', 4 + v = L_v, 4 + n + v = R_v
     arcs = [a for u, w in edges for a in ((4 + u, 4 + n + w, 2), (4 + w, 4 + n + u, 2))]
     for v in range(n):
-        slack = hi[v] - lo[v]
-        arcs += ((2, 4 + v, lo[v]), (4 + n + v, 3, lo[v]), (0, 4 + v, slack), (4 + n + v, 1, slack))
-    demand = sum(lo)
+        arcs += ((2, 4 + v, lo), (4 + n + v, 3, lo), (0, 4 + v, hi - lo), (4 + n + v, 1, hi - lo))
+    demand = n * lo
     arcs += ((2, 1, demand), (0, 3, demand), (1, 0, 4 * len(edges)))
     heads, to, cap = network(arcs, 4 + 2 * n)
     if max_flow(heads, to, cap, 2, 3, 2 * demand) < 2 * demand:

@@ -55,8 +55,9 @@ class ReducerError(RuntimeError):
 
 
 class InvalidColoredFactor(ReducerError):
-    """A rewrite touched an edge outside the support or left a vertex outside
-    the [1, k+1/2] window."""
+    """A rewrite touched an edge outside the support, wrote a value other
+    than 0, 1 or 2 half-units, or left a vertex outside the [1, k+1/2]
+    window."""
 
 
 class FixpointUnclassified(ReducerError):
@@ -83,10 +84,16 @@ class RuleStep(NamedTuple):
     units: dict[tuple[int, int], int]
 
     def to_line(self) -> str:
-        """Edges set to 0, then to 2 (red), then to 1 (blue), each sorted."""
+        """Edges set to 0, then to 2 (red), then to 1 (blue), then to any
+        other value x as u-v:x, each sorted."""
         rem, red, blue = (sorted(e for e, x in self.units.items() if x == value) for value in (0, 2, 1))
+        other = sorted((e, x) for e, x in self.units.items() if x not in (0, 1, 2))
         removed = ",".join(f"{u}-{v}" for u, v in rem)
-        recolored = ",".join([f"{u}-{v}:red" for u, v in red] + [f"{u}-{v}:blue" for u, v in blue])
+        recolored = ",".join(
+            [f"{u}-{v}:red" for u, v in red]
+            + [f"{u}-{v}:blue" for u, v in blue]
+            + [f"{u}-{v}:{x}" for (u, v), x in other]
+        )
         loc = ",".join(map(str, self.location))
         return f"{self.rule} loc=({loc}) removed=[{removed}] recolored=[{recolored}]"
 
@@ -431,7 +438,9 @@ def minimize(h: HalfIntegralAssignment, k: int) -> tuple[HalfIntegralAssignment,
         if 0 not in rw.units.values():
             raise ReducerError(f"rule {rw.rule} did not remove an edge at {rw.location}")
         if not verify_fractional(g, k, h):
-            raise InvalidColoredFactor(f"{step.to_line()} left the [1, {2 * k + 1}/2] window")
+            bad = [f"{x} half-units on {u}-{v}" for (u, v), x in sorted(step.units.items()) if x not in (0, 1, 2)]
+            why = f"wrote {', '.join(bad)}" if bad else f"left the [1, {2 * k + 1}/2] window"
+            raise InvalidColoredFactor(f"{step.to_line()} {why}")
         trace.steps.append(step)
         if len(trace) > budget:
             raise ReducerError("rewrite count exceeded the edge budget; non-termination bug")

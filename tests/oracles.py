@@ -138,11 +138,11 @@ def reference_search(g: Graph, k: int) -> HalfIntegralAssignment | None:
     return assignment
 
 
-def least_flows(n: int, edges: list[tuple[int, int]], lo: list[int], hi: list[int]) -> set[tuple[int, ...]]:
+def least_flows(n: int, edges: list[tuple[int, int]], lo: int, hi: int) -> set[tuple[int, ...]]:
     """The per-edge sums y_uw + y_wu of every least feasible flow y on the
     double cover that `flows.least_flow` describes, or the empty set if no
-    flow is feasible: each arc L_u -> R_w takes every value 0..2, and each
-    vertex v must send and receive between lo[v] and hi[v]."""
+    flow is feasible: each arc L_u -> R_w takes every value 0..2, and every
+    vertex must send and receive between lo and hi."""
     best: set[tuple[int, ...]] = set()
     least = None
     for ys in product(product(range(3), repeat=2), repeat=len(edges)):
@@ -152,7 +152,7 @@ def least_flows(n: int, edges: list[tuple[int, int]], lo: list[int], hi: list[in
             into[w] += a
             out[w] += b
             into[u] += b
-        if all(lo[v] <= out[v] <= hi[v] and lo[v] <= into[v] <= hi[v] for v in range(n)):
+        if all(lo <= out[v] <= hi and lo <= into[v] <= hi for v in range(n)):
             total = sum(out)
             if least is None or total < least:
                 least, best = total, set()

@@ -105,11 +105,11 @@ class TestPinned:
 
 class TestEquivalence:
     def test_exhaustive_small(self):
-        """n <= 5, k in {1, 2}: condition at (2k+1)/2 holds iff a certificate
-        comes back, and every certificate and trace is sound."""
-        for n in range(1, 6):
+        """n <= 6, k in {1, 2, 3}: condition at (2k+1)/2 holds iff a
+        certificate comes back, and every certificate and trace is sound."""
+        for n in range(1, 7):
             for g in enumerate_exhaustive(n):
-                for k in (1, 2):
+                for k in (1, 2, 3):
                     holds = check_iso_condition(g, Fraction(2 * k + 1, 2)) is None
                     cert, _h, trace = extract_component_factor_detailed(g, k)
                     assert holds == (cert is not None), (encode_graph6(g), k)
@@ -283,7 +283,7 @@ class TestGuards:
         c3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(reducer.InvalidColoredFactor) as info:
             minimize(HalfIntegralAssignment(c3, dict.fromkeys(c3.edges, 2)), 2)
-        assert str(info.value) == "X loc=(0,1,2) removed=[1-2] recolored=[] left the [1, 5/2] window"
+        assert str(info.value) == "X loc=(0,1,2) removed=[1-2] recolored=[0-1:3] wrote 3 half-units on 0-1"
 
     def test_rewrite_must_remove_an_edge(self, monkeypatch):
         self._only_rule(monkeypatch, {(0, 1): 1})
