@@ -10,16 +10,15 @@ from __future__ import annotations
 
 def network(arcs: list[tuple[int, int, int]], size: int) -> tuple[list[list[int]], list[int], list[int]]:
     """The network on nodes 0..size-1 with each (tail, head, capacity) of
-    `arcs`, in order, as a pair of arcs; capacities of 0 are left out."""
+    `arcs`, in order, as a pair of arcs, even at capacity 0."""
     heads: list[list[int]] = [[] for _ in range(size)]
     to: list[int] = []
     cap: list[int] = []
     for x, y, c in arcs:
-        if c:
-            heads[x].append(len(to))
-            heads[y].append(len(to) + 1)
-            to += (y, x)
-            cap += (c, 0)
+        heads[x].append(len(to))
+        heads[y].append(len(to) + 1)
+        to += (y, x)
+        cap += (c, 0)
     return heads, to, cap
 
 
@@ -34,25 +33,25 @@ def least_flow(n: int, edges: list[tuple[int, int]], lo: int, hi: int) -> list[i
     Lower bounds go the standard way (Ahuja, Magnanti, Orlin, Network Flows,
     1993, ch. 6): a bounded arc keeps capacity hi - lo, its head draws lo
     from a super-source S' and its tail sends lo to a super-sink T', and an
-    uncapped arc t -> s closes the circulation.  A feasible flow exists iff
-    the max flow from S' to T' saturates S'.  A max flow from t back to s in
-    its residual, without that arc, then leaves the least one.  With no edge
-    there is no arc t -> s: the empty flow is feasible iff n * lo = 0."""
-    if not edges:
-        return None if n * lo else []
+    arc t -> s closes the circulation.  One max flow from S' to T' runs
+    twice, first with t -> s closed, sending M1, then with it open at
+    4 * len(edges) for the rest; no flow is feasible iff the two fall short
+    of 2n * lo.  The flow left on t -> s, the value of y, is least.  In any
+    feasible flow the paths from S' to T' that avoid t -> s form a flow of
+    the first network, so t -> s carries at least 2n * lo - M1.  The second
+    max flow sends just that, on augmenting paths that each cross t -> s at
+    most once, so it leaves no more there."""
     # nodes: 0 = s, 1 = t, 2 = S', 3 = T', 4 + v = L_v, 4 + n + v = R_v
     arcs = [a for u, w in edges for a in ((4 + u, 4 + n + w, 2), (4 + w, 4 + n + u, 2))]
     for v in range(n):
         arcs += ((2, 4 + v, lo), (4 + n + v, 3, lo), (0, 4 + v, hi - lo), (4 + n + v, 1, hi - lo))
-    demand = n * lo
-    arcs += ((2, 1, demand), (0, 3, demand), (1, 0, 4 * len(edges)))
+    arcs += ((2, 1, n * lo), (0, 3, n * lo), (1, 0, 0))
     heads, to, cap = network(arcs, 4 + 2 * n)
-    if max_flow(heads, to, cap, 2, 3, 2 * demand) < 2 * demand:
+    demand = 2 * n * lo
+    first = max_flow(heads, to, cap, 2, 3, demand)
+    cap[len(to) - 2] = 4 * len(edges)  # open the arc t -> s
+    if first + max_flow(heads, to, cap, 2, 3, demand) < demand:
         return None
-    back = len(to) - 2  # the arc t -> s
-    flow = cap[back + 1]
-    cap[back] = cap[back + 1] = 0
-    max_flow(heads, to, cap, 1, 0, flow)
     return [cap[a + 1] + cap[a + 3] for a in range(0, 4 * len(edges), 4)]
 
 

@@ -432,13 +432,13 @@ class TestFlow:
         assert flows.max_flow(heads, to, cap, 0, 1, 3) == 3
         assert cap == [2, 3]
 
-    def test_no_weighting_after_one_flow(self, monkeypatch):
+    def test_no_weighting_after_both_flows(self, monkeypatch):
         """K2,5 at k = 1 has no leaf, and S = the two hubs isolates five
-        vertices: the feasibility flow fails and no second flow runs."""
+        vertices: the two flows together fall short of the demand."""
         g = Graph(7, [(u, w) for u in range(2) for w in range(2, 7)])
         calls = counted_flows(monkeypatch)
         assert find_fractional_factor(g, 1) is None
-        assert len(calls) == 1
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_pendant_edges_alone_carry_two(self, k):
@@ -490,13 +490,16 @@ class TestFlow:
     def test_least_flow_against_every_flow(self):
         """`least_flow` is None exactly when no flow fits the window, and
         otherwise the per-edge sums of some least flow: on 300 random windows
-        over graphs with <= 3 edges, and on six fixed ones that catch a
+        over graphs with <= 3 edges, and on eight fixed ones that catch a
         changed network.  The first two have no edge, so the empty answer
         fits only where no vertex needs flow.  The third needs each arc of
         its edge to carry 3, which capacity 2 forbids; in the fourth, C4 at
-        [3, 3], an arc of capacity 3 would let one edge carry 5.  In the last
-        two the first max flow overshoots the least flow, by 1 and by 2, and
-        the second takes flow back."""
+        [3, 3], an arc of capacity 3 would let one edge carry 5.  In the next
+        two a max flow with t -> s open from the start overshoots the least
+        flow, by 1 and by 2.  In the last two, one edge at [2, 2] and P3 at
+        [2, 4], the first max flow sends 4 of the demand 8 and 12, and the
+        least flow fills every edge arc, so t -> s must open at the capacity
+        of all edge arcs."""
         rng = random.Random(0)
         cases = [
             (0, [], 2, 3),
@@ -505,6 +508,8 @@ class TestFlow:
             (4, [(0, 1), (0, 3), (1, 2), (2, 3)], 3, 3),
             (5, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 3)], 1, 2),
             (5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 3)], 2, 4),
+            (2, [(0, 1)], 2, 2),
+            (3, [(0, 1), (1, 2)], 2, 4),
         ]
         for _ in range(300):
             n = rng.randint(2, 4)
@@ -520,7 +525,7 @@ class TestFlow:
             if q is not None:
                 assert tuple(q) in best, (n, edges, lo, hi, q)
                 feasible += 1
-        assert feasible == 164
+        assert feasible == 166
 
 
 @pytest.mark.parametrize("seed", [92, 50086])

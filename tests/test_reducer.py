@@ -49,7 +49,7 @@ from factorsmith.reducer import (
     verify_certificate,
 )
 from oracles import all_cycles, reference_search
-from treeutil import counted_flows
+from treeutil import counted_flows, random_degrees_2_to_4
 
 CORPUS_CHECKS = 4607
 CORPUS_DIGEST = "80d867cad4ebe69cbbeff7d24b5ba35628d502a52c7ab496c3d870d1fc108e07"
@@ -423,6 +423,18 @@ class TestScale:
     @pytest.mark.parametrize("k", [1, 2])
     def test_gnp_3000(self, k):
         _certified_with_count(_gnp_3000(), k)
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_degrees_2_to_4(self, seed, monkeypatch):
+        """Connected 5000-vertex graphs with every degree in [2, 4] at k = 2.
+        The least flow leaves `minimize` a few steps; one made least by a
+        max flow from t back to s left it 456 and 383 steps."""
+        g = random_degrees_2_to_4(5000, seed)
+        calls = counted_flows(monkeypatch)
+        cert, _h, trace = extract_component_factor_detailed(g, 2)
+        assert len(calls) == 2
+        assert len(trace) <= 10
+        assert cert is not None and verify_certificate(g, cert)
 
     @pytest.mark.parametrize("closed", [False, True], ids=["P5000", "C5000"])
     def test_long_path_and_cycle(self, closed):

@@ -1,13 +1,16 @@
 """Test helpers: AHU canonical forms of trees rooted at centroids, degree
 sequences, membership in T(2k+1), the half-unit weightings the family
-tests check, and a counter of max flows."""
+tests check, a counter of max flows, and connected graphs with every degree
+in [2, 4]."""
 
 from __future__ import annotations
+
+import random
 
 from factorsmith import flows
 from factorsmith.factors import HalfIntegralAssignment
 from factorsmith.families import classify_component, cubic_expansion, tree_expansion
-from factorsmith.graphs import Graph, mask_to_list
+from factorsmith.graphs import Graph, connected_components, mask_to_list
 
 
 def degree_sequence(g: Graph) -> tuple[int, ...]:
@@ -46,6 +49,26 @@ def counted_flows(mp) -> list:
 
     mp.setattr(flows, "max_flow", counted)
     return calls
+
+
+def random_degrees_2_to_4(n: int, seed: int) -> Graph:
+    """A graph on n vertices, in the thousands, with every degree in [2, 4]:
+    each vertex u in turn is joined to uniformly drawn vertices v != u of
+    degree below 4, not yet its neighbours, until u has degree 2, drawn
+    from `random.Random(seed * 100000 + n)`.  Raises ValueError if the draw
+    is not connected."""
+    rng = random.Random(seed * 100000 + n)
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u in range(n):
+        while len(nbrs[u]) < 2:
+            v = rng.randrange(n)
+            if v != u and v not in nbrs[u] and len(nbrs[v]) < 4:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+    g = Graph(n, [(u, v) for u in range(n) for v in nbrs[u] if u < v])
+    if len(connected_components(n, g.adj)) != 1:
+        raise ValueError(f"seed {seed} gives a disconnected graph on {n} vertices")
+    return g
 
 
 def _rooted_canon(g: Graph, root: int, parent: int) -> tuple:
