@@ -33,10 +33,13 @@ violating leaf is therefore the lexicographically smallest violating S of
 minimum size.
 
 The walk keeps S and I = iso(G-S) as masks.  Putting v into S takes v out
-of I and adds each neighbour w outside S with adj[w] & ~S == 0; each stack
-entry saves both masks as they were before its vertex entered, so leaving
-is one pop and the witness is read off the masks.  All comparisons are
-integer cross-multiplications, exact like rationals.
+of I and adds each neighbour w outside S with adj[w] & ~S == 0.  Only a
+neighbour of degree at most s can be one: w outside S is isolated iff
+N(w) lies inside S, so deg(w) <= |S| <= s.  So for each size the walk lists
+once, per vertex, its neighbours of degree <= s, and tests only those.
+Each stack entry saves both masks as they were before its vertex entered,
+so leaving is one pop and the witness is read off the masks.  All
+comparisons are integer cross-multiplications, exact like rationals.
 
 isolated_toughness walks independent sets instead: I = iso(G-S) is
 independent with N(I) inside S, and removing N(I) isolates all of I, so
@@ -114,10 +117,14 @@ def _walk_removal_sets(adj: tuple[int, ...], p: int, q: int) -> ConditionWitness
     """The first S by size from 2 up, then lexicographically, with
     iso(G-S)*q > p*|S|, in a graph without isolated vertices.  A stack
     entry (v, S, I) holds the masks of S and I = iso(G-S) from before v
-    entered (module docstring)."""
+    entered; `low[v]` lists v's neighbours of degree <= size, the only
+    ones an s-set can isolate (module docstring)."""
     n = len(adj)
+    deg = [m.bit_count() for m in adj]
     # the largest s with s*(1+c) < n, i.e. s*(p+q) < n*q
     for size in range(2, (n * q - 1) // (p + q) + 1):
+        small = sum(1 << w for w in range(n) if deg[w] <= size)
+        low = [mask_to_list(m & small) for m in adj]
         stack: list[tuple[int, int, int]] = []
         s = iso = 0  # no mask is 0, so G itself isolates nothing
         v = 0
@@ -129,13 +136,11 @@ def _walk_removal_sets(adj: tuple[int, ...], p: int, q: int) -> ConditionWitness
             elif n - v >= size - depth:
                 stack.append((v, s, iso))
                 s |= 1 << v
-                iso &= ~s
-                out = adj[v] & ~s
-                while out:
-                    low = out & -out
-                    out ^= low
-                    if adj[low.bit_length() - 1] & ~s == 0:
-                        iso |= low
+                rest = ~s
+                iso &= rest
+                for w in low[v]:
+                    if adj[w] & rest == 0 and rest >> w & 1:
+                        iso |= 1 << w
                 v += 1
                 continue
             if not stack:

@@ -43,6 +43,7 @@ TARGETS = [
     ("flows", "least_flow"),
     ("factors", "_round_trails"),
     ("factors", "find_fractional_factor"),
+    ("conditions", "_walk_removal_sets"),
 ]
 TEST_FILES = ["test_reducer.py", "test_factors.py", "test_conditions.py", "test_families.py"]
 OWN_TESTS = {"reducer": "test_reducer.py", "factors": "test_factors.py", "flows": "test_factors.py",

@@ -18,7 +18,7 @@ from factorsmith.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
 from factorsmith.conditions import ConditionWitness, check_iso_condition
 from factorsmith.corpus import enumerate_exhaustive, random_tree_expansion
 from factorsmith.factors import HalfIntegralAssignment
-from factorsmith.families import classify_component, cubic_expansion
+from factorsmith.families import ComponentClass, classify_component, cubic_expansion, star
 from factorsmith.graphs import Graph, encode_graph6, is_tree, parse_graph6
 from factorsmith.reducer import (
     ComponentEntry,
@@ -84,18 +84,28 @@ def test_factor_dot_draws_certified_factor(tmp_path, capsys):
     assert highlighted == {"0 -- 1", "0 -- 4", "2 -- 3", "4 -- 5", "5 -- 6"}
 
 
-def _certificate_from_json(g: Graph, record: dict) -> FactorCertificate:
-    """The certificate a JSON record prints, at the k it prints."""
-    k = record["k"]
-    entries = []
-    for comp in record["components"]:
-        vertices = comp["vertices"]
-        index = {v: i for i, v in enumerate(vertices)}
-        edges = tuple(tuple(e) for e in comp["edges"])
-        cls = classify_component(Graph(len(vertices), [(index[u], index[v]) for u, v in edges]), k)
-        assert cls.label == comp["class"]
-        entries.append(ComponentEntry(tuple(vertices), edges, cls))
-    return FactorCertificate(k, tuple(entries))
+def _class_from_label(label: str) -> ComponentClass:
+    """The class a certificate label names, read without the classifier."""
+    if label.startswith("K1,"):
+        return star(int(label[3:]))
+    if label.startswith("tree-expansion(") and label.endswith(")"):
+        return ComponentClass("tree_expansion", int(label[len("tree-expansion(") : -1]))
+    if label == "cubic-expansion":
+        return cubic_expansion()
+    assert label in ("P2", "C3", "P5"), label
+    return ComponentClass(label)
+
+
+def _certificate_from_json(record: dict) -> FactorCertificate:
+    """The certificate a JSON record prints, at the k and with the class
+    labels it prints; `verify_certificate` alone judges them."""
+    return FactorCertificate(
+        record["k"],
+        tuple(
+            ComponentEntry(tuple(c["vertices"]), tuple(map(tuple, c["edges"])), _class_from_label(c["class"]))
+            for c in record["components"]
+        ),
+    )
 
 
 @pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
@@ -112,7 +122,7 @@ def test_factor_long_input(tmp_path, capsys, closed):
     lines = out.splitlines()
     assert len(lines) == 1
     g = Graph(n, edges)
-    assert verify_certificate(g, _certificate_from_json(g, json.loads(lines[0])["certificate"]))
+    assert verify_certificate(g, _certificate_from_json(json.loads(lines[0])["certificate"]))
 
 
 def test_factor_missing_exits_one(tmp_path, capsys):
@@ -383,6 +393,48 @@ def test_factor_json_family(tmp_path, capsys, g6, k):
     assert record["graph"] == g6
     assert record["certificate"]["k"] == k
     assert list(record["certificate"]) == ["k", "components"]
+
+
+@pytest.mark.parametrize(
+    "k, labels",
+    [
+        (1, ["P2", "C3", "P5", "cubic-expansion"]),
+        (2, ["K1,1", "K1,2", "tree-expansion(2)"]),
+        (3, ["K1,1", "K1,2", "K1,3", "tree-expansion(3)"]),
+    ],
+)
+def test_factor_json_round_trip(tmp_path, capsys, k, labels):
+    """``factor --emit json`` on every labelled graph with 4 or 5 vertices
+    and two members of T(2k+1), written to a file and read back: each
+    certificate, rebuilt from its labels, re-verifies, and fails once any
+    component loses an edge or names another class of the family."""
+    for n in ("4", "5"):
+        assert main(["gen", "--exhaustive", n]) == EXIT_OK
+    assert main(["gen", "--tree-expansion", f"{k},14,2"]) == EXIT_OK
+    graphs = tmp_path / "graphs.g6"
+    graphs.write_text(capsys.readouterr().out, encoding="ascii")
+    assert main(["factor", "--k", str(k), "--emit", "json", str(graphs)]) == EXIT_NEGATIVE
+    saved = tmp_path / "factor.json"
+    saved.write_text(capsys.readouterr().out, encoding="utf-8")
+    family = [_class_from_label(label) for label in labels]
+    seen = set()
+    certified = 0
+    for line in saved.read_text(encoding="utf-8").splitlines():
+        if line.endswith(": no factor (condition fails)"):
+            continue
+        record = json.loads(line)
+        g = parse_graph6(record["graph"])
+        cert = _certificate_from_json(record["certificate"])
+        assert cert.k == k and verify_certificate(g, cert), record
+        certified += 1
+        for i, entry in enumerate(cert.components):
+            seen.add(entry.cls.label)
+            other = family[(family.index(entry.cls) + 1) % len(family)]
+            for changed in (entry._replace(edges=entry.edges[:-1]), entry._replace(cls=other)):
+                components = cert.components[:i] + (changed,) + cert.components[i + 1 :]
+                assert not verify_certificate(g, cert._replace(components=components)), (record, changed)
+    assert certified == {1: 682, 2: 802, 3: 806}[k]
+    assert sorted(seen) == sorted(labels)
 
 
 def _verify_json(capsys, *args: str) -> tuple[int, dict]:

@@ -207,11 +207,13 @@ class TestCheckCondition:
     @settings(max_examples=150, deadline=None)
     @given(
         st.integers(min_value=1, max_value=12),
-        st.sampled_from([Fraction(1, 4), Fraction(2, 5)]),
+        st.sampled_from([Fraction(1, 4), Fraction(2, 5), Fraction(1, 2), Fraction(2, 3)]),
         st.integers(min_value=0, max_value=5000),
         st.sampled_from(RATIOS),
     )
     def test_random_witness_identity(self, n, p, seed, c):
+        """At p = 1/2 and 2/3 most neighbours have more neighbours than
+        the removal set has vertices, so the walk skips them."""
         g = random_gnp(n, p, seed)
         assert check_iso_condition(g, c) == reference_witness(g, c)
 
@@ -381,6 +383,19 @@ class TestWorkCounts:
         for c in (Fraction(1, 2), Fraction(3, 2)):
             assert check_iso_condition(g, c) == ConditionWitness(frozenset(), frozenset({lone}))
         assert calls == []
+
+    @pytest.mark.parametrize("c, sizes", [(Fraction(3, 2), 3), (Fraction(5, 2), 2)])
+    def test_holding_cycle_walks_each_size_in_range(self, c, sizes, monkeypatch):
+        """C12 holds at c >= 1, so the walk tries every size s >= 2 with
+        s*(1+c) < 12 and no other: 2..4 at 3/2 and 2..3 at 5/2.  Every
+        vertex has degree 2, so for each size the walk lists both
+        neighbours of each vertex, and nothing else."""
+        g = Graph(12, [(i, (i + 1) % 12) for i in range(12)])
+        listed = []
+        real = conditions.mask_to_list
+        monkeypatch.setattr(conditions, "mask_to_list", lambda m: listed.append(real(m)) or listed[-1])
+        assert check_iso_condition(g, c) is None
+        assert listed == [sorted(((v - 1) % 12, (v + 1) % 12)) for v in range(12)] * sizes
 
 
 class TestToughness:
